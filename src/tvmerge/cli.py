@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .container import (
-    ParameterSet,
     apply_task_vector,
     compute_task_vector,
     decode_container,
@@ -33,13 +32,11 @@ from .errors import (
 )
 from .harness import PipelineConfig, run_pipeline
 from .merging import (
+    MERGE_METHODS,
     MergeConfig,
     assignment_census,
-    average_merge,
-    magmax_merge,
-    random_mix_merge,
+    merge,
     read_assignment,
-    tunable_merge,
     write_assignment,
 )
 from .preference import (
@@ -84,7 +81,8 @@ def worker_count() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tvmerge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tvmerge {__version__}")
-    parser.add_argument("--log-level", default="warning", help="debug|info|warning|error")
+    levels = ("debug", "info", "warning", "error")
+    parser.add_argument("--log-level", default="warning", choices=levels)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("taskvec", help="subtract a base model from a fine-tuned model")
@@ -95,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge task-vector containers")
     p.add_argument("taus", nargs="+", help="task vector containers, task order")
-    p.add_argument("--method", required=True, choices=["magmax", "tunable", "average", "randmix"])
+    p.add_argument("--method", required=True, choices=MERGE_METHODS)
     p.add_argument("--out", required=True, help="merged container path")
     p.add_argument("--census-out", help="census JSON (default: <out>.census.json)")
     p.add_argument("--assignment-out", help="owner map side-file (default: <out>.assignment.tvc)")
@@ -172,22 +170,15 @@ def cmd_merge(args) -> int:
 
     taus = [decode_container(path) for path in args.taus]
     dim = taus[0].num_elements
-    assignment = None
-    if args.method == "magmax":
-        merged, assignment = magmax_merge(taus)
-    elif args.method == "average":
-        merged = average_merge(taus)
-    elif args.method == "randmix":
-        merged, assignment = random_mix_merge(taus, args.seed)
-    else:
-        if args.pref_file is not None:
-            pref = load_preference(args.pref_file)
-        elif args.alpha is not None:
-            pref = preference_from_alpha(AlphaSchedule(args.alpha, len(taus), dim))
-        else:
-            pref = preference_from_similarities(_read_sim_file(args.sim_file), dim)
-        config = MergeConfig(method="tunable", rounds=args.rounds, seed=args.seed)
-        merged, assignment = tunable_merge(taus, pref, config)
+    pref = None
+    if args.pref_file is not None:
+        pref = load_preference(args.pref_file)
+    elif args.alpha is not None:
+        pref = preference_from_alpha(AlphaSchedule(args.alpha, len(taus), dim))
+    elif args.sim_file is not None:
+        pref = preference_from_similarities(_read_sim_file(args.sim_file), dim)
+    config = MergeConfig(rounds=args.rounds, seed=args.seed or 0)
+    merged, assignment = merge(args.method, taus, pref, config)
 
     encode_container(merged, args.out)
     if assignment is not None:
@@ -250,12 +241,12 @@ def cmd_sim(args) -> int:
 
 def cmd_prefvec(args) -> int:
     if args.validate is not None:
-        payload = json.loads(Path(args.validate).read_text())
+        payload = _read_json_object(args.validate, "preference file")
         budgets = payload.get("budgets")
         dim = args.dim if args.dim is not None else payload.get("d")
         if budgets is None or dim is None:
             raise ValidationError("preference file must contain 'budgets' and 'd'")
-        violations = validate_preference(budgets, int(dim))
+        violations = validate_preference(budgets, dim)
         if violations:
             for line in violations:
                 print(line, file=sys.stderr)
@@ -309,12 +300,19 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _read_sim_file(path: str) -> SimilarityVector:
+def _read_json_object(path: str, what: str) -> dict:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return payload
+
+
+def _read_sim_file(path: str) -> SimilarityVector:
+    payload = _read_json_object(path, "similarity file")
     scores = payload.get("scores")
     if not isinstance(scores, list):
         raise ValidationError("similarity file must contain a 'scores' list")
-    return SimilarityVector(tuple(float(s) for s in scores), metric=payload.get("metric", ""))
+    return SimilarityVector(tuple(scores), metric=payload.get("metric", ""))
 
 
 def _read_embeddings(path: str) -> EmbeddingSet:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
@@ -26,15 +25,12 @@ import numpy as np
 from .container import ParameterSet
 from .errors import ConfigError, ValidationError
 from .merging import (
-    Assignment,
+    MERGE_METHODS,
     MergeConfig,
     PreferenceVector,
     RESIDUAL_RANDOM,
     assignment_census,
-    average_merge,
-    magmax_merge,
-    random_mix_merge,
-    tunable_merge,
+    merge,
 )
 from .preference import (
     AlphaSchedule,
@@ -394,6 +390,9 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     alpha sweeps the schedule and emits one row block per alpha.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_dict(config)
+    method = cfg.merge.get("method", "tunable")
+    if method not in MERGE_METHODS:
+        raise ConfigError(f"unknown merge method {method!r}; expected one of {MERGE_METHODS}")
     suite_args = dict(cfg.suite)
     num_tasks = int(suite_args.pop("num_tasks"))
     dim = int(suite_args.pop("dim"))
@@ -427,8 +426,8 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
             seed=cfg.seed,
         )
 
-    method = cfg.merge.get("method", "tunable")
     rounds = int(cfg.merge.get("rounds", 2))
+    merge_config = MergeConfig(rounds=rounds, seed=cfg.seed)
     lambda_merge = float(cfg.merge.get("lambda_merge", 0.5))
     if not (0.0 <= lambda_merge <= 1.0):
         raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
@@ -458,7 +457,7 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     runs = []
     for alpha in alphas:
         budgets = _build_budgets(cfg, source, alpha, num_tasks, dim, tasks, env, workers)
-        merged, assignment = _merge(method, taus, budgets, rounds, cfg.seed)
+        merged, assignment = merge(method, taus, budgets, merge_config)
         theta_merged = theta_0 + lambda_merge * merged
         result = evaluate(theta_merged, tasks, env)
         census = None if assignment is None else assignment_census(assignment)
@@ -549,18 +548,6 @@ def _build_budgets(
         meta = environment_meta_embeddings(env, tasks)
     scores = similarity_vector(task_inputs, meta, metric, ot_cfg, workers=workers)
     return preference_from_similarities(scores, dim)
-
-
-def _merge(method: str, taus: np.ndarray, budgets: PreferenceVector | None, rounds: int, seed: int):
-    if method == "tunable":
-        return tunable_merge(taus, budgets, MergeConfig(method="tunable", rounds=rounds, seed=seed))
-    if method == "magmax":
-        return magmax_merge(taus)
-    if method == "average":
-        return average_merge(taus), None
-    if method in ("random_mix", "randmix"):
-        return random_mix_merge(taus, seed)
-    raise ConfigError(f"unknown merge method {method!r}")
 
 
 def _build_supports(

@@ -20,39 +20,32 @@ import numpy as np
 from .container import DTYPE_U16, ParameterSet, TaskVector, _read_records, _write_records
 from .errors import ShapeMismatchError, ValidationError
 
-LATER_TASK_WINS = "later_task_wins"
-
-MERGE_METHODS = ("magmax", "tunable", "average", "random_mix")
+MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
 
 #: Provenance code for elements assigned by the final random fill.
 RESIDUAL_RANDOM = 0
 
 TaskVectors = Union[np.ndarray, Sequence[ParameterSet], Sequence[np.ndarray]]
+Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
 
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Knobs shared by the merge strategies.
+    """Knobs of the randomized strategies.
 
-    ``rounds`` is the number of budgeted assignment sweeps before the
-    residual random fill. ``tie_rule`` is fixed: on equal magnitudes the
-    task with the larger index wins.
+    ``seed`` keys every selection stream. ``rounds`` only keys the residual
+    fill stream, (seed, rounds+1, 0); the claim sweep runs once whatever its
+    value, because a task's candidates are exhausted after its first claim.
     """
 
-    method: str = "tunable"
     rounds: int = 2
     seed: int = 0
-    tie_rule: str = LATER_TASK_WINS
 
     def __post_init__(self) -> None:
-        if self.method not in MERGE_METHODS:
-            raise ValidationError(f"unknown merge method {self.method!r}")
         if self.rounds < 1:
             raise ValidationError("rounds must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in 64 unsigned bits")
-        if self.tie_rule != LATER_TASK_WINS:
-            raise ValidationError(f"unsupported tie rule {self.tie_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +79,9 @@ class PreferenceVector:
 class Assignment:
     """Which task supplied each merged element, and in which phase.
 
-    ``owner[p]`` is a task id in 1..T. ``provenance[p]`` is the round
-    number that claimed the element, or :data:`RESIDUAL_RANDOM` for the
-    final random fill.
+    ``owner[p]`` is a task id in 1..T. ``provenance[p]`` is 1 where the
+    owner claimed the element by magnitude, or :data:`RESIDUAL_RANDOM`
+    where the final random fill placed it.
     """
 
     owner: np.ndarray
@@ -118,42 +111,51 @@ def selection_stream(seed: int, round_index: int, task: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def magmax_merge(
-    taus: TaskVectors, tie_rule: str = LATER_TASK_WINS
-) -> tuple[TaskVector | np.ndarray, Assignment]:
+def merge(
+    method: str, taus: TaskVectors, pref: Budgets | None = None, config: MergeConfig | None = None
+) -> tuple[TaskVector | np.ndarray, Assignment | None]:
+    """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment."""
+    config = config or MergeConfig()
+    if method == "magmax":
+        return magmax_merge(taus)
+    if method == "tunable":
+        if pref is None:
+            raise ValidationError("tunable merging needs a preference vector")
+        return tunable_merge(taus, pref, config)
+    if method == "average":
+        return average_merge(taus), None
+    if method == "randmix":
+        return random_mix_merge(taus, config.seed)
+    raise ValidationError(f"unknown merge method {method!r}")
+
+
+def magmax_merge(taus: TaskVectors) -> tuple[TaskVector | np.ndarray, Assignment]:
     """Keep, per element, the value of largest absolute magnitude.
 
-    Ties go to the later task, so iterating tasks in order and keeping the
-    running max-magnitude value reproduces this exactly.
+    Ties go to the later task: the owner is the element's last record-setter.
     """
-    if tie_rule != LATER_TASK_WINS:
-        raise ValidationError(f"unsupported tie rule {tie_rule!r}")
     tau, template = _as_matrix(taus)
     num_tasks, _ = tau.shape
-    # argmax picks the first maximum; scanning reversed rows makes the
-    # later task win ties.
-    rev_pick = np.abs(tau)[::-1].argmax(axis=0)
-    owner = (num_tasks - rev_pick).astype(np.int32)
-    merged = np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
+    # argmax picks the first True; scanning reversed rows finds the last one.
+    owner = (num_tasks - _record_setters(tau)[::-1].argmax(axis=0)).astype(np.int32)
     assignment = Assignment(owner, np.ones_like(owner), num_tasks)
-    return _pack(merged, template), assignment
+    return _pack(_gather(tau, owner), template), assignment
 
 
 def tunable_merge(
-    taus: TaskVectors,
-    pref: PreferenceVector | Sequence[int] | np.ndarray,
-    config: MergeConfig | None = None,
+    taus: TaskVectors, pref: Budgets, config: MergeConfig | None = None
 ) -> tuple[TaskVector | np.ndarray, Assignment]:
     """Budgeted magnitude merge: task t contributes exactly ``pref[t]`` elements.
 
-    For each round, tasks are scanned from last to first. A task claims the
-    still-unassigned elements where its magnitude is the largest among
-    tasks 1..t (later task wins ties); when the claim overshoots the
-    remaining budget, the kept subset is chosen by shuffling the candidates
-    (sorted by flat index) with the stream keyed (seed, round, task) and
-    taking the prefix. After the rounds, leftover elements are shuffled
-    once with key (seed, rounds+1, 0) and dealt to tasks with unmet
-    budgets in ascending task order.
+    One sweep scans tasks from last to first. A task claims the
+    still-unassigned elements where it is a record-setter, i.e. its
+    magnitude is the largest among tasks 1..t (later task wins ties); when
+    the claim overshoots its budget, the kept subset is chosen by shuffling
+    the candidates (sorted by flat index) with the stream keyed (seed, 1,
+    task) and taking the prefix. Claimed elements have provenance 1. The
+    leftover elements are then shuffled once with key (seed, rounds+1, 0)
+    and dealt to tasks with unmet budgets in ascending task order, with
+    provenance :data:`RESIDUAL_RANDOM`.
     """
     config = config or MergeConfig()
     tau, template = _as_matrix(taus)
@@ -169,52 +171,28 @@ def tunable_merge(
     if total != dim:
         raise ValidationError(f"budget sum {total} != element count {dim}")
 
-    mag = np.abs(tau)
-    # earlier_max[t] = per-element max magnitude over tasks before t;
-    # task t's claim condition is mag[t] >= earlier_max[t].
-    earlier_max = np.empty_like(mag)
-    earlier_max[0] = -np.inf
-    if num_tasks > 1:
-        np.maximum.accumulate(mag[:-1], axis=0, out=earlier_max[1:])
-
+    setters = _record_setters(tau)
     owner = np.zeros(dim, dtype=np.int32)
-    provenance = np.full(dim, -1, dtype=np.int32)
     unassigned = np.ones(dim, dtype=bool)
-    counts = np.zeros(num_tasks + 1, dtype=np.int64)
+    deficits = budgets.astype(np.int64)
+    for task in range(num_tasks, 0, -1):
+        need = int(deficits[task - 1])
+        if need == 0:
+            continue
+        claim = np.flatnonzero(unassigned & setters[task - 1])
+        if claim.size > need:
+            claim = selection_stream(config.seed, 1, task).permutation(claim)[:need]
+        owner[claim] = task
+        unassigned[claim] = False
+        deficits[task - 1] -= claim.size
 
-    for round_index in range(1, config.rounds + 1):
-        for task in range(num_tasks, 0, -1):
-            need = int(budgets[task - 1] - counts[task])
-            if need <= 0:
-                continue
-            claim = np.flatnonzero(unassigned & (mag[task - 1] >= earlier_max[task - 1]))
-            if claim.size == 0:
-                continue
-            if claim.size > need:
-                shuffled = selection_stream(config.seed, round_index, task).permutation(claim)
-                claim = shuffled[:need]
-            owner[claim] = task
-            provenance[claim] = round_index
-            unassigned[claim] = False
-            counts[task] += claim.size
-
-    leftovers = np.flatnonzero(unassigned)
-    if leftovers.size:
-        shuffled = selection_stream(config.seed, config.rounds + 1, 0).permutation(leftovers)
-        start = 0
-        for task in range(1, num_tasks + 1):
-            need = int(budgets[task - 1] - counts[task])
-            if need <= 0:
-                continue
-            chosen = shuffled[start : start + need]
-            owner[chosen] = task
-            provenance[chosen] = RESIDUAL_RANDOM
-            counts[task] += chosen.size
-            start += need
-
-    merged = np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
+    provenance = (~unassigned).astype(np.int32)
+    leftovers = selection_stream(config.seed, config.rounds + 1, 0).permutation(
+        np.flatnonzero(unassigned)
+    )
+    owner[leftovers] = np.repeat(np.arange(1, num_tasks + 1, dtype=np.int32), deficits)
     assignment = Assignment(owner, provenance, num_tasks)
-    return _pack(merged, template), assignment
+    return _pack(_gather(tau, owner), template), assignment
 
 
 def average_merge(taus: TaskVectors) -> TaskVector | np.ndarray:
@@ -223,17 +201,14 @@ def average_merge(taus: TaskVectors) -> TaskVector | np.ndarray:
     return _pack(tau.mean(axis=0), template)
 
 
-def random_mix_merge(
-    taus: TaskVectors, seed: int
-) -> tuple[TaskVector | np.ndarray, Assignment]:
+def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[TaskVector | np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
     tau, template = _as_matrix(taus)
     num_tasks, dim = tau.shape
     stream = selection_stream(seed, 0, 0)
     owner = stream.integers(1, num_tasks + 1, size=dim, dtype=np.int32)
-    merged = np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
     assignment = Assignment(owner, np.zeros(dim, dtype=np.int32), num_tasks)
-    return _pack(merged, template), assignment
+    return _pack(_gather(tau, owner), template), assignment
 
 
 def assignment_census(assignment: Assignment, num_tasks: int | None = None) -> np.ndarray:
@@ -304,6 +279,28 @@ def _as_matrix(taus: TaskVectors) -> tuple[np.ndarray, ParameterSet | None]:
     if np.isnan(mat).any():
         raise ValidationError("task vectors must not contain NaN")
     return mat, template
+
+
+def _record_setters(tau: np.ndarray) -> np.ndarray:
+    """(T, d) bool matrix, True where ``|tau[t]| >= |tau[s]|`` for every s < t.
+
+    One forward pass keeps a running max of ``|tau|`` a row at a time, so
+    no (T, d) float temporary is built. Row 0 is all True.
+    """
+    setters = np.empty(tau.shape, dtype=bool)
+    setters[0] = True
+    running = np.abs(tau[0])
+    row = np.empty_like(running)
+    for task in range(1, tau.shape[0]):
+        np.abs(tau[task], out=row)
+        np.greater_equal(row, running, out=setters[task])
+        np.maximum(running, row, out=running)
+    return setters
+
+
+def _gather(tau: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Copy element p from row ``owner[p] - 1``, bitwise."""
+    return np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
 
 
 def _pack(merged: np.ndarray, template: ParameterSet | None) -> TaskVector | np.ndarray:

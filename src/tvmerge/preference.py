@@ -35,7 +35,11 @@ class SimilarityVector:
     metric: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        try:
+            scores = tuple(float(s) for s in self.scores)
+        except (TypeError, ValueError):
+            raise ValidationError("similarity scores must be numbers") from None
+        object.__setattr__(self, "scores", scores)
         _check_scores(self.scores)
 
     @property
@@ -89,14 +93,16 @@ def validate_preference(
     pref: PreferenceVector | Sequence[int], dim: int
 ) -> list[str]:
     """Return human-readable violations; an empty list means the vector is valid."""
-    budgets = list(pref.budgets) if isinstance(pref, PreferenceVector) else list(pref)
+    budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
+    if not isinstance(budgets, (list, tuple, np.ndarray)):
+        return [f"budgets must be a list, got {type(budgets).__name__}"]
     violations = []
     for index, n in enumerate(budgets, start=1):
-        if int(n) != n:
+        if not _is_integral(n):
             violations.append(f"non-integer budget {n} for task {index}")
         elif n < 0:
             violations.append(f"negative budget {n} for task {index}")
-    total = sum(int(n) for n in budgets if int(n) == n)
+    total = sum(int(n) for n in budgets if _is_integral(n))
     if not violations and total != dim:
         violations.append(f"sum {total} != {dim}")
     return violations
@@ -127,6 +133,13 @@ def _floor_remainder_allocation(scores: Sequence[float], dim: int) -> list[int]:
     floors = [int(s / total * dim) for s in exact]
     remainder = dim - sum(floors)
     return [n + 1 if index < remainder else n for index, n in enumerate(floors)]
+
+
+def _is_integral(value) -> bool:
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _check_scores(scores: Sequence[float]) -> None:

@@ -249,6 +249,21 @@ class TestPrefvec:
     def test_missing_dim_exits_4(self):
         assert main(["prefvec", "--alpha", "2", "--tasks", "5"]) == 4
 
+    @pytest.mark.parametrize(
+        "flag, payload",
+        [
+            ("--validate", [4, 3]),
+            ("--validate", {"budgets": ["a"], "d": 1}),
+            ("--sim-file", {"scores": ["x"]}),
+        ],
+    )
+    def test_wrongly_typed_json_exits_2(self, tmp_path, capsys, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(["prefvec", flag, str(path), "--dim", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
+
 
 class TestCensus:
     def test_census_from_side_file(self, tmp_path, capsys):
@@ -287,6 +302,20 @@ class TestPipeline:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"suite": {"num_tasks": 2, "dim": 8}}))
         assert main(["pipeline", "--config", str(bad)]) == 6
+
+    def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("suite generated for an unknown merge method")
+
+        monkeypatch.setattr("tvmerge.harness.generate_task_suite", fail)
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8},
+            "merge": {"method": "random_mix"},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 6
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = {
@@ -364,6 +393,10 @@ class TestDeterminismUnderThreads:
 class TestUsage:
     def test_unknown_flag_exits_4(self):
         assert main(["merge", "--method", "magmax", "--frobnicate"]) == 4
+
+    def test_bad_log_level_exits_4(self, capsys):
+        assert main(["--log-level", "bogus", "census", "--assignment", "x"]) == 4
+        assert "--log-level" in capsys.readouterr().err
 
     def test_unknown_method_exits_4(self, tmp_path):
         write_container(tmp_path / "t.tvc", [1.0])

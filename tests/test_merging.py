@@ -15,6 +15,7 @@ from tvmerge import (
     assignment_census,
     average_merge,
     magmax_merge,
+    merge,
     provenance_label,
     random_mix_merge,
     read_assignment,
@@ -22,7 +23,7 @@ from tvmerge import (
     write_assignment,
 )
 
-from reference_merge import reference_tunable_merge
+from reference_merge import argmax_later_wins, reference_tunable_merge
 
 
 def random_budgets(rng, num_tasks, dim):
@@ -66,9 +67,21 @@ class TestMagmax:
         array_merged, _ = magmax_merge(np.stack([t.flat() for t in taus]))
         assert np.array_equal(merged.flat(), array_merged)
 
-    def test_rejects_unknown_tie_rule(self):
-        with pytest.raises(ValidationError):
-            magmax_merge(np.zeros((1, 2)), tie_rule="first_task_wins")
+    def test_owners_match_reference_on_tie_heavy_instances(self):
+        rng = np.random.default_rng(14)
+        for trial in range(200):
+            num_tasks = int(rng.integers(1, 6))
+            dim = int(rng.integers(1, 17))
+            dtype = np.float32 if trial % 2 else np.float64
+            taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(dtype)
+            taus[rng.random(size=taus.shape) < 0.1] = np.inf
+            taus[rng.random(size=taus.shape) < 0.1] = -np.inf
+            merged, assignment = magmax_merge(taus)
+            ref_owner = [
+                argmax_later_wins([abs(float(v)) for v in taus[:, p]]) + 1 for p in range(dim)
+            ]
+            assert assignment.owner.tolist() == ref_owner
+            assert merged.tobytes() == taus[np.array(ref_owner) - 1, np.arange(dim)].tobytes()
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeMismatchError):
@@ -263,11 +276,37 @@ class TestCensusAndAssignmentIO:
 class TestMergeConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            MergeConfig(method="ties")
-        with pytest.raises(ValidationError):
             MergeConfig(rounds=0)
         with pytest.raises(ValidationError):
             MergeConfig(seed=-1)
-        with pytest.raises(ValidationError):
-            MergeConfig(tie_rule="first_task_wins")
         assert MergeConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestMergeDispatch:
+    def test_each_method_matches_its_strategy(self):
+        rng = np.random.default_rng(16)
+        taus = rng.integers(-2, 3, size=(3, 40)).astype(float)
+        budgets = random_budgets(rng, 3, 40)
+        config = MergeConfig(rounds=3, seed=5)
+        expected = {
+            "magmax": magmax_merge(taus),
+            "tunable": tunable_merge(taus, budgets, config),
+            "average": (average_merge(taus), None),
+            "randmix": random_mix_merge(taus, seed=5),
+        }
+        for method, (want_merged, want_assignment) in expected.items():
+            merged, assignment = merge(method, taus, budgets, config)
+            assert merged.tobytes() == want_merged.tobytes()
+            if want_assignment is None:
+                assert assignment is None
+            else:
+                assert np.array_equal(assignment.owner, want_assignment.owner)
+                assert np.array_equal(assignment.provenance, want_assignment.provenance)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValidationError, match="unknown merge method"):
+            merge("ties", np.zeros((2, 3)))
+
+    def test_tunable_needs_budgets(self):
+        with pytest.raises(ValidationError, match="preference vector"):
+            merge("tunable", np.zeros((2, 3)))
