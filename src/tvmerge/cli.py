@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .container import (
+    ParameterSet,
     apply_task_vector,
     compute_task_vector,
     decode_container,
@@ -27,6 +28,7 @@ from .container import (
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    ShapeMismatchError,
     UsageError,
     ValidationError,
 )
@@ -168,8 +170,8 @@ def cmd_merge(args) -> int:
     if args.method in ("tunable", "randmix") and args.seed is None:
         raise UsageError(f"--seed is required for --method {args.method}")
 
-    taus = [decode_container(path) for path in args.taus]
-    dim = taus[0].num_elements
+    layout, taus = _read_task_matrix(args.taus)
+    dim = taus.shape[1]
     pref = None
     if args.pref_file is not None:
         pref = load_preference(args.pref_file)
@@ -180,7 +182,7 @@ def cmd_merge(args) -> int:
     config = MergeConfig(rounds=args.rounds, seed=args.seed or 0)
     merged, assignment = merge(args.method, taus, pref, config)
 
-    encode_container(merged, args.out)
+    encode_container(layout.with_flat(merged), args.out)
     if assignment is not None:
         census = assignment_census(assignment)
         census_path = args.census_out or f"{args.out}.census.json"
@@ -300,6 +302,20 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _read_task_matrix(paths: list[str]) -> tuple[ParameterSet, np.ndarray]:
+    """Decode containers one at a time into the rows of a (T, d) float32 matrix."""
+    layout = decode_container(paths[0])
+    taus = np.empty((len(paths), layout.num_elements), dtype=np.float32)
+    taus[0] = layout.flat()
+    layout = layout.with_flat(taus[0])
+    for row, path in enumerate(paths[1:], start=1):
+        tau = decode_container(path)
+        if not layout.same_layout(tau):
+            raise ShapeMismatchError(f"shape mismatch: {path} has a different layout")
+        taus[row] = tau.flat()
+    return layout, taus
+
+
 def _read_json_object(path: str, what: str) -> dict:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -327,12 +343,12 @@ def _read_embeddings(path: str) -> EmbeddingSet:
 
 
 def _read_labels(path: str) -> LabelHistogram:
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict) and "labels" in payload:
+    payload = _read_json_object(path, "label file")
+    if isinstance(payload.get("labels"), list):
         return LabelHistogram.from_labels(payload["labels"])
-    if isinstance(payload, dict) and "counts" in payload:
+    if isinstance(payload.get("counts"), dict):
         return LabelHistogram(payload["counts"])
-    raise ValidationError(f"{path}: label file must contain 'labels' or 'counts'")
+    raise ValidationError(f"{path}: label file must contain a 'labels' list or a 'counts' object")
 
 
 def main(argv=None) -> int:

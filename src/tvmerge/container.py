@@ -24,6 +24,7 @@ decode; selection by absolute magnitude is undefined with NaN present.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,22 +67,19 @@ class TensorSpec:
 
     @property
     def num_elements(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
 
 class ParameterSet:
-    """Ordered, named float32 tensors with a global flat-index view."""
+    """Ordered, named float32 tensors: a layout plus one flat vector they are views of."""
 
-    __slots__ = ("_names", "_tensors")
+    __slots__ = ("_specs", "_flat")
 
     def __init__(self, tensors: TensorInput):
         items = list(tensors.items()) if isinstance(tensors, Mapping) else list(tensors)
         if not items:
             raise ValidationError("empty container")
-        names: list[str] = []
+        specs: list[TensorSpec] = []
         arrays: list[np.ndarray] = []
         seen: set[str] = set()
         for name, values in items:
@@ -89,69 +87,67 @@ class ParameterSet:
                 raise ValidationError(f"duplicate tensor name {name!r}")
             seen.add(name)
             arr = np.asarray(values, dtype=np.float32)
-            if arr.ndim < 1 or 0 in arr.shape:
-                raise ValidationError(f"tensor {name!r}: dims must be non-empty and positive")
-            arr = np.ascontiguousarray(arr)
-            TensorSpec(name, arr.shape)  # runs the shared invariant checks
-            names.append(name)
-            arrays.append(arr)
-        self._names = tuple(names)
-        self._tensors = tuple(arrays)
+            specs.append(TensorSpec(name, arr.shape))
+            arrays.append(arr.ravel())
+        self._specs = tuple(specs)
+        self._flat = np.concatenate(arrays)
+
+    @classmethod
+    def _of(cls, specs: tuple[TensorSpec, ...], flat: np.ndarray) -> "ParameterSet":
+        """Wrap an already validated layout and a matching float32 vector."""
+        pset = cls.__new__(cls)
+        pset._specs = specs
+        pset._flat = flat
+        return pset
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(spec.name for spec in self._specs)
 
     @property
     def specs(self) -> tuple[TensorSpec, ...]:
-        return tuple(TensorSpec(n, a.shape) for n, a in zip(self._names, self._tensors))
+        return self._specs
 
     @property
     def num_elements(self) -> int:
-        return sum(a.size for a in self._tensors)
+        return self._flat.size
 
     def tensor(self, name: str) -> np.ndarray:
-        try:
-            return self._tensors[self._names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
+        return dict(self.items())[name]
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._tensors))
+        offset = 0
+        for spec in self._specs:
+            size = spec.num_elements
+            yield spec.name, self._flat[offset : offset + size].reshape(spec.dims)
+            offset += size
 
     def flat(self) -> np.ndarray:
-        """All values as one float32 vector in flat-index order."""
-        return np.concatenate([a.ravel(order="C") for a in self._tensors])
+        """All values as one float32 vector in flat-index order (a view, not a copy)."""
+        return self._flat
 
     def same_layout(self, other: "ParameterSet") -> bool:
-        return self.specs == other.specs
+        return self._specs == other._specs
 
     def bitwise_equal(self, other: "ParameterSet") -> bool:
-        if not self.same_layout(other):
-            return False
-        return all(
-            a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(self.items(), other.items())
+        return self.same_layout(other) and np.array_equal(
+            self._flat.view(np.uint32), other._flat.view(np.uint32)
         )
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
-        """New set with this layout and values taken from ``flat``."""
+        """New set with this layout whose vector is ``flat`` (not copied if float32)."""
         flat = np.asarray(flat, dtype=np.float32)
         if flat.ndim != 1 or flat.size != self.num_elements:
             raise ShapeMismatchError(
                 f"flat vector has {flat.size} elements, layout needs {self.num_elements}"
             )
-        out = []
-        offset = 0
-        for name, arr in self.items():
-            out.append((name, flat[offset : offset + arr.size].reshape(arr.shape)))
-            offset += arr.size
-        return type(self)(out)
+        return type(self)._of(self._specs, flat)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._specs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}{a.shape}" for n, a in self.items())
+        inner = ", ".join(f"{spec.name}{spec.dims}" for spec in self._specs)
         return f"{type(self).__name__}({inner})"
 
 
@@ -162,9 +158,7 @@ class TaskVector(ParameterSet):
 def compute_task_vector(theta_t: ParameterSet, theta_0: ParameterSet) -> TaskVector:
     """Element-wise ``theta_t - theta_0`` in float32, exact per IEEE-754."""
     _require_same_layout(theta_t, theta_0)
-    return TaskVector(
-        [(name, a - b) for (name, a), (_, b) in zip(theta_t.items(), theta_0.items())]
-    )
+    return TaskVector._of(theta_t.specs, theta_t.flat() - theta_0.flat())
 
 
 def apply_task_vector(
@@ -179,21 +173,26 @@ def apply_task_vector(
         raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
     _require_same_layout(theta_0, tau)
     lam = np.float32(lambda_merge)
-    return ParameterSet(
-        [(name, a + lam * b) for (name, a), (_, b) in zip(theta_0.items(), tau.items())]
-    )
+    return ParameterSet._of(theta_0.specs, theta_0.flat() + lam * tau.flat())
 
 
 def encode_container(pset: ParameterSet, destination: Source) -> None:
     """Write ``pset`` as a TVC1 stream; decode gives back identical bits."""
-    records = [(name, DTYPE_F32, arr) for name, arr in pset.items()]
-    _write_records(records, destination)
+    _reject_nan(pset)
+    _write_records([(name, DTYPE_F32, arr) for name, arr in pset.items()], destination)
 
 
 def decode_container(source: Source) -> ParameterSet:
-    """Read a TVC1 stream of float32 tensors."""
-    records = _read_records(source, allowed_dtypes=(DTYPE_F32,))
-    return ParameterSet([(name, arr) for name, _, arr in records])
+    """Read a TVC1 stream of float32 tensors, copying each payload once."""
+    pset = ParameterSet(_read_records(source, DTYPE_F32))
+    _reject_nan(pset)
+    return pset
+
+
+def _reject_nan(pset: ParameterSet) -> None:
+    if np.isnan(pset.flat()).any():
+        name = next(name for name, arr in pset.items() if np.isnan(arr).any())
+        raise CodecError(f"tensor {name!r}: NaN payload rejected")
 
 
 # Low-level record I/O, shared with the assignment side-file writer.
@@ -210,73 +209,70 @@ def _write_records(
         stream.write(bytes([VERSION]))
         stream.write(struct.pack("<I", len(records)))
         for name, code, arr in records:
-            dtype = _NUMPY_DTYPES[code]
-            data = np.ascontiguousarray(arr, dtype=dtype)
-            if code == DTYPE_F32 and np.isnan(data).any():
-                raise CodecError(f"tensor {name!r}: NaN payload rejected")
+            data = np.ascontiguousarray(arr, dtype=_NUMPY_DTYPES[code])
             name_bytes = name.encode("utf-8")
             stream.write(struct.pack("<H", len(name_bytes)))
             stream.write(name_bytes)
             stream.write(bytes([code, data.ndim]))
             stream.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            stream.write(data.tobytes(order="C"))
+            stream.write(data)
     finally:
         if close:
             stream.close()
 
 
-def _read_records(
-    source: Source, allowed_dtypes: tuple[int, ...]
-) -> list[tuple[str, int, np.ndarray]]:
+def _read_records(source: Source, dtype_code: int) -> list[tuple[str, np.ndarray]]:
+    """Parse a whole TVC1 stream of ``dtype_code`` records into read-only payload views.
+
+    Each declared length is checked against the bytes present before
+    anything is allocated for it.
+    """
     stream, close = _open(source, "rb")
     try:
-        magic = _read_exact(stream, 4, "magic")
-        if magic != MAGIC:
-            raise CodecError(f"bad magic {magic!r}")
-        version = _read_exact(stream, 1, "version")[0]
-        if version != VERSION:
-            raise CodecError(f"unsupported version {version}")
-        (count,) = struct.unpack("<I", _read_exact(stream, 4, "tensor count"))
-        if count == 0:
-            raise CodecError("empty container")
-        records: list[tuple[str, int, np.ndarray]] = []
-        seen: set[str] = set()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(stream, 2, "name length"))
-            name = _read_exact(stream, name_len, "name").decode("utf-8")
-            if name in seen:
-                raise CodecError(f"duplicate tensor name {name!r}")
-            seen.add(name)
-            code, ndim = _read_exact(stream, 2, "dtype/ndim")
-            if code not in allowed_dtypes:
-                raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
-            if ndim == 0:
-                raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
-            dims = struct.unpack(f"<{ndim}Q", _read_exact(stream, 8 * ndim, "dims"))
-            if any(d == 0 for d in dims):
-                raise CodecError(f"tensor {name!r}: zero-sized dimension")
-            dtype = _NUMPY_DTYPES[code]
-            n = 1
-            for d in dims:
-                n *= d
-            payload = _read_exact(stream, n * dtype.itemsize, f"payload of {name!r}")
-            arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-            if code == DTYPE_F32 and np.isnan(arr).any():
-                raise CodecError(f"tensor {name!r}: NaN payload rejected")
-            records.append((name, code, arr))
-        if stream.read(1):
-            raise CodecError("trailing data after last record")
-        return records
+        view = memoryview(stream.read())
     finally:
         if close:
             stream.close()
+    pos = 0
 
+    def take(size: int, what: str) -> memoryview:
+        nonlocal pos
+        if size > len(view) - pos:
+            raise CodecError(f"unexpected end of stream while reading {what}")
+        pos += size
+        return view[pos - size : pos]
 
-def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
-    data = stream.read(n)
-    if len(data) != n:
-        raise CodecError(f"unexpected end of stream while reading {what}")
-    return data
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise CodecError(f"bad magic {magic!r}")
+    version = take(1, "version")[0]
+    if version != VERSION:
+        raise CodecError(f"unsupported version {version}")
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    if count == 0:
+        raise CodecError("empty container")
+    records: list[tuple[str, np.ndarray]] = []
+    seen: set[str] = set()
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        name = str(take(name_len, "name"), "utf-8")
+        if name in seen:
+            raise CodecError(f"duplicate tensor name {name!r}")
+        seen.add(name)
+        code, ndim = take(2, "dtype/ndim")
+        if code != dtype_code:
+            raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
+        if ndim == 0:
+            raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
+        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim, "dims"))
+        if any(d == 0 for d in dims):
+            raise CodecError(f"tensor {name!r}: zero-sized dimension")
+        dtype = _NUMPY_DTYPES[code]
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
+        records.append((name, np.frombuffer(payload, dtype=dtype).reshape(dims)))
+    if pos != len(view):
+        raise CodecError("trailing data after last record")
+    return records
 
 
 def _open(target: Source, mode: str) -> tuple[BinaryIO, bool]:

@@ -320,18 +320,14 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "seed" not in raw:
-            raise ConfigError("config must set 'seed'")
-        if "suite" not in raw or not isinstance(raw["suite"], dict):
-            raise ConfigError("config must set a 'suite' object")
         return cls(
-            seed=int(raw["seed"]),
-            suite=dict(raw["suite"]),
-            merge=dict(raw.get("merge") or {}),
-            preference=dict(raw.get("preference") or {}),
-            environment=dict(raw["environment"]) if raw.get("environment") else None,
-            similarity_config=dict(raw.get("similarity_config") or {}),
-            report=dict(raw.get("report") or {}),
+            seed=_field(raw, "seed", int),
+            suite=_field(raw, "suite", _object),
+            merge=_field(raw, "merge", _object, {}),
+            preference=_field(raw, "preference", _object, {}),
+            environment=_field(raw, "environment", _object, {}) or None,
+            similarity_config=_field(raw, "similarity_config", _object, {}),
+            report=_field(raw, "report", _object, {}),
         )
 
 
@@ -393,16 +389,15 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     method = cfg.merge.get("method", "tunable")
     if method not in MERGE_METHODS:
         raise ConfigError(f"unknown merge method {method!r}; expected one of {MERGE_METHODS}")
-    suite_args = dict(cfg.suite)
-    num_tasks = int(suite_args.pop("num_tasks"))
-    dim = int(suite_args.pop("dim"))
+    num_tasks = _field(cfg.suite, "num_tasks", int)
+    dim = _field(cfg.suite, "dim", int)
     tasks, theta_0 = generate_task_suite(
         num_tasks,
         dim,
-        support_mode=suite_args.pop("support_mode", "disjoint"),
-        samples_per_task=int(suite_args.pop("samples_per_task", 48)),
+        support_mode=cfg.suite.get("support_mode", "disjoint"),
+        samples_per_task=_field(cfg.suite, "samples_per_task", int, 48),
         seed=cfg.seed,
-        **_suite_extras(suite_args),
+        **_suite_extras(cfg.suite),
     )
     thetas = sequential_finetune_analog(tasks, theta_0)
 
@@ -419,16 +414,16 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     if cfg.environment is not None:
         env = mix_target_environment(
             tasks,
-            cfg.environment.get("members", ()),
-            cfg.environment.get("mix", ()),
-            int(cfg.environment.get("total_samples", 0)),
-            meta_fraction=float(cfg.environment.get("meta_fraction", 0.1)),
+            _field(cfg.environment, "members", _list_of(int), ()),
+            _field(cfg.environment, "mix", _list_of(float), ()),
+            _field(cfg.environment, "total_samples", int, 0),
+            meta_fraction=_field(cfg.environment, "meta_fraction", float, 0.1),
             seed=cfg.seed,
         )
 
-    rounds = int(cfg.merge.get("rounds", 2))
+    rounds = _field(cfg.merge, "rounds", int, 2)
     merge_config = MergeConfig(rounds=rounds, seed=cfg.seed)
-    lambda_merge = float(cfg.merge.get("lambda_merge", 0.5))
+    lambda_merge = _field(cfg.merge, "lambda_merge", float, 0.5)
     if not (0.0 <= lambda_merge <= 1.0):
         raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
 
@@ -440,12 +435,10 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
                 f"tunable merging needs a preference source in {PREFERENCE_SOURCES}"
             )
         if source == "alpha":
-            raw_alpha = cfg.preference.get("alpha")
-            if raw_alpha is None:
-                raise ConfigError("preference source 'alpha' needs an 'alpha' value")
-            alphas = [float(a) for a in raw_alpha] if isinstance(raw_alpha, list) else [
-                float(raw_alpha)
-            ]
+            if isinstance(cfg.preference.get("alpha"), list):
+                alphas = _field(cfg.preference, "alpha", _list_of(float))
+            else:
+                alphas = [_field(cfg.preference, "alpha", float)]
         else:
             alphas = [None]
     else:
@@ -573,21 +566,49 @@ def _build_supports(
     return [np.arange(t * stride, t * stride + width) for t in range(num_tasks)]
 
 
-def _suite_extras(raw: dict) -> dict:
-    allowed = {"overlap", "classes_per_task", "noise_sigma", "cluster_separation"}
-    unknown = set(raw) - allowed
+def _suite_extras(suite: dict) -> dict:
+    kinds = {
+        "overlap": int,
+        "classes_per_task": int,
+        "noise_sigma": float,
+        "cluster_separation": float,
+    }
+    unknown = set(suite) - set(kinds) - {"num_tasks", "dim", "support_mode", "samples_per_task"}
     if unknown:
         raise ConfigError(f"unknown suite keys: {sorted(unknown)}")
-    out = dict(raw)
-    if "overlap" in out:
-        out["overlap"] = int(out["overlap"])
-    if "classes_per_task" in out:
-        out["classes_per_task"] = int(out["classes_per_task"])
-    if "noise_sigma" in out:
-        out["noise_sigma"] = float(out["noise_sigma"])
-    if "cluster_separation" in out:
-        out["cluster_separation"] = float(out["cluster_separation"])
-    return out
+    return {key: _field(suite, key, kind) for key, kind in kinds.items() if key in suite}
+
+
+_REQUIRED = object()
+
+
+def _field(section: dict, key: str, kind, default=_REQUIRED):
+    """``section[key]`` converted by ``kind``; ConfigError names a missing or mistyped key."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"config must set {key!r}")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError):
+        value = section[key]
+        raise ConfigError(f"config field {key!r} has a wrongly typed value {value!r}") from None
+
+
+def _object(value) -> dict:
+    """A JSON object as a dict; null or another empty value reads as an empty object."""
+    if value and not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return dict(value or {})
+
+
+def _list_of(kind):
+    def convert(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("not a JSON list")
+        return [kind(item) for item in value]
+
+    return convert
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .container import DTYPE_U16, ParameterSet, TaskVector, _read_records, _write_records
+from .container import DTYPE_U16, _read_records, _write_records
 from .errors import ShapeMismatchError, ValidationError
 
 MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
@@ -25,7 +25,7 @@ MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
 #: Provenance code for elements assigned by the final random fill.
 RESIDUAL_RANDOM = 0
 
-TaskVectors = Union[np.ndarray, Sequence[ParameterSet], Sequence[np.ndarray]]
+TaskVectors = Union[np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
 
 
@@ -113,7 +113,7 @@ def selection_stream(seed: int, round_index: int, task: int) -> np.random.Genera
 
 def merge(
     method: str, taus: TaskVectors, pref: Budgets | None = None, config: MergeConfig | None = None
-) -> tuple[TaskVector | np.ndarray, Assignment | None]:
+) -> tuple[np.ndarray, Assignment | None]:
     """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment."""
     config = config or MergeConfig()
     if method == "magmax":
@@ -129,22 +129,22 @@ def merge(
     raise ValidationError(f"unknown merge method {method!r}")
 
 
-def magmax_merge(taus: TaskVectors) -> tuple[TaskVector | np.ndarray, Assignment]:
+def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     """Keep, per element, the value of largest absolute magnitude.
 
     Ties go to the later task: the owner is the element's last record-setter.
     """
-    tau, template = _as_matrix(taus)
+    tau = _as_matrix(taus)
     num_tasks, _ = tau.shape
     # argmax picks the first True; scanning reversed rows finds the last one.
     owner = (num_tasks - _record_setters(tau)[::-1].argmax(axis=0)).astype(np.int32)
     assignment = Assignment(owner, np.ones_like(owner), num_tasks)
-    return _pack(_gather(tau, owner), template), assignment
+    return _gather(tau, owner), assignment
 
 
 def tunable_merge(
     taus: TaskVectors, pref: Budgets, config: MergeConfig | None = None
-) -> tuple[TaskVector | np.ndarray, Assignment]:
+) -> tuple[np.ndarray, Assignment]:
     """Budgeted magnitude merge: task t contributes exactly ``pref[t]`` elements.
 
     One sweep scans tasks from last to first. A task claims the
@@ -158,7 +158,7 @@ def tunable_merge(
     provenance :data:`RESIDUAL_RANDOM`.
     """
     config = config or MergeConfig()
-    tau, template = _as_matrix(taus)
+    tau = _as_matrix(taus)
     num_tasks, dim = tau.shape
     budgets = pref.as_array() if isinstance(pref, PreferenceVector) else np.asarray(pref)
     if budgets.ndim != 1 or budgets.size != num_tasks:
@@ -192,23 +192,22 @@ def tunable_merge(
     )
     owner[leftovers] = np.repeat(np.arange(1, num_tasks + 1, dtype=np.int32), deficits)
     assignment = Assignment(owner, provenance, num_tasks)
-    return _pack(_gather(tau, owner), template), assignment
+    return _gather(tau, owner), assignment
 
 
-def average_merge(taus: TaskVectors) -> TaskVector | np.ndarray:
+def average_merge(taus: TaskVectors) -> np.ndarray:
     """Element-wise arithmetic mean of the task vectors."""
-    tau, template = _as_matrix(taus)
-    return _pack(tau.mean(axis=0), template)
+    return _as_matrix(taus).mean(axis=0)
 
 
-def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[TaskVector | np.ndarray, Assignment]:
+def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
-    tau, template = _as_matrix(taus)
+    tau = _as_matrix(taus)
     num_tasks, dim = tau.shape
     stream = selection_stream(seed, 0, 0)
     owner = stream.integers(1, num_tasks + 1, size=dim, dtype=np.int32)
     assignment = Assignment(owner, np.zeros(dim, dtype=np.int32), num_tasks)
-    return _pack(_gather(tau, owner), template), assignment
+    return _gather(tau, owner), assignment
 
 
 def assignment_census(assignment: Assignment, num_tasks: int | None = None) -> np.ndarray:
@@ -237,7 +236,7 @@ def write_assignment(destination, assignment: Assignment) -> None:
 
 
 def read_assignment(source) -> Assignment:
-    records = {name: arr for name, _, arr in _read_records(source, (DTYPE_U16,))}
+    records = dict(_read_records(source, DTYPE_U16))
     try:
         owner = records["owner"]
         provenance = records["provenance"]
@@ -247,38 +246,28 @@ def read_assignment(source) -> Assignment:
     return Assignment(owner, provenance, num_tasks)
 
 
-def _as_matrix(taus: TaskVectors) -> tuple[np.ndarray, ParameterSet | None]:
-    """Stack task vectors into a (T, d) matrix, remembering any container layout."""
+def _as_matrix(taus: TaskVectors) -> np.ndarray:
+    """Stack 1-D task vectors into a (T, d) matrix; a (T, d) array is used as is."""
     if isinstance(taus, np.ndarray):
         if taus.ndim != 2:
             raise ValidationError("expected a (tasks, elements) matrix")
         if taus.shape[0] == 0:
             raise ValidationError("empty task list")
         mat = taus
-        template = None
     else:
-        entries = list(taus)
-        if not entries:
+        arrays = [np.asarray(t) for t in taus]
+        if not arrays:
             raise ValidationError("empty task list")
-        if all(isinstance(t, ParameterSet) for t in entries):
-            template = entries[0]
-            for other in entries[1:]:
-                if not template.same_layout(other):
-                    raise ShapeMismatchError("shape mismatch: task vector layouts differ")
-            mat = np.stack([t.flat() for t in entries])
-        else:
-            arrays = [np.asarray(t) for t in entries]
-            if any(a.ndim != 1 for a in arrays):
-                raise ValidationError("task vectors must be 1-D arrays")
-            if len({a.size for a in arrays}) > 1:
-                raise ShapeMismatchError("shape mismatch: task vector lengths differ")
-            mat = np.stack(arrays)
-            template = None
+        if any(a.ndim != 1 for a in arrays):
+            raise ValidationError("task vectors must be 1-D arrays")
+        if len({a.size for a in arrays}) > 1:
+            raise ShapeMismatchError("shape mismatch: task vector lengths differ")
+        mat = np.stack(arrays)
     if mat.shape[1] == 0:
         raise ValidationError("task vectors have no elements")
     if np.isnan(mat).any():
         raise ValidationError("task vectors must not contain NaN")
-    return mat, template
+    return mat
 
 
 def _record_setters(tau: np.ndarray) -> np.ndarray:
@@ -302,8 +291,3 @@ def _gather(tau: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Copy element p from row ``owner[p] - 1``, bitwise."""
     return np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
 
-
-def _pack(merged: np.ndarray, template: ParameterSet | None) -> TaskVector | np.ndarray:
-    if template is None:
-        return merged
-    return TaskVector(template.with_flat(merged).items())

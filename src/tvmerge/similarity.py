@@ -86,7 +86,10 @@ class LabelHistogram:
     def __init__(self, counts: Mapping[Union[str, int], int]):
         cleaned: dict[str, int] = {}
         for key, value in counts.items():
-            count = int(value)
+            try:
+                count = int(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"class {key!r}: count {value!r} is not a number") from None
             if count < 0:
                 raise ValidationError(f"negative count for class {key!r}")
             if count > 0:

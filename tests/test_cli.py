@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,27 @@ class TestMerge:
         assert decode_container(out).tensor("w").tolist() == [1.0, 1.0]
         assert not (tmp_path / "merged.tvc.census.json").exists()
 
+    def test_rejected_encode_leaves_no_out_file(self, tmp_path, capsys):
+        write_container(tmp_path / "t1.tvc", [np.inf, 1.0])
+        write_container(tmp_path / "t2.tvc", [-np.inf, 1.0])
+        out = tmp_path / "merged.tvc"
+        code = main(
+            ["merge", "--method", "average", "--out", str(out), str(tmp_path / "t1.tvc"), str(tmp_path / "t2.tvc")]
+        )
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("elements", [2**61, 2**33], ids=["2^61", "2^33"])
+    def test_hostile_payload_size_exits_2(self, tmp_path, capsys, elements):
+        header = b"TVC1" + bytes([1]) + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+        raw = header + bytes([0, 1]) + struct.pack("<Q", elements)
+        path = tmp_path / "hostile.tvc"
+        path.write_bytes(raw + bytes(40 - len(raw)))
+        code = main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), str(path)])
+        assert code == 2
+        assert "unexpected end of stream" in capsys.readouterr().err
+
 
 class TestApply:
     def test_apply_half(self, tmp_path):
@@ -211,6 +233,17 @@ class TestSim:
             ["sim", "--metric", "cos", "--task", str(tmp_path / "task1.tvc"), "--meta", str(tmp_path / "meta.tvc")]
         )
         assert code == 5
+
+    @pytest.mark.parametrize("payload", [{"labels": 5}, {"counts": {"a": "x"}}])
+    def test_wrongly_typed_label_file_exits_2(self, tmp_path, capsys, payload):
+        (tmp_path / "labels.json").write_text(json.dumps(payload))
+        (tmp_path / "meta.json").write_text(json.dumps({"labels": [0, 1]}))
+        code = main(
+            ["sim", "--metric", "label", "--task", str(tmp_path / "labels.json"), "--meta", str(tmp_path / "meta.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
 
     def test_container_without_emb_tensor_exits_2(self, tmp_path):
         write_container(tmp_path / "task1.tvc", [[1.0, 0.0]], name="weights")
@@ -302,6 +335,31 @@ class TestPipeline:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"suite": {"num_tasks": 2, "dim": 8}}))
         assert main(["pipeline", "--config", str(bad)]) == 6
+
+    @pytest.mark.parametrize(
+        "key, override",
+        [
+            ("seed", {"seed": "x"}),
+            ("num_tasks", {"suite": {"num_tasks": "a", "dim": 8}}),
+            ("num_tasks", {"suite": {"dim": 8}}),
+            ("lambda_merge", {"merge": {"lambda_merge": "z"}}),
+            ("members", {"environment": {"members": 3, "mix": [1.0], "total_samples": 20}}),
+            ("merge", {"merge": ["magmax"]}),
+        ],
+    )
+    def test_wrongly_typed_field_exits_6(self, tmp_path, capsys, key, override):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "alpha", "alpha": 0.5},
+            "report": {"json": str(tmp_path / "r.json")},
+            **override,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 6
+        assert repr(key) in capsys.readouterr().err
 
     def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
