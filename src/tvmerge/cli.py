@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from .preference import (
     load_preference,
     preference_from_alpha,
     preference_from_similarities,
+    read_json,
     save_preference,
     validate_preference,
 )
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-2)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--bandwidth", type=float)
+    p.add_argument("--bandwidth", type=float, dest="mmd_bandwidth")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("prefvec", help="build or validate a budgets file")
@@ -202,15 +204,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    cfg = OTConfig(
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        gamma=args.gamma,
-        gamma_cos=args.gamma_cos,
-        gamma_mmd=args.gamma_mmd,
-        mmd_bandwidth=args.bandwidth,
-    )
+    cfg = OTConfig(**{f.name: getattr(args, f.name) for f in fields(OTConfig)})
     if args.metric == "label":
         tasks = [_read_labels(path) for path in args.task]
         metas = [_read_labels(path) for path in args.meta]
@@ -222,15 +216,7 @@ def cmd_sim(args) -> int:
         {
             "scores": list(scores.scores),
             "metric": args.metric,
-            "config": {
-                "gamma": cfg.gamma,
-                "gamma_cos": cfg.gamma_cos,
-                "gamma_mmd": cfg.gamma_mmd,
-                "epsilon": cfg.epsilon,
-                "max_iters": cfg.max_iters,
-                "tol": cfg.tol,
-                "mmd_bandwidth": cfg.mmd_bandwidth,
-            },
+            "config": asdict(cfg),
         },
         sort_keys=True,
     )
@@ -283,16 +269,12 @@ def cmd_census(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    config = PipelineConfig.from_dict(raw)
+    config = PipelineConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         config.seed = args.seed
     report = run_pipeline(config, workers=worker_count())
-    csv_out = args.csv_out or config.report.get("csv")
-    json_out = args.json_out or config.report.get("json")
+    csv_out = args.csv_out or config.report_csv
+    json_out = args.json_out or config.report_json
     if csv_out:
         report.write_csv(csv_out)
     if json_out:
@@ -317,7 +299,7 @@ def _read_task_matrix(paths: list[str]) -> tuple[ParameterSet, np.ndarray]:
 
 
 def _read_json_object(path: str, what: str) -> dict:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValidationError(f"{what} must be a JSON object")
     return payload
@@ -366,9 +348,6 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except json.JSONDecodeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -255,7 +255,10 @@ def _read_records(source: Source, dtype_code: int) -> list[tuple[str, np.ndarray
     seen: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = str(take(name_len, "name"), "utf-8")
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("tensor name is not valid UTF-8") from None
         if name in seen:
             raise CodecError(f"duplicate tensor name {name!r}")
         seen.add(name)

@@ -16,13 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .container import ParameterSet
 from .errors import ConfigError, ValidationError
 from .merging import (
     MERGE_METHODS,
@@ -224,7 +223,7 @@ def mix_target_environment(
 
 
 def evaluate(
-    theta: Union[np.ndarray, ParameterSet],
+    theta: np.ndarray,
     tasks: Sequence[SyntheticTask],
     env: TargetEnvironment | None = None,
 ) -> EvalResult:
@@ -233,7 +232,7 @@ def evaluate(
     The environment loss weights each member task's loss by its evaluation
     sample count, so a single-member environment reduces to that task's loss.
     """
-    vec = np.asarray(theta.flat() if isinstance(theta, ParameterSet) else theta, dtype=np.float64)
+    vec = np.asarray(theta, dtype=np.float64)
     losses = {}
     for task in tasks:
         residual = task.design @ vec - task.targets
@@ -304,67 +303,121 @@ def largest_remainder_counts(weights: np.ndarray, total: int) -> np.ndarray:
 
 @dataclass
 class PipelineConfig:
+    """A checked pipeline config; ``from_dict`` is the only reader of the raw JSON.
+
+    ``suite`` and ``environment`` hold the keyword arguments of
+    ``generate_task_suite`` and ``mix_target_environment`` besides the
+    tasks and the seed; ``environment`` is None when the config has none.
+    ``alphas`` lists the schedules to run: a list-valued alpha sweeps them,
+    and every source other than ``alpha`` runs once, as ``[None]``.
+    """
+
     seed: int
+    num_tasks: int
+    dim: int
     suite: dict
-    merge: dict = field(default_factory=dict)
-    preference: dict = field(default_factory=dict)
-    environment: dict | None = None
-    similarity_config: dict = field(default_factory=dict)
-    report: dict = field(default_factory=dict)
+    environment: dict | None
+    method: str
+    delta_mode: str
+    rounds: int
+    lambda_merge: float
+    source: str | None
+    alphas: list
+    pref_path: str | None
+    metric: str
+    similarity_config: OTConfig
+    report_csv: str | None
+    report_json: str | None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("pipeline config must be a JSON object")
-        known = {"seed", "suite", "merge", "preference", "environment", "similarity_config", "report"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    def from_dict(cls, raw) -> "PipelineConfig":
+        top = _section(
+            raw,
+            "config",
+            ("seed", "suite", "merge", "preference", "environment", "similarity_config", "report"),
+        )
+        suite = _section(top.get("suite"), "suite", ("num_tasks", "dim", *_SUITE_KINDS))
+        merge_ = _section(top.get("merge"), "merge", ("method", "delta_mode", "rounds", "lambda_merge"))
+        pref = _section(top.get("preference"), "preference", ("source", "alpha", "path", "metric"))
+        env = _section(
+            top.get("environment"), "environment", ("members", "mix", "total_samples", "meta_fraction")
+        )
+        sim = _section(top.get("similarity_config"), "similarity_config", _OT_KINDS)
+        report = _section(top.get("report"), "report", ("csv", "json"))
+
+        method = _field(merge_, "method", _string, "tunable")
+        if method not in MERGE_METHODS:
+            raise ConfigError(f"unknown merge method {method!r}; expected one of {MERGE_METHODS}")
+        delta_mode = _field(merge_, "delta_mode", _string, "incremental")
+        if delta_mode not in DELTA_MODES:
+            raise ConfigError(f"unknown delta_mode {delta_mode!r}")
+        lambda_merge = _field(merge_, "lambda_merge", float, 0.5)
+        if not (0.0 <= lambda_merge <= 1.0):
+            raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
+
+        source = _field(pref, "source", _string, None)
+        if method == "tunable" and source not in PREFERENCE_SOURCES:
+            raise ConfigError(f"tunable merging needs a preference source in {PREFERENCE_SOURCES}")
+        if method != "tunable" and source is not None:
+            raise ConfigError(f"method {method!r} does not take a preference source")
+        alphas = [None]
+        if source == "alpha":
+            several = isinstance(pref.get("alpha"), list)
+            alphas = _field(pref, "alpha", _list_of(float) if several else lambda value: [float(value)])
+        pref_path = _field(pref, "path", _string, None)
+        if source == "file" and not pref_path:
+            raise ConfigError("preference source 'file' needs a 'path'")
+        if source == "similarity" and not env:
+            raise ConfigError("preference source 'similarity' needs an 'environment'")
+
         return cls(
-            seed=_field(raw, "seed", int),
-            suite=_field(raw, "suite", _object),
-            merge=_field(raw, "merge", _object, {}),
-            preference=_field(raw, "preference", _object, {}),
-            environment=_field(raw, "environment", _object, {}) or None,
-            similarity_config=_field(raw, "similarity_config", _object, {}),
-            report=_field(raw, "report", _object, {}),
+            seed=_field(top, "seed", int),
+            num_tasks=_field(suite, "num_tasks", int),
+            dim=_field(suite, "dim", int),
+            suite={key: _field(suite, key, kind) for key, kind in _SUITE_KINDS.items() if key in suite},
+            environment={
+                "member_ids": _field(env, "members", _list_of(int), ()),
+                "mix": _field(env, "mix", _list_of(float), ()),
+                "total_samples": _field(env, "total_samples", int, 0),
+                "meta_fraction": _field(env, "meta_fraction", float, 0.1),
+            }
+            if env
+            else None,
+            method=method,
+            delta_mode=delta_mode,
+            rounds=_field(merge_, "rounds", int, 2),
+            lambda_merge=lambda_merge,
+            source=source,
+            alphas=alphas,
+            pref_path=pref_path,
+            metric=_field(pref, "metric", _string, "label"),
+            similarity_config=OTConfig(
+                **{key: _field(sim, key, kind) for key, kind in _OT_KINDS.items() if key in sim}
+            ),
+            report_csv=_field(report, "csv", _string, None),
+            report_json=_field(report, "json", _string, None),
         )
 
 
 @dataclass
-class ReportRow:
-    alpha: float | None
-    task: int
-    budget: int | None
-    census: int | None
-    loss: float
-
-
-@dataclass
 class PipelineReport:
-    rows: list[ReportRow]
+    """The JSON summary of a pipeline run; the CSV report is derived from its runs."""
+
     summary: dict
 
-    @property
-    def sweep(self) -> bool:
-        return any(row.alpha is not None for row in self.rows) and len(
-            {row.alpha for row in self.rows}
-        ) > 1
-
     def to_csv_text(self) -> str:
+        runs = self.summary["runs"]
+        sweep = len({run["alpha"] for run in runs}) > 1
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         columns = ["task", "budget", "census", "loss"]
-        sweep = self.sweep
         writer.writerow(["alpha", *columns] if sweep else columns)
-        for row in self.rows:
-            cells = [
-                row.task,
-                "" if row.budget is None else row.budget,
-                "" if row.census is None else row.census,
-                repr(row.loss),
-            ]
-            writer.writerow([_format_alpha(row.alpha), *cells] if sweep else cells)
+        for run in runs:
+            losses = run["task_losses"]
+            blank = [""] * len(losses)
+            for task, budget, census in zip(losses, run["budgets"] or blank, run["census"] or blank):
+                cells = [task, budget, census, repr(losses[task])]
+                writer.writerow([repr(run["alpha"]), *cells] if sweep else cells)
         return buffer.getvalue()
 
     def to_json_text(self) -> str:
@@ -383,97 +436,35 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     Stages: generate the suite, fit tasks sequentially, form per-task
     deltas, build the budget vector from the configured source, merge,
     apply the merged delta at ``lambda_merge``, and evaluate. A list-valued
-    alpha sweeps the schedule and emits one row block per alpha.
+    alpha sweeps the schedule and emits one run per alpha.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_dict(config)
-    method = cfg.merge.get("method", "tunable")
-    if method not in MERGE_METHODS:
-        raise ConfigError(f"unknown merge method {method!r}; expected one of {MERGE_METHODS}")
-    num_tasks = _field(cfg.suite, "num_tasks", int)
-    dim = _field(cfg.suite, "dim", int)
-    tasks, theta_0 = generate_task_suite(
-        num_tasks,
-        dim,
-        support_mode=cfg.suite.get("support_mode", "disjoint"),
-        samples_per_task=_field(cfg.suite, "samples_per_task", int, 48),
-        seed=cfg.seed,
-        **_suite_extras(cfg.suite),
-    )
+    merge_config = MergeConfig(rounds=cfg.rounds, seed=cfg.seed)
+    tasks, theta_0 = generate_task_suite(cfg.num_tasks, cfg.dim, seed=cfg.seed, **cfg.suite)
     thetas = sequential_finetune_analog(tasks, theta_0)
-
-    delta_mode = cfg.merge.get("delta_mode", "incremental")
-    if delta_mode not in DELTA_MODES:
-        raise ConfigError(f"unknown delta_mode {delta_mode!r}")
-    if delta_mode == "incremental":
+    if cfg.delta_mode == "incremental":
         bases = [theta_0, *thetas[:-1]]
-        taus = np.stack([t - b for t, b in zip(thetas, bases)])
     else:
-        taus = np.stack([t - theta_0 for t in thetas])
-
+        bases = [theta_0] * len(thetas)
+    taus = np.stack([t - b for t, b in zip(thetas, bases)])
     env = None
     if cfg.environment is not None:
-        env = mix_target_environment(
-            tasks,
-            _field(cfg.environment, "members", _list_of(int), ()),
-            _field(cfg.environment, "mix", _list_of(float), ()),
-            _field(cfg.environment, "total_samples", int, 0),
-            meta_fraction=_field(cfg.environment, "meta_fraction", float, 0.1),
-            seed=cfg.seed,
-        )
+        env = mix_target_environment(tasks, seed=cfg.seed, **cfg.environment)
 
-    rounds = _field(cfg.merge, "rounds", int, 2)
-    merge_config = MergeConfig(rounds=rounds, seed=cfg.seed)
-    lambda_merge = _field(cfg.merge, "lambda_merge", float, 0.5)
-    if not (0.0 <= lambda_merge <= 1.0):
-        raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
-
-    source = cfg.preference.get("source")
-    alphas: list[float | None]
-    if method == "tunable":
-        if source not in PREFERENCE_SOURCES:
-            raise ConfigError(
-                f"tunable merging needs a preference source in {PREFERENCE_SOURCES}"
-            )
-        if source == "alpha":
-            if isinstance(cfg.preference.get("alpha"), list):
-                alphas = _field(cfg.preference, "alpha", _list_of(float))
-            else:
-                alphas = [_field(cfg.preference, "alpha", float)]
-        else:
-            alphas = [None]
-    else:
-        if source is not None:
-            raise ConfigError(f"method {method!r} does not take a preference source")
-        alphas = [None]
-
-    rows: list[ReportRow] = []
     runs = []
-    for alpha in alphas:
-        budgets = _build_budgets(cfg, source, alpha, num_tasks, dim, tasks, env, workers)
-        merged, assignment = merge(method, taus, budgets, merge_config)
-        theta_merged = theta_0 + lambda_merge * merged
-        result = evaluate(theta_merged, tasks, env)
-        census = None if assignment is None else assignment_census(assignment)
-        residual = (
-            None
-            if assignment is None
-            else float(np.mean(assignment.provenance == RESIDUAL_RANDOM))
-        )
-        for task in tasks:
-            rows.append(
-                ReportRow(
-                    alpha=alpha,
-                    task=task.task_id,
-                    budget=None if budgets is None else int(budgets.budgets[task.task_id - 1]),
-                    census=None if census is None else int(census[task.task_id - 1]),
-                    loss=result.task_losses[task.task_id],
-                )
-            )
+    for alpha in cfg.alphas:
+        budgets = _build_budgets(cfg, alpha, tasks, env, workers)
+        merged, assignment = merge(cfg.method, taus, budgets, merge_config)
+        result = evaluate(theta_0 + cfg.lambda_merge * merged, tasks, env)
+        census = residual = None
+        if assignment is not None:
+            census = [int(c) for c in assignment_census(assignment)]
+            residual = float(np.mean(assignment.provenance == RESIDUAL_RANDOM))
         runs.append(
             {
                 "alpha": alpha,
                 "budgets": None if budgets is None else list(budgets.budgets),
-                "census": None if census is None else [int(c) for c in census],
+                "census": census,
                 "residual_random_fraction": residual,
                 "task_losses": {str(t): result.task_losses[t] for t in sorted(result.task_losses)},
                 "env_loss": result.env_loss,
@@ -482,14 +473,14 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
 
     summary = {
         "seed": cfg.seed,
-        "method": method,
-        "delta_mode": delta_mode,
-        "lambda_merge": lambda_merge,
-        "rounds": rounds,
-        "num_tasks": num_tasks,
-        "dim": dim,
+        "method": cfg.method,
+        "delta_mode": cfg.delta_mode,
+        "lambda_merge": cfg.lambda_merge,
+        "rounds": cfg.rounds,
+        "num_tasks": cfg.num_tasks,
+        "dim": cfg.dim,
         "support_sizes": [int(t.support.size) for t in tasks],
-        "preference_source": source,
+        "preference_source": cfg.source,
         "environment": None
         if env is None
         else {
@@ -501,46 +492,36 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
         },
         "runs": runs,
     }
-    return PipelineReport(rows, summary)
+    return PipelineReport(summary)
 
 
 def _build_budgets(
     cfg: PipelineConfig,
-    source: str | None,
     alpha: float | None,
-    num_tasks: int,
-    dim: int,
     tasks: Sequence[SyntheticTask],
     env: TargetEnvironment | None,
     workers: int,
 ) -> PreferenceVector | None:
-    if source is None:
+    if cfg.source is None:
         return None
-    if source == "file":
-        path = cfg.preference.get("path")
-        if not path:
-            raise ConfigError("preference source 'file' needs a 'path'")
-        pref = load_preference(path)
-        if pref.total != dim or pref.num_tasks != num_tasks:
+    if cfg.source == "file":
+        pref = load_preference(cfg.pref_path)
+        if pref.total != cfg.dim or pref.num_tasks != cfg.num_tasks:
             raise ValidationError(
                 f"preference file describes {pref.num_tasks} tasks / {pref.total} elements, "
-                f"suite has {num_tasks} / {dim}"
+                f"suite has {cfg.num_tasks} / {cfg.dim}"
             )
         return pref
-    if source == "alpha":
-        return preference_from_alpha(AlphaSchedule(float(alpha), num_tasks, dim))
-    metric = cfg.preference.get("metric", "label")
-    if env is None:
-        raise ConfigError("preference source 'similarity' needs an 'environment'")
-    ot_cfg = OTConfig(**cfg.similarity_config) if cfg.similarity_config else OTConfig()
-    if metric == "label":
+    if cfg.source == "alpha":
+        return preference_from_alpha(AlphaSchedule(alpha, cfg.num_tasks, cfg.dim))
+    if cfg.metric == "label":
         task_inputs = [LabelHistogram.from_labels(t.labels.tolist()) for t in tasks]
         meta = environment_meta_labels(env, tasks)
     else:
         task_inputs = [task_embeddings(t) for t in tasks]
         meta = environment_meta_embeddings(env, tasks)
-    scores = similarity_vector(task_inputs, meta, metric, ot_cfg, workers=workers)
-    return preference_from_similarities(scores, dim)
+    scores = similarity_vector(task_inputs, meta, cfg.metric, cfg.similarity_config, workers=workers)
+    return preference_from_similarities(scores, cfg.dim)
 
 
 def _build_supports(
@@ -566,17 +547,16 @@ def _build_supports(
     return [np.arange(t * stride, t * stride + width) for t in range(num_tasks)]
 
 
-def _suite_extras(suite: dict) -> dict:
-    kinds = {
-        "overlap": int,
-        "classes_per_task": int,
-        "noise_sigma": float,
-        "cluster_separation": float,
-    }
-    unknown = set(suite) - set(kinds) - {"num_tasks", "dim", "support_mode", "samples_per_task"}
+def _section(value, name: str, known_keys) -> dict:
+    """A config object as a dict, null read as empty; ConfigError names an unknown key."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name!r} must be a JSON object")
+    unknown = set(value) - set(known_keys)
     if unknown:
-        raise ConfigError(f"unknown suite keys: {sorted(unknown)}")
-    return {key: _field(suite, key, kind) for key, kind in kinds.items() if key in suite}
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
 
 
 _REQUIRED = object()
@@ -595,11 +575,14 @@ def _field(section: dict, key: str, kind, default=_REQUIRED):
         raise ConfigError(f"config field {key!r} has a wrongly typed value {value!r}") from None
 
 
-def _object(value) -> dict:
-    """A JSON object as a dict; null or another empty value reads as an empty object."""
-    if value and not isinstance(value, dict):
-        raise TypeError("not a JSON object")
-    return dict(value or {})
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a JSON string")
+    return value
+
+
+def _optional(kind):
+    return lambda value: None if value is None else kind(value)
 
 
 def _list_of(kind):
@@ -611,6 +594,19 @@ def _list_of(kind):
     return convert
 
 
+# Keyword arguments of generate_task_suite that a config's suite may set.
+_SUITE_KINDS = {
+    "support_mode": _string,
+    "samples_per_task": int,
+    "overlap": int,
+    "classes_per_task": int,
+    "noise_sigma": float,
+    "cluster_separation": float,
+}
+# similarity_config takes every OTConfig field; one whose default is None also takes null.
+_OT_KINDS = {f.name: _optional(float) if f.default is None else type(f.default) for f in fields(OTConfig)}
+
+
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.maximum(norms, np.finfo(np.float64).tiny)
@@ -619,9 +615,3 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
 def _unit(vec: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
-
-
-def _format_alpha(alpha: float | None) -> str:
-    if alpha is None:
-        return ""
-    return repr(alpha)

@@ -210,9 +210,9 @@ def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignme
     return _gather(tau, owner), assignment
 
 
-def assignment_census(assignment: Assignment, num_tasks: int | None = None) -> np.ndarray:
+def assignment_census(assignment: Assignment) -> np.ndarray:
     """Count how many elements each task owns; entry t-1 belongs to task t."""
-    num_tasks = assignment.num_tasks if num_tasks is None else num_tasks
+    num_tasks = assignment.num_tasks
     owner = assignment.owner
     if owner.size and (owner.min() < 1 or owner.max() > num_tasks):
         raise ValidationError("owner out of range")

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ConfigError, DegenerateInputError, ValidationError
 from .merging import PreferenceVector
 
 #: Alpha values above this are clamped before the geometric weights are formed.
@@ -113,9 +113,17 @@ def save_preference(destination: Union[str, Path], pref: PreferenceVector) -> No
     Path(destination).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def read_json(source: Union[str, Path]):
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise ConfigError."""
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{source}: not valid UTF-8 JSON: {exc}") from None
+
+
 def load_preference(source: Union[str, Path]) -> PreferenceVector:
     """Read a budgets file and verify it against its own element count."""
-    payload = json.loads(Path(source).read_text())
+    payload = read_json(source)
     try:
         budgets = payload["budgets"]
         dim = payload["d"]

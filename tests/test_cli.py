@@ -361,6 +361,33 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path)]) == 6
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, override",
+        [
+            ("csv", {"report": {"csv": 5}}),
+            ("path", {"preference": {"source": "file", "path": 5}}),
+            ("foo", {"similarity_config": {"foo": 1}}),
+            ("epsilon", {"similarity_config": {"epsilon": "x"}}),
+            ("lamda_merge", {"merge": {"method": "tunable", "lamda_merge": 0.5}}),
+            ("metrc", {"preference": {"source": "similarity", "metrc": "ot"}}),
+            ("member", {"environment": {"members": [1], "mix": [1.0], "total_samples": 20, "member": [2]}}),
+        ],
+    )
+    def test_config_fault_exits_6_naming_key(self, tmp_path, capsys, key, override):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "similarity", "metric": "label"},
+            "environment": {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 20},
+            "report": {"json": str(tmp_path / "r.json")},
+            **override,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 6
+        assert repr(key) in capsys.readouterr().err
+
     def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("suite generated for an unknown merge method")
@@ -387,6 +414,40 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--seed", "9"]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["seed"] == 9
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", ["merge", "census"])
+    def test_tensor_name_exits_2(self, tmp_path, capsys, command):
+        write_container(tmp_path / "t.tvc", [1.0, 2.0])
+        main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), str(tmp_path / "t.tvc")])
+        target = tmp_path / ("t.tvc" if command == "merge" else "m.tvc.assignment.tvc")
+        data = bytearray(target.read_bytes())
+        data[11] = 0xFF  # first byte of the first tensor name
+        target.write_bytes(bytes(data))
+        if command == "merge":
+            argv = ["merge", "--method", "magmax", "--out", str(tmp_path / "x.tvc"), str(target)]
+        else:
+            argv = ["census", "--assignment", str(target)]
+        assert main(argv) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--pref-file", "--sim-file", "--task", "--validate"])
+    def test_json_file_exits_6(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"labels": ["\xff"]}')
+        write_container(tmp_path / "t.tvc", [1.0, 2.0])
+        argv = {
+            "--config": ["pipeline", "--config", str(bad)],
+            "--pref-file": ["merge", "--method", "tunable", "--pref-file", str(bad), "--seed", "1",
+                            "--out", str(tmp_path / "m.tvc"), str(tmp_path / "t.tvc")],
+            "--sim-file": ["merge", "--method", "tunable", "--sim-file", str(bad), "--seed", "1",
+                           "--out", str(tmp_path / "m.tvc"), str(tmp_path / "t.tvc")],
+            "--task": ["sim", "--metric", "label", "--task", str(bad), "--meta", str(bad)],
+            "--validate": ["prefvec", "--validate", str(bad)],
+        }[flag]
+        assert main(argv) == 6
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestDeterminismUnderThreads:

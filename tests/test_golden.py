@@ -37,6 +37,54 @@ MERGE_CASES = [
     for inputs in ("finite", "inf")
 ]
 
+# Pipeline configs: each entry overrides sections of PIPELINE_BASE.
+PIPELINE_BASE = {
+    "seed": 2024,
+    "suite": {"num_tasks": 4, "dim": 32, "samples_per_task": 48, "classes_per_task": 2},
+    "merge": {"method": "tunable", "lambda_merge": 1.0},
+    "environment": {"members": [1, 3], "mix": [0.3, 0.7], "total_samples": 60, "meta_fraction": 0.1},
+}
+# Every OTConfig field set away from its default.
+SIM_TUNED = {
+    "epsilon": 0.05,
+    "max_iters": 300,
+    "tol": 1e-6,
+    "gamma": 2.0,
+    "gamma_cos": 2.5,
+    "gamma_mmd": 3.0,
+    "mmd_bandwidth": 0.8,
+}
+PIPELINE_CONFIGS = {
+    "alpha-sweep": {"preference": {"source": "alpha", "alpha": [0, 0.5, 1, 2]}},
+    "alpha-noenv": {"preference": {"source": "alpha", "alpha": 0.5}, "environment": None},
+    "file": {"preference": {"source": "file"}},  # the path is added when the file is written
+    **{
+        f"sim-{metric}{suffix}": {
+            "preference": {"source": "similarity", "metric": metric},
+            "similarity_config": sim_config,
+        }
+        for metric in ("ot", "mmd", "cos", "label")
+        for suffix, sim_config in (("", {}), ("-tuned", SIM_TUNED))
+    },
+    **{method: {"merge": {"method": method, "lambda_merge": 1.0}} for method in ("magmax", "average", "randmix")},
+    "cumulative-rounds5": {
+        "merge": {"method": "tunable", "lambda_merge": 0.5, "delta_mode": "cumulative", "rounds": 5},
+        "preference": {"source": "alpha", "alpha": 0.5},
+    },
+    "overlapping": {
+        "suite": {
+            "num_tasks": 4, "dim": 29, "support_mode": "overlapping", "overlap": 1,
+            "samples_per_task": 48, "noise_sigma": 0.1, "cluster_separation": 2.0,
+        },
+        "preference": {"source": "alpha", "alpha": 1.0},
+    },
+}
+PIPELINE_CASES = [
+    "pipeline-example",
+    "pipeline-example-seed9",
+    *(f"pipeline-{name}" for name in PIPELINE_CONFIGS),
+]
+
 
 def write_inputs(directory: Path, with_inf: bool) -> list[str]:
     """Tie-heavy integer-valued float32 task vectors, optionally with +-inf.
@@ -68,13 +116,32 @@ def digests(files: dict[str, Path]) -> dict[str, str]:
     }
 
 
+def write_pipeline_config(name: str, directory: Path) -> tuple[Path, list[str]]:
+    """The config file for one pipeline case, plus any extra CLI arguments."""
+    example = REPO_ROOT / "configs" / "example_pipeline.json"
+    if name == "example":
+        return example, []
+    if name == "example-seed9":
+        return example, ["--seed", "9"]
+    config = {**PIPELINE_BASE, **PIPELINE_CONFIGS[name]}
+    if config["environment"] is None:
+        del config["environment"]
+    if name == "file":
+        pref = directory / "pref.json"
+        pref.write_text(json.dumps({"budgets": [5, 11, 9, 7], "d": 32}))
+        config["preference"] = {"source": "file", "path": str(pref)}
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return path, []
+
+
 def run_case(case: str, directory: Path) -> dict:
     """Run one golden case in ``directory``; return its exit code and output digests."""
-    if case == "pipeline-example":
+    if case.startswith("pipeline-"):
         csv_out, json_out = directory / "report.csv", directory / "report.json"
-        config = REPO_ROOT / "configs" / "example_pipeline.json"
+        config, extra = write_pipeline_config(case.removeprefix("pipeline-"), directory)
         code = main(
-            ["pipeline", "--config", str(config), "--csv-out", str(csv_out), "--json-out", str(json_out)]
+            ["pipeline", "--config", str(config), *extra, "--csv-out", str(csv_out), "--json-out", str(json_out)]
         )
         files = {"csv": csv_out, "json": json_out}
     else:
@@ -94,6 +161,6 @@ def run_case(case: str, directory: Path) -> dict:
     return {"exit": code, "files": digests(files) if code == 0 else {}}
 
 
-@pytest.mark.parametrize("case", [*MERGE_CASES, "pipeline-example"])
+@pytest.mark.parametrize("case", [*MERGE_CASES, *PIPELINE_CASES])
 def test_outputs_match_recorded_digests(case, tmp_path):
     assert run_case(case, tmp_path) == GOLDEN[case]

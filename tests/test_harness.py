@@ -1,11 +1,16 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmerge import (
     ConfigError,
     MergeConfig,
+    OTConfig,
+    PipelineConfig,
     SyntheticTask,
     ValidationError,
     evaluate,
@@ -221,8 +226,8 @@ class TestPipeline:
 
     def test_census_equals_budgets(self):
         report = run_pipeline(self.base_config())
-        for row in report.rows:
-            assert row.census == row.budget
+        for run in report.summary["runs"]:
+            assert run["census"] == run["budgets"]
 
     def test_report_is_deterministic(self):
         first = run_pipeline(self.base_config())
@@ -236,7 +241,7 @@ class TestPipeline:
         report = run_pipeline(
             self.base_config(preference={"source": "file", "path": str(pref_path)})
         )
-        assert [row.budget for row in report.rows] == [4, 4, 4]
+        assert report.summary["runs"][0]["budgets"] == [4, 4, 4]
 
     def test_file_preference_wrong_dim(self, tmp_path):
         pref_path = tmp_path / "pref.json"
@@ -256,7 +261,7 @@ class TestPipeline:
 
     def test_alpha_sweep_rows_and_csv_schema(self):
         report = run_pipeline(self.base_config(preference={"source": "alpha", "alpha": [0.0, 2.0]}))
-        assert len(report.rows) == 6
+        assert [len(run["task_losses"]) for run in report.summary["runs"]] == [3, 3]
         text = report.to_csv_text()
         assert text.splitlines()[0] == "alpha,task,budget,census,loss"
         single = run_pipeline(self.base_config())
@@ -269,12 +274,12 @@ class TestPipeline:
 
     def test_magmax_method_has_no_budgets(self):
         report = run_pipeline(self.base_config(merge={"method": "magmax", "lambda_merge": 1.0}, preference={}))
-        assert all(row.budget is None for row in report.rows)
-        assert sum(row.census for row in report.rows) == 12
+        assert all(run["budgets"] is None for run in report.summary["runs"])
+        assert sum(report.summary["runs"][0]["census"]) == 12
 
     def test_average_method_has_no_census(self):
         report = run_pipeline(self.base_config(merge={"method": "average"}, preference={}))
-        assert all(row.census is None for row in report.rows)
+        assert all(run["census"] is None for run in report.summary["runs"])
 
     def test_tunable_without_source_rejected(self):
         with pytest.raises(ConfigError, match="preference source"):
@@ -301,3 +306,70 @@ class TestPipeline:
         census = report.summary["runs"][0]["census"]
         # sequential drift plus later-wins ties: the last task owns everything
         assert census == [0, 0, 12]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+# Values a real config would hold, so that a parse gets past its early checks,
+# plus numbers that no int or float conversion can take.
+PLAUSIBLE = (
+    st.sampled_from(["tunable", "magmax", "alpha", "file", "similarity", "label", "cumulative", "disjoint"])
+    | st.sampled_from([float("inf"), float("nan"), 10**400])
+    | st.integers(-2, 40)
+    | st.floats(-1.0, 3.0)
+    | st.lists(st.integers(0, 4), max_size=4)
+    | st.lists(st.floats(0.0, 1.0), max_size=4)
+)
+VALID_CONFIG = {
+    "seed": 3,
+    "suite": {"num_tasks": 3, "dim": 12, "samples_per_task": 20},
+    "merge": {"method": "tunable", "lambda_merge": 1.0},
+    "preference": {"source": "similarity", "metric": "label", "alpha": 0.5, "path": "pref.json"},
+    "environment": {"members": [1], "mix": [1.0], "total_samples": 16},
+    "similarity_config": {"epsilon": 0.1},
+    "report": {"csv": "report.csv"},
+}
+SECTION_KEYS = {
+    "suite": ["num_tasks", "dim", "support_mode", "samples_per_task", "overlap",
+              "classes_per_task", "noise_sigma", "cluster_separation"],
+    "merge": ["method", "delta_mode", "rounds", "lambda_merge"],
+    "preference": ["source", "alpha", "path", "metric"],
+    "environment": ["members", "mix", "total_samples", "meta_fraction"],
+    "similarity_config": [f.name for f in fields(OTConfig)],
+    "report": ["csv", "json"],
+}
+# (section, key) pairs to overwrite; a None key overwrites the whole section.
+TARGETS = [
+    *((name, key) for name, keys in SECTION_KEYS.items() for key in [*keys, "typo"]),
+    *((name, None) for name in [*SECTION_KEYS, "seed", "typo"]),
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """The valid config with a few fields or sections overwritten by arbitrary JSON."""
+    config = json.loads(json.dumps(VALID_CONFIG))
+    for name, key in draw(st.lists(st.sampled_from(TARGETS), max_size=3)):
+        value = draw(JSON_VALUES | PLAUSIBLE)
+        if key is None:
+            config[name] = value
+        elif isinstance(config.get(name), dict):
+            config[name][key] = value
+    return config
+
+
+class TestPipelineConfigParse:
+    def test_valid_config_parses(self):
+        assert PipelineConfig.from_dict(VALID_CONFIG).environment["member_ids"] == [1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES | mutated_configs())
+    def test_any_json_value_parses_or_raises_a_documented_error(self, raw):
+        try:
+            config = PipelineConfig.from_dict(raw)
+        except (ConfigError, ValidationError):
+            return
+        assert isinstance(config, PipelineConfig)
