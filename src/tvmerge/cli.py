@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .container import (
+    LayoutReader,
     ParameterSet,
     apply_task_vector,
     compute_task_vector,
@@ -285,16 +286,20 @@ def cmd_pipeline(args) -> int:
 
 
 def _read_task_matrix(paths: list[str]) -> tuple[ParameterSet, np.ndarray]:
-    """Decode containers one at a time into the rows of a (T, d) float32 matrix."""
+    """Read containers into the rows of a (T, d) float32 matrix.
+
+    The first file sets the layout; every later file is read straight into
+    its row and must match the first file's header bytes.
+    """
     layout = decode_container(paths[0])
     taus = np.empty((len(paths), layout.num_elements), dtype=np.float32)
     taus[0] = layout.flat()
     layout = layout.with_flat(taus[0])
+    reader = LayoutReader(layout.specs)
     for row, path in enumerate(paths[1:], start=1):
-        tau = decode_container(path)
-        if not layout.same_layout(tau):
+        if not reader.read_into(path, taus[row]):
+            decode_container(path)  # raises the CodecError that malformed bytes get
             raise ShapeMismatchError(f"shape mismatch: {path} has a different layout")
-        taus[row] = tau.flat()
     return layout, taus
 
 

@@ -20,6 +20,12 @@ Dtype code 0 is float32 and is the only code a :class:`ParameterSet` may
 carry. Code 1 (u16) exists solely for assignment side-files written by
 :mod:`tvmerge.merging`. NaN payloads are rejected on both encode and
 decode; selection by absolute magnitude is undefined with NaN present.
+
+:func:`decode_container` parses any stream. A :class:`LayoutReader` reads
+streams that must hold one known layout, such as merge inputs after the
+first: it compares each record's header bytes with the bytes that layout
+encodes to and reads each payload straight into its slice of a caller's
+float32 vector.
 """
 
 from __future__ import annotations
@@ -178,24 +184,92 @@ def apply_task_vector(
 
 def encode_container(pset: ParameterSet, destination: Source) -> None:
     """Write ``pset`` as a TVC1 stream; decode gives back identical bits."""
-    _reject_nan(pset)
+    _reject_nan(pset.specs, pset.flat())
     _write_records([(name, DTYPE_F32, arr) for name, arr in pset.items()], destination)
 
 
 def decode_container(source: Source) -> ParameterSet:
     """Read a TVC1 stream of float32 tensors, copying each payload once."""
     pset = ParameterSet(_read_records(source, DTYPE_F32))
-    _reject_nan(pset)
+    _reject_nan(pset.specs, pset.flat())
     return pset
 
 
-def _reject_nan(pset: ParameterSet) -> None:
-    if np.isnan(pset.flat()).any():
-        name = next(name for name, arr in pset.items() if np.isnan(arr).any())
-        raise CodecError(f"tensor {name!r}: NaN payload rejected")
+class LayoutReader:
+    """Reads TVC1 streams that hold exactly one known float32 layout into a vector.
+
+    The header bytes of the layout are built once, so each stream costs one
+    header comparison and one ``readinto`` per record.
+    """
+
+    def __init__(self, specs: Sequence[TensorSpec]):
+        f32 = _NUMPY_DTYPES[DTYPE_F32]
+        self._specs = tuple(specs)
+        self._prefix = _container_header(len(self._specs))
+        self._records = [
+            (_record_header(spec.name, DTYPE_F32, spec.dims), spec.num_elements * f32.itemsize)
+            for spec in self._specs
+        ]
+        self._nbytes = sum(nbytes for _, nbytes in self._records)
+
+    def read_into(self, source: Source, dest: np.ndarray) -> bool:
+        """Fill ``dest`` from ``source``; False if the stream is not exactly this layout.
+
+        ``dest`` must be a contiguous little-endian float32 vector of the
+        layout's size. On False it is partly overwritten, and
+        :func:`decode_container` of the same bytes tells what is wrong with
+        them: it raises, or returns a set with another layout. A NaN payload
+        raises the :class:`CodecError` that :func:`decode_container` raises.
+        """
+        f32 = _NUMPY_DTYPES[DTYPE_F32]
+        if dest.dtype != f32 or not dest.flags.c_contiguous or dest.nbytes != self._nbytes:
+            raise ShapeMismatchError(
+                f"destination must be a contiguous float32 vector of {self._nbytes} bytes"
+            )
+        payload = memoryview(dest).cast("B")
+        stream, close = _open(source, "rb")
+        try:
+            if stream.read(len(self._prefix)) != self._prefix:
+                return False
+            offset = 0
+            for header, nbytes in self._records:
+                if stream.read(len(header)) != header:
+                    return False
+                if stream.readinto(payload[offset : offset + nbytes]) != nbytes:
+                    return False
+                offset += nbytes
+            if stream.read(1):
+                return False
+        finally:
+            if close:
+                stream.close()
+        _reject_nan(self._specs, dest)
+        return True
+
+
+def _reject_nan(specs: Sequence[TensorSpec], flat: np.ndarray) -> None:
+    nan = np.isnan(flat)
+    if nan.any():
+        first = int(nan.argmax())
+        for spec in specs:
+            if first < spec.num_elements:
+                raise CodecError(f"tensor {spec.name!r}: NaN payload rejected")
+            first -= spec.num_elements
 
 
 # Low-level record I/O, shared with the assignment side-file writer.
+
+
+def _container_header(count: int) -> bytes:
+    """Magic, version and tensor count: the bytes before the first record."""
+    return MAGIC + bytes([VERSION]) + struct.pack("<I", count)
+
+
+def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
+    """Name length, UTF-8 name, dtype code, ndim and dims: the bytes before a payload."""
+    name_bytes = name.encode("utf-8")
+    ndim = len(dims)
+    return struct.pack(f"<H{len(name_bytes)}sBB{ndim}Q", len(name_bytes), name_bytes, code, ndim, *dims)
 
 
 def _write_records(
@@ -205,16 +279,10 @@ def _write_records(
         raise CodecError("empty container")
     stream, close = _open(destination, "wb")
     try:
-        stream.write(MAGIC)
-        stream.write(bytes([VERSION]))
-        stream.write(struct.pack("<I", len(records)))
+        stream.write(_container_header(len(records)))
         for name, code, arr in records:
             data = np.ascontiguousarray(arr, dtype=_NUMPY_DTYPES[code])
-            name_bytes = name.encode("utf-8")
-            stream.write(struct.pack("<H", len(name_bytes)))
-            stream.write(name_bytes)
-            stream.write(bytes([code, data.ndim]))
-            stream.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            stream.write(_record_header(name, code, data.shape))
             stream.write(data)
     finally:
         if close:

@@ -351,7 +351,7 @@ class PipelineConfig:
         delta_mode = _field(merge_, "delta_mode", _string, "incremental")
         if delta_mode not in DELTA_MODES:
             raise ConfigError(f"unknown delta_mode {delta_mode!r}")
-        lambda_merge = _field(merge_, "lambda_merge", float, 0.5)
+        lambda_merge = _field(merge_, "lambda_merge", _number, 0.5)
         if not (0.0 <= lambda_merge <= 1.0):
             raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
 
@@ -363,7 +363,7 @@ class PipelineConfig:
         alphas = [None]
         if source == "alpha":
             several = isinstance(pref.get("alpha"), list)
-            alphas = _field(pref, "alpha", _list_of(float) if several else lambda value: [float(value)])
+            alphas = _field(pref, "alpha", _list_of(_number) if several else lambda value: [_number(value)])
         pref_path = _field(pref, "path", _string, None)
         if source == "file" and not pref_path:
             raise ConfigError("preference source 'file' needs a 'path'")
@@ -371,21 +371,21 @@ class PipelineConfig:
             raise ConfigError("preference source 'similarity' needs an 'environment'")
 
         return cls(
-            seed=_field(top, "seed", int),
-            num_tasks=_field(suite, "num_tasks", int),
-            dim=_field(suite, "dim", int),
+            seed=_field(top, "seed", _integer),
+            num_tasks=_field(suite, "num_tasks", _integer),
+            dim=_field(suite, "dim", _integer),
             suite={key: _field(suite, key, kind) for key, kind in _SUITE_KINDS.items() if key in suite},
             environment={
-                "member_ids": _field(env, "members", _list_of(int), ()),
-                "mix": _field(env, "mix", _list_of(float), ()),
-                "total_samples": _field(env, "total_samples", int, 0),
-                "meta_fraction": _field(env, "meta_fraction", float, 0.1),
+                "member_ids": _field(env, "members", _list_of(_integer), ()),
+                "mix": _field(env, "mix", _list_of(_number), ()),
+                "total_samples": _field(env, "total_samples", _integer, 0),
+                "meta_fraction": _field(env, "meta_fraction", _number, 0.1),
             }
             if env
             else None,
             method=method,
             delta_mode=delta_mode,
-            rounds=_field(merge_, "rounds", int, 2),
+            rounds=_field(merge_, "rounds", _integer, 2),
             lambda_merge=lambda_merge,
             source=source,
             alphas=alphas,
@@ -581,6 +581,20 @@ def _string(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    # bool is an int subclass, but JSON true is not a number.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not a JSON integer")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON integer or float as a float, so ``1`` is as good as ``1.0``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a JSON number")
+    return float(value)
+
+
 def _optional(kind):
     return lambda value: None if value is None else kind(value)
 
@@ -597,14 +611,17 @@ def _list_of(kind):
 # Keyword arguments of generate_task_suite that a config's suite may set.
 _SUITE_KINDS = {
     "support_mode": _string,
-    "samples_per_task": int,
-    "overlap": int,
-    "classes_per_task": int,
-    "noise_sigma": float,
-    "cluster_separation": float,
+    "samples_per_task": _integer,
+    "overlap": _integer,
+    "classes_per_task": _integer,
+    "noise_sigma": _number,
+    "cluster_separation": _number,
 }
 # similarity_config takes every OTConfig field; one whose default is None also takes null.
-_OT_KINDS = {f.name: _optional(float) if f.default is None else type(f.default) for f in fields(OTConfig)}
+_OT_KINDS = {
+    f.name: _optional(_number) if f.default is None else {int: _integer, float: _number}[type(f.default)]
+    for f in fields(OTConfig)
+}
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:

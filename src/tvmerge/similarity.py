@@ -48,10 +48,15 @@ class OTConfig:
 
     def __post_init__(self) -> None:
         for field in ("epsilon", "max_iters", "tol", "gamma", "gamma_cos", "gamma_mmd"):
-            if getattr(self, field) <= 0:
-                raise ValidationError(f"{field} must be positive")
-        if self.mmd_bandwidth is not None and self.mmd_bandwidth <= 0:
-            raise ValidationError("mmd_bandwidth must be positive")
+            if not _finite_positive(getattr(self, field)):
+                raise ValidationError(f"{field} must be finite and positive")
+        if self.mmd_bandwidth is not None and not _finite_positive(self.mmd_bandwidth):
+            raise ValidationError("mmd_bandwidth must be finite and positive")
+
+
+def _finite_positive(value) -> bool:
+    # Written so that NaN, which compares False with everything, fails too.
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)

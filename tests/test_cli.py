@@ -1,15 +1,23 @@
 import json
+import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmerge import (
+    MergeConfig,
     ParameterSet,
+    ValidationError,
     decode_container,
     encode_container,
+    merge,
     read_assignment,
+    write_assignment,
 )
 from tvmerge.cli import main
 
@@ -172,6 +180,138 @@ class TestMerge:
         assert "unexpected end of stream" in capsys.readouterr().err
 
 
+# Merge inputs after the first go through their own reader, so their faults
+# are checked in every position but the first. Records are dicts of raw
+# fields, so a fault can set any of them to a value the encoder would refuse.
+LAYOUT = (("a", (2, 3)), ("b", (4,)), ("c", (3,)))
+
+
+def layout_records(task):
+    records = []
+    for index, (name, dims) in enumerate(LAYOUT):
+        size = math.prod(dims)
+        values = (np.arange(size) - size / 2) * (task + 1) + index
+        records.append({"name": name.encode(), "code": 0, "dims": dims, "values": values.astype("<f4")})
+    return records
+
+
+def raw_container(records, magic=b"TVC1", version=1):
+    body = b"".join(
+        struct.pack("<H", len(r["name"])) + r["name"] + bytes([r["code"], len(r["dims"])])
+        + struct.pack(f"<{len(r['dims'])}Q", *r["dims"]) + r["values"].tobytes()
+        for r in records
+    )
+    return magic + bytes([version]) + struct.pack("<I", len(records)) + body
+
+
+def edited(records, index, **fields):
+    records[index].update(fields)
+    return raw_container(records)
+
+
+def with_nan_in_b(records):
+    records[1]["values"][2] = np.nan
+    return raw_container(records)
+
+
+def with_extra_record(records):
+    return raw_container(records + [{"name": b"d", "code": 0, "dims": (1,), "values": np.ones(1, "<f4")}])
+
+
+LAYOUT_MISMATCH = "validation error: shape mismatch: {path} has a different layout\n"
+
+# Stderr of each fault (exit 2), as recorded when every input was decoded in
+# full; the direct reader must give the same in the second and the last input.
+LATER_INPUT_FAULTS = {
+    "renamed tensor": (lambda r: edited(r, 1, name=b"z"), LAYOUT_MISMATCH),
+    "transposed dims": (lambda r: edited(r, 0, dims=(3, 2)), LAYOUT_MISMATCH),
+    "extra record": (with_extra_record, LAYOUT_MISMATCH),
+    "truncated payload": (
+        lambda r: raw_container(r)[:-1],
+        "validation error: unexpected end of stream while reading payload of 'c'\n",
+    ),
+    "trailing byte": (
+        lambda r: raw_container(r) + b"\0",
+        "validation error: trailing data after last record\n",
+    ),
+    "bad magic": (
+        lambda r: raw_container(r, magic=b"XVC1"),
+        "validation error: bad magic b'XVC1'\n",
+    ),
+    "version 2": (
+        lambda r: raw_container(r, version=2),
+        "validation error: unsupported version 2\n",
+    ),
+    "dtype code 1": (
+        lambda r: edited(r, 0, code=1),
+        "validation error: tensor 'a': unsupported dtype code 1\n",
+    ),
+    "non-UTF-8 name": (
+        lambda r: edited(r, 1, name=b"\xff"),
+        "validation error: tensor name is not valid UTF-8\n",
+    ),
+    "NaN payload": (with_nan_in_b, "validation error: tensor 'b': NaN payload rejected\n"),
+    "length 2^61": (
+        lambda r: edited(r, 1, dims=(2**61,)),
+        "validation error: unexpected end of stream while reading payload of 'b'\n",
+    ),
+}
+
+
+def write_inputs(directory, later, position):
+    """Three layout containers, except that input ``position`` holds ``later``."""
+    paths = []
+    for task in range(3):
+        path = directory / f"t{task}.tvc"
+        path.write_bytes(later if task == position else raw_container(layout_records(task)))
+        paths.append(str(path))
+    return paths
+
+
+class TestMergeLaterInputs:
+    @pytest.mark.parametrize("position", [1, 2], ids=["second", "last"])
+    @pytest.mark.parametrize("fault", LATER_INPUT_FAULTS)
+    def test_fault_exits_2_with_full_decode_message(self, tmp_path, capsys, fault, position):
+        build, message = LATER_INPUT_FAULTS[fault]
+        paths = write_inputs(tmp_path, build(layout_records(position)), position)
+        code = main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), *paths])
+        assert code == 2
+        assert capsys.readouterr().err == message.format(path=paths[position])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_second_input_exits_0_or_2_like_decode(self, data):
+        """Any flip, cut or extension of input 2 merges as its decode would, or exits 2."""
+        raw = bytearray(raw_container(layout_records(1)))
+        kind = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if kind == "flip":
+            flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+            for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4)):
+                raw[index] ^= mask
+        elif kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=64))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = write_inputs(tmp, bytes(raw), 1)
+            out = tmp / "m.tvc"
+            code = main(["merge", "--method", "magmax", "--out", str(out), *paths])
+            try:
+                decoded = [decode_container(path) for path in paths]
+                mergeable = decoded[1].same_layout(decoded[0])
+            except ValidationError:
+                mergeable = False
+            assert code == (0 if mergeable else 2)
+            if code == 0:
+                taus = np.stack([pset.flat() for pset in decoded])
+                merged, assignment = merge("magmax", taus, None, MergeConfig())
+                encode_container(decoded[0].with_flat(merged), tmp / "ref.tvc")
+                write_assignment(tmp / "ref.assignment.tvc", assignment)
+                assert out.read_bytes() == (tmp / "ref.tvc").read_bytes()
+                assert (tmp / "m.tvc.assignment.tvc").read_bytes() == (tmp / "ref.assignment.tvc").read_bytes()
+
+
 class TestApply:
     def test_apply_half(self, tmp_path):
         write_container(tmp_path / "theta0.tvc", [1.0, 1.0])
@@ -218,6 +358,18 @@ class TestSim:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["scores"][0] > payload["scores"][1]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "nan"), ("--gamma", "inf"), ("--gamma-cos", "inf"), ("--bandwidth", "nan")],
+    )
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag, value):
+        write_embeddings(tmp_path / "task1.tvc", np.ones((2, 2)))
+        code = main(
+            ["sim", "--metric", "ot", "--task", str(tmp_path / "task1.tvc"), "--meta", str(tmp_path / "task1.tvc"), flag, value]
+        )
+        assert code == 2
+        assert "must be finite and positive" in capsys.readouterr().err
 
     def test_missing_meta_exits_3(self, tmp_path):
         write_embeddings(tmp_path / "task1.tvc", np.ones((2, 2)))
@@ -345,6 +497,18 @@ class TestPipeline:
             ("lambda_merge", {"merge": {"lambda_merge": "z"}}),
             ("members", {"environment": {"members": 3, "mix": [1.0], "total_samples": 20}}),
             ("merge", {"merge": ["magmax"]}),
+            ("seed", {"seed": True}),
+            ("num_tasks", {"suite": {"num_tasks": "3", "dim": 8}}),
+            ("dim", {"suite": {"num_tasks": 2, "dim": 12.9}}),
+            ("samples_per_task", {"suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12.0}}),
+            ("alpha", {"preference": {"source": "alpha", "alpha": "0.5"}}),
+            ("alpha", {"preference": {"source": "alpha", "alpha": [0.5, True]}}),
+            ("lambda_merge", {"merge": {"lambda_merge": False}}),
+            ("members", {"environment": {"members": [1, 2.0], "mix": [1.0], "total_samples": 20}}),
+            ("mix", {"environment": {"members": [1], "mix": ["1"], "total_samples": 20}}),
+            ("max_iters", {"similarity_config": {"max_iters": 10.5}}),
+            ("epsilon", {"similarity_config": {"epsilon": True}}),
+            ("mmd_bandwidth", {"similarity_config": {"mmd_bandwidth": "1"}}),
         ],
     )
     def test_wrongly_typed_field_exits_6(self, tmp_path, capsys, key, override):
@@ -387,6 +551,33 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 6
         assert repr(key) in capsys.readouterr().err
+
+    def test_integer_for_float_field_is_accepted(self, tmp_path):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1},
+            "preference": {"source": "alpha", "alpha": [0, 1]},
+            "report": {"json": str(tmp_path / "r.json")},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_similarity_setting_exits_2(self, tmp_path, capsys, value):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "similarity", "metric": "ot"},
+            "environment": {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 20},
+            "similarity_config": {"epsilon": value},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

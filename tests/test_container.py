@@ -16,6 +16,7 @@ from tvmerge import (
     decode_container,
     encode_container,
 )
+from tvmerge.container import LayoutReader
 
 
 def roundtrip(pset):
@@ -168,6 +169,24 @@ class TestCodec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             decode_container(tmp_path / "nope.tvc")
+
+
+class TestLayoutReader:
+    def test_stream_read_into_matches_decode(self):
+        pset = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf])])
+        buffer = io.BytesIO()
+        encode_container(pset, buffer)
+        dest = np.empty(pset.num_elements, dtype=np.float32)
+        assert LayoutReader(pset.specs).read_into(io.BytesIO(buffer.getvalue()), dest)
+        assert np.array_equal(dest.view(np.uint32), pset.flat().view(np.uint32))
+
+    @pytest.mark.parametrize(
+        "dest", [np.empty(5, np.float32), np.empty(6, np.float64), np.empty(12, np.float32)[::2]]
+    )
+    def test_wrong_destination_rejected(self, dest):
+        reader = LayoutReader(ParameterSet({"w": np.ones(6)}).specs)
+        with pytest.raises(ShapeMismatchError, match="destination"):
+            reader.read_into(io.BytesIO(), dest)
 
 
 class TestTaskVectorArithmetic:
