@@ -22,6 +22,7 @@ from . import __version__
 from .container import (
     LayoutReader,
     ParameterSet,
+    _reject_nan,
     apply_task_vector,
     compute_task_vector,
     decode_container,
@@ -37,7 +38,9 @@ from .errors import (
 from .harness import PipelineConfig, run_pipeline
 from .merging import (
     MERGE_METHODS,
+    RESIDUAL_RANDOM,
     MergeConfig,
+    Rows,
     assignment_census,
     merge,
     read_assignment,
@@ -173,21 +176,28 @@ def cmd_merge(args) -> int:
     if args.method in ("tunable", "randmix") and args.seed is None:
         raise UsageError(f"--seed is required for --method {args.method}")
 
-    layout, taus = _read_task_matrix(args.taus)
-    dim = taus.shape[1]
+    layout, rows = _task_rows(args.taus)
+    log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
     pref = None
     if args.pref_file is not None:
         pref = load_preference(args.pref_file)
     elif args.alpha is not None:
-        pref = preference_from_alpha(AlphaSchedule(args.alpha, len(taus), dim))
+        pref = preference_from_alpha(AlphaSchedule(args.alpha, rows.count, rows.dim))
     elif args.sim_file is not None:
-        pref = preference_from_similarities(_read_sim_file(args.sim_file), dim)
+        pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
     config = MergeConfig(rounds=args.rounds, seed=args.seed or 0)
-    merged, assignment = merge(args.method, taus, pref, config)
+    merged, assignment = merge(args.method, rows, pref, config)
 
+    if args.method == "average":
+        # The inputs hold no NaN, so a NaN here is the mean of +inf and -inf.
+        _reject_nan(layout.specs, merged, "the average of +inf and -inf is NaN")
     encode_container(layout.with_flat(merged), args.out)
     if assignment is not None:
         census = assignment_census(assignment)
+        log.debug("census: %s", " ".join(str(c) for c in census))
+        if args.method == "tunable":
+            residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
+            log.debug("residual fraction: %.6g", residual)
         census_path = args.census_out or f"{args.out}.census.json"
         Path(census_path).write_text(
             json.dumps({"counts": [int(c) for c in census]}, sort_keys=True) + "\n"
@@ -285,22 +295,30 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _read_task_matrix(paths: list[str]) -> tuple[ParameterSet, np.ndarray]:
-    """Read containers into the rows of a (T, d) float32 matrix.
+def _task_rows(paths: list[str]) -> tuple[ParameterSet, Rows]:
+    """The first file's layout, and the task vectors of all files as a row source.
 
-    The first file sets the layout; every later file is read straight into
-    its row and must match the first file's header bytes.
+    The first file's own vector is the one buffer every row is read into,
+    straight from its file, which must match the first file's header bytes.
+    A file that does not raises what a full decode of it raises, or a
+    shape mismatch. Rows are read only when a strategy asks for them.
     """
     layout = decode_container(paths[0])
-    taus = np.empty((len(paths), layout.num_elements), dtype=np.float32)
-    taus[0] = layout.flat()
-    layout = layout.with_flat(taus[0])
+    buffer = layout.flat()
     reader = LayoutReader(layout.specs)
-    for row, path in enumerate(paths[1:], start=1):
-        if not reader.read_into(path, taus[row]):
-            decode_container(path)  # raises the CodecError that malformed bytes get
-            raise ShapeMismatchError(f"shape mismatch: {path} has a different layout")
-    return layout, taus
+    held = 0
+
+    def read(task: int) -> np.ndarray:
+        nonlocal held
+        if task != held:
+            held = None
+            if not reader.read_into(paths[task], buffer):
+                decode_container(paths[task])  # raises the CodecError that malformed bytes get
+                raise ShapeMismatchError(f"shape mismatch: {paths[task]} has a different layout")
+            held = task
+        return buffer
+
+    return layout, Rows(len(paths), buffer.size, read)
 
 
 def _read_json_object(path: str, what: str) -> dict:

@@ -247,13 +247,16 @@ class LayoutReader:
         return True
 
 
-def _reject_nan(specs: Sequence[TensorSpec], flat: np.ndarray) -> None:
+def _reject_nan(
+    specs: Sequence[TensorSpec], flat: np.ndarray, problem: str = "NaN payload rejected"
+) -> None:
+    """Raise ``tensor '<name>': <problem>`` for the first tensor of ``flat`` holding NaN."""
     nan = np.isnan(flat)
     if nan.any():
         first = int(nan.argmax())
         for spec in specs:
             if first < spec.num_elements:
-                raise CodecError(f"tensor {spec.name!r}: NaN payload rejected")
+                raise CodecError(f"tensor {spec.name!r}: {problem}")
             first -= spec.num_elements
 
 

@@ -1,9 +1,12 @@
 """Task-vector merging strategies and element-ownership bookkeeping.
 
-All strategies operate on the global flat index: task vectors are stacked
-into a (T, d) matrix and each output element is copied bitwise from exactly
-one input row. Task ids are 1-based throughout; flat indices are 0-based
-numpy indices.
+All strategies operate on the global flat index: each output element is
+copied bitwise from exactly one task vector (``average`` excepted). Task
+vectors are read one row at a time from a :class:`Rows` source, so no
+(T, d) matrix is built; a strategy keeps O(d) state, plus T*d/8 bytes of
+packed bits for ``tunable``. Rows are selected with arithmetic on their bit
+patterns, not with masked copies. Task ids are 1-based throughout; flat
+indices are 0-based numpy indices.
 
 Randomized selection is driven by counter-based keyed streams: a Philox
 generator keyed by (seed, round, task), so results are reproducible and
@@ -13,7 +16,7 @@ independent of scheduling or invocation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -25,8 +28,25 @@ MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
 #: Provenance code for elements assigned by the final random fill.
 RESIDUAL_RANDOM = 0
 
-TaskVectors = Union[np.ndarray, Sequence[np.ndarray]]
+TaskVectors = Union["Rows", np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
+
+
+@dataclass(frozen=True)
+class Rows:
+    """``count`` task vectors of ``dim`` elements each, read one at a time.
+
+    ``read(t)`` returns task vector t (0-based) as a 1-D array of ``dim``
+    elements, with the same dtype for every t. It may fill and return one
+    reused buffer, so a strategy is done with a row before it reads the
+    next, and it may read a row more than once. Every strategy accepts a
+    source like this in place of a (T, d) matrix; the source checks its own
+    rows for NaN.
+    """
+
+    count: int
+    dim: int
+    read: Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,9 +99,9 @@ class PreferenceVector:
 class Assignment:
     """Which task supplied each merged element, and in which phase.
 
-    ``owner[p]`` is a task id in 1..T. ``provenance[p]`` is 1 where the
-    owner claimed the element by magnitude, or :data:`RESIDUAL_RANDOM`
-    where the final random fill placed it.
+    ``owner[p]`` is a task id in 1..T (int32). ``provenance[p]`` (uint8) is
+    1 where the owner claimed the element by magnitude, or
+    :data:`RESIDUAL_RANDOM` where the final random fill placed it.
     """
 
     owner: np.ndarray
@@ -90,7 +110,10 @@ class Assignment:
 
     def __post_init__(self) -> None:
         self.owner = np.asarray(self.owner, dtype=np.int32)
-        self.provenance = np.asarray(self.provenance, dtype=np.int32)
+        provenance = np.asarray(self.provenance)
+        if provenance.size and (provenance.min() < 0 or provenance.max() > 0xFF):
+            raise ValidationError("provenance codes must lie in 0..255")
+        self.provenance = provenance.astype(np.uint8, copy=False)
         if self.owner.shape != self.provenance.shape or self.owner.ndim != 1:
             raise ValidationError("owner and provenance must be equal-length vectors")
 
@@ -134,12 +157,14 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
 
     Ties go to the later task: the owner is the element's last record-setter.
     """
-    tau = _as_matrix(taus)
-    num_tasks, _ = tau.shape
-    # argmax picks the first True; scanning reversed rows finds the last one.
-    owner = (num_tasks - _record_setters(tau)[::-1].argmax(axis=0)).astype(np.int32)
-    assignment = Assignment(owner, np.ones_like(owner), num_tasks)
-    return _gather(tau, owner), assignment
+    rows = _as_rows(taus)
+    merged = rows.read(0).copy()
+    owner = np.ones(rows.dim, dtype=np.int32)
+    for task, row, setters, scratch in _record_setters(rows, merged):
+        _select(merged, row, setters, scratch)
+        # Later tasks have larger ids, so the last record-setter wins.
+        np.maximum(owner, setters * np.int32(task + 1), out=owner)
+    return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
 
 def tunable_merge(
@@ -156,58 +181,53 @@ def tunable_merge(
     leftover elements are then shuffled once with key (seed, rounds+1, 0)
     and dealt to tasks with unmet budgets in ascending task order, with
     provenance :data:`RESIDUAL_RANDOM`.
+
+    The rows are read twice: once for the record-setter bits, kept packed
+    (T*d/8 bytes), and once, last row first, to copy the owned elements of
+    the tasks with a nonzero budget.
     """
     config = config or MergeConfig()
-    tau = _as_matrix(taus)
-    num_tasks, dim = tau.shape
+    rows = _as_rows(taus)
     budgets = pref.as_array() if isinstance(pref, PreferenceVector) else np.asarray(pref)
-    if budgets.ndim != 1 or budgets.size != num_tasks:
+    if budgets.ndim != 1 or budgets.size != rows.count:
         raise ValidationError(
-            f"preference vector has {budgets.size} budgets for {num_tasks} tasks"
+            f"preference vector has {budgets.size} budgets for {rows.count} tasks"
         )
     if np.any(budgets < 0):
         raise ValidationError("negative budget")
     total = int(budgets.sum())
-    if total != dim:
-        raise ValidationError(f"budget sum {total} != element count {dim}")
+    if total != rows.dim:
+        raise ValidationError(f"budget sum {total} != element count {rows.dim}")
 
-    setters = _record_setters(tau)
-    owner = np.zeros(dim, dtype=np.int32)
-    unassigned = np.ones(dim, dtype=bool)
-    deficits = budgets.astype(np.int64)
-    for task in range(num_tasks, 0, -1):
-        need = int(deficits[task - 1])
-        if need == 0:
-            continue
-        claim = np.flatnonzero(unassigned & setters[task - 1])
-        if claim.size > need:
-            claim = selection_stream(config.seed, 1, task).permutation(claim)[:need]
-        owner[claim] = task
-        unassigned[claim] = False
-        deficits[task - 1] -= claim.size
-
-    provenance = (~unassigned).astype(np.int32)
-    leftovers = selection_stream(config.seed, config.rounds + 1, 0).permutation(
-        np.flatnonzero(unassigned)
-    )
-    owner[leftovers] = np.repeat(np.arange(1, num_tasks + 1, dtype=np.int32), deficits)
-    assignment = Assignment(owner, provenance, num_tasks)
-    return _gather(tau, owner), assignment
+    owner, claimed = _budgeted_owners(rows, budgets.astype(np.int64), config)
+    # A task with budget 0 owns nothing, so its row is not read again.
+    merged = _gather(rows, owner, [t for t in range(rows.count - 1, -1, -1) if budgets[t]])
+    return merged, Assignment(owner, claimed.view(np.uint8), rows.count)
 
 
 def average_merge(taus: TaskVectors) -> np.ndarray:
-    """Element-wise arithmetic mean of the task vectors."""
-    return _as_matrix(taus).mean(axis=0)
+    """Element-wise arithmetic mean of the task vectors.
+
+    The rows are summed in task order starting from 0, which is what
+    ``mean(axis=0)`` of the stacked matrix does, so the result is the same
+    to the bit. The mean of +inf and -inf is NaN.
+    """
+    rows = _as_rows(taus)
+    # A sum that starts from 0: row 0 is copied, and -0.0 becomes +0.0.
+    total = rows.read(0) + 0.0
+    with np.errstate(invalid="ignore"):
+        for task in range(1, rows.count):
+            np.add(total, rows.read(task), out=total)
+    return total / rows.count
 
 
 def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
-    tau = _as_matrix(taus)
-    num_tasks, dim = tau.shape
+    rows = _as_rows(taus)
     stream = selection_stream(seed, 0, 0)
-    owner = stream.integers(1, num_tasks + 1, size=dim, dtype=np.int32)
-    assignment = Assignment(owner, np.zeros(dim, dtype=np.int32), num_tasks)
-    return _gather(tau, owner), assignment
+    owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
+    assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
+    return _gather(rows, owner, range(rows.count)), assignment
 
 
 def assignment_census(assignment: Assignment) -> np.ndarray:
@@ -223,8 +243,6 @@ def write_assignment(destination, assignment: Assignment) -> None:
     """Persist owner and provenance maps as u16 records in a TVC1 side-file."""
     if assignment.num_tasks > 0xFFFF:
         raise ValidationError("owner map limited to 65535 tasks")
-    if assignment.provenance.size and assignment.provenance.max() > 0xFFFF:
-        raise ValidationError("provenance codes exceed u16")
     _write_records(
         [
             ("owner", DTYPE_U16, assignment.owner.astype(np.uint16)),
@@ -246,48 +264,116 @@ def read_assignment(source) -> Assignment:
     return Assignment(owner, provenance, num_tasks)
 
 
-def _as_matrix(taus: TaskVectors) -> np.ndarray:
-    """Stack 1-D task vectors into a (T, d) matrix; a (T, d) array is used as is."""
-    if isinstance(taus, np.ndarray):
-        if taus.ndim != 2:
-            raise ValidationError("expected a (tasks, elements) matrix")
-        if taus.shape[0] == 0:
-            raise ValidationError("empty task list")
-        mat = taus
+def _as_rows(taus: TaskVectors) -> Rows:
+    """Check ``taus`` and present it as a row source.
+
+    A (T, d) matrix or a sequence of equal-length 1-D vectors is checked for
+    NaN up front and its rows are read in place (vectors of mixed dtypes are
+    converted to the dtype their stack would have); a :class:`Rows` is used
+    as is.
+    """
+    if isinstance(taus, Rows):
+        rows = taus
     else:
+        if isinstance(taus, np.ndarray) and taus.ndim != 2:
+            raise ValidationError("expected a (tasks, elements) matrix")
         arrays = [np.asarray(t) for t in taus]
-        if not arrays:
-            raise ValidationError("empty task list")
         if any(a.ndim != 1 for a in arrays):
             raise ValidationError("task vectors must be 1-D arrays")
         if len({a.size for a in arrays}) > 1:
             raise ShapeMismatchError("shape mismatch: task vector lengths differ")
-        mat = np.stack(arrays)
-    if mat.shape[1] == 0:
+        if any(np.isnan(a).any() for a in arrays):
+            raise ValidationError("task vectors must not contain NaN")
+        if arrays:
+            dtype = np.result_type(*{a.dtype for a in arrays})
+            arrays = [a.astype(dtype, copy=False) for a in arrays]
+        rows = Rows(len(arrays), arrays[0].size if arrays else 0, arrays.__getitem__)
+    if rows.count == 0:
+        raise ValidationError("empty task list")
+    if rows.dim == 0:
         raise ValidationError("task vectors have no elements")
-    if np.isnan(mat).any():
-        raise ValidationError("task vectors must not contain NaN")
-    return mat
+    return rows
 
 
-def _record_setters(tau: np.ndarray) -> np.ndarray:
-    """(T, d) bool matrix, True where ``|tau[t]| >= |tau[s]|`` for every s < t.
+def _record_setters(
+    rows: Rows, first: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(t, row, setters, scratch)`` for rows t = 1..T-1 in order.
 
-    One forward pass keeps a running max of ``|tau|`` a row at a time, so
-    no (T, d) float temporary is built. Row 0 is all True.
+    ``setters`` is True where ``|row| >= |rows[s]|`` for every s < t, with
+    ``first`` as row 0; every row 0 element is a record-setter. A running
+    max of the magnitudes is the only state. The yielded buffers are reused
+    for the next row, and ``scratch`` is free for the caller to overwrite.
     """
-    setters = np.empty(tau.shape, dtype=bool)
-    setters[0] = True
-    running = np.abs(tau[0])
-    row = np.empty_like(running)
-    for task in range(1, tau.shape[0]):
-        np.abs(tau[task], out=row)
-        np.greater_equal(row, running, out=setters[task])
-        np.maximum(running, row, out=running)
-    return setters
+    running = np.abs(first)
+    magnitude = np.empty_like(running)
+    setters = np.empty(rows.dim, dtype=bool)
+    for task in range(1, rows.count):
+        row = rows.read(task)
+        np.abs(row, out=magnitude)
+        np.greater_equal(magnitude, running, out=setters)
+        np.maximum(running, magnitude, out=running)
+        yield task, row, setters, magnitude
 
 
-def _gather(tau: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Copy element p from row ``owner[p] - 1``, bitwise."""
-    return np.take_along_axis(tau, (owner - 1)[None, :], axis=0)[0]
+def _budgeted_owners(
+    rows: Rows, deficits: np.ndarray, config: MergeConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Owner of every element under ``deficits`` (the budgets), and where it was claimed.
 
+    Reads the rows once for their record-setter bits, then runs the claim
+    sweep and the residual fill of :func:`tunable_merge` on those bits.
+    """
+    num_tasks, dim = rows.count, rows.dim
+    packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
+    packed[0] = 0xFF
+    for task, _, setters, _ in _record_setters(rows, rows.read(0)):
+        packed[task] = np.packbits(setters)
+
+    # Candidates are shuffled as int32 where they fit; the order is the
+    # same as for int64, and the index arrays are half the size.
+    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    owner = np.zeros(dim, dtype=np.int32)
+    unassigned = np.ones(dim, dtype=bool)
+    for task in range(num_tasks, 0, -1):
+        need = int(deficits[task - 1])
+        if need == 0:
+            continue
+        setters = np.unpackbits(packed[task - 1], count=dim).view(bool)
+        claim = np.flatnonzero(unassigned & setters).astype(index)
+        if claim.size > need:
+            claim = selection_stream(config.seed, 1, task).permutation(claim)[:need]
+        owner[claim] = task
+        unassigned[claim] = False
+        deficits[task - 1] -= claim.size
+
+    leftovers = selection_stream(config.seed, config.rounds + 1, 0).permutation(
+        np.flatnonzero(unassigned).astype(index)
+    )
+    owner[leftovers] = np.repeat(np.arange(1, num_tasks + 1, dtype=np.int32), deficits)
+    return owner, ~unassigned
+
+
+def _gather(rows: Rows, owner: np.ndarray, order: Iterable[int]) -> np.ndarray:
+    """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in ``order``."""
+    first, *rest = order
+    merged = rows.read(first).copy()
+    scratch = np.empty_like(merged)
+    for task in rest:
+        _select(merged, rows.read(task), owner == task + 1, scratch)
+    return merged
+
+
+def _select(dest: np.ndarray, row: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> None:
+    """Set ``dest[p] = row[p]`` where ``mask[p]``, bitwise; ``scratch`` is overwritten.
+
+    ``dest ^= (dest ^ row) & mask`` on the unsigned views: three arithmetic
+    passes with no branch per element, exact for ties, -0.0 and infinities.
+    A masked copy (``copyto(where=)``, ``putmask``) branches per element,
+    which costs several times as much on a random mask.
+    """
+    bits = np.dtype(f"u{dest.itemsize}")
+    dest_bits, scratch_bits = dest.view(bits), scratch.view(bits)
+    np.bitwise_xor(dest_bits, row.view(bits), out=scratch_bits)
+    np.multiply(scratch_bits, mask, out=scratch_bits)
+    np.bitwise_xor(dest_bits, scratch_bits, out=dest_bits)

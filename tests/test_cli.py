@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import struct
 import tempfile
@@ -169,6 +170,34 @@ class TestMerge:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_average_of_opposite_infinities_names_the_tensor(self, tmp_path, capsys):
+        write_container(tmp_path / "t1.tvc", [1.0, np.inf])
+        write_container(tmp_path / "t2.tvc", [1.0, -np.inf])
+        out = tmp_path / "merged.tvc"
+        code = main(
+            ["merge", "--method", "average", "--out", str(out), str(tmp_path / "t1.tvc"), str(tmp_path / "t2.tvc")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: tensor 'w': the average of +inf and -inf is NaN\n"
+        assert not out.exists()
+
+    def test_debug_log_reports_sizes_census_and_residual(self, tmp_path, caplog):
+        write_container(tmp_path / "t1.tvc", [5.0, 5.0, 5.0, 5.0])
+        write_container(tmp_path / "t2.tvc", [1.0, 0.0, 0.0, 0.0])
+        pref = tmp_path / "pref.json"
+        pref.write_text(json.dumps({"budgets": [1, 3], "d": 4}))
+        args = ["--pref-file", str(pref), "--seed", "1", str(tmp_path / "t1.tvc"), str(tmp_path / "t2.tvc")]
+        caplog.set_level(logging.DEBUG, logger="tvmerge")
+        assert main(["--log-level", "debug", "merge", "--method", "tunable", "--out", str(tmp_path / "a.tvc"), *args]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "tvmerge"] == [
+            "merge: 2 tasks, 4 elements, method tunable",
+            "census: 1 3",
+            "residual fraction: 0.75",
+        ]
+        assert main(["merge", "--method", "tunable", "--out", str(tmp_path / "b.tvc"), *args]) == 0
+        for suffix in ("", ".census.json", ".assignment.tvc"):
+            assert (tmp_path / f"a.tvc{suffix}").read_bytes() == (tmp_path / f"b.tvc{suffix}").read_bytes()
+
     @pytest.mark.parametrize("elements", [2**61, 2**33], ids=["2^61", "2^33"])
     def test_hostile_payload_size_exits_2(self, tmp_path, capsys, elements):
         header = b"TVC1" + bytes([1]) + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
@@ -258,6 +287,26 @@ LATER_INPUT_FAULTS = {
 }
 
 
+def pref_file(directory, text):
+    path = directory / "pref.json"
+    path.write_text(text)
+    return ["--pref-file", str(path)]
+
+
+# Preference faults: the flags for a directory, the exit code and the start
+# of stderr. The layout has 13 elements.
+PREFERENCE_FAULTS = {
+    "malformed pref file": (lambda d: pref_file(d, "{"), 6, "config error: "),
+    "pref budgets off the element count": (
+        lambda d: pref_file(d, '{"budgets": [1, 1, 1], "d": 3}'),
+        2,
+        "validation error: budget sum 3 != element count 13\n",
+    ),
+    "negative alpha": (lambda d: ["--alpha", "-1"], 2, "validation error: alpha must be a finite value >= 0\n"),
+    "missing sim file": (lambda d: ["--sim-file", str(d / "missing.json")], 3, "i/o error: "),
+}
+
+
 def write_inputs(directory, later, position):
     """Three layout containers, except that input ``position`` holds ``later``."""
     paths = []
@@ -277,6 +326,17 @@ class TestMergeLaterInputs:
         code = main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), *paths])
         assert code == 2
         assert capsys.readouterr().err == message.format(path=paths[position])
+
+    # The preference needs only the first input's element count and is
+    # resolved before inputs 2..T are read, so its fault is reported ahead
+    # of a fault in a later input.
+    @pytest.mark.parametrize("fault", PREFERENCE_FAULTS)
+    def test_preference_fault_reported_before_later_input_fault(self, tmp_path, capsys, fault):
+        flags, code, message = PREFERENCE_FAULTS[fault]
+        paths = write_inputs(tmp_path, raw_container(layout_records(2), magic=b"XVC1"), 2)
+        argv = ["merge", "--method", "tunable", "--seed", "1", "--out", str(tmp_path / "m.tvc"), *flags(tmp_path), *paths]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -1,14 +1,17 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tvmerge import (
+    MERGE_METHODS,
     Assignment,
     MergeConfig,
     ParameterSet,
     PreferenceVector,
     RESIDUAL_RANDOM,
+    Rows,
     ShapeMismatchError,
     TaskVector,
     ValidationError,
@@ -28,6 +31,17 @@ from reference_merge import argmax_later_wins, reference_tunable_merge
 
 def random_budgets(rng, num_tasks, dim):
     return rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
+
+
+def reused_buffer_rows(taus):
+    """A row source over ``taus`` that copies every row into one buffer."""
+    buffer = np.empty(taus.shape[1], dtype=taus.dtype)
+
+    def read(task):
+        np.copyto(buffer, taus[task])
+        return buffer
+
+    return Rows(taus.shape[0], taus.shape[1], read)
 
 
 class TestMagmax:
@@ -304,3 +318,63 @@ class TestMergeDispatch:
     def test_tunable_needs_budgets(self):
         with pytest.raises(ValidationError, match="preference vector"):
             merge("tunable", np.zeros((2, 3)))
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_peak_allocation_below_half_the_matrix(self, method):
+        num_tasks, dim = 16, 2**18
+        base = np.random.default_rng(0).normal(size=dim).astype(np.float32)
+        buffer = np.empty(dim, dtype=np.float32)
+
+        def read(task):
+            np.multiply(base, np.float32(task + 1), out=buffer)
+            np.sin(buffer, out=buffer)
+            return buffer
+
+        budgets = [dim // num_tasks] * num_tasks
+        tracemalloc.start()
+        try:
+            merge(method, Rows(num_tasks, dim, read), budgets, MergeConfig(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < num_tasks * dim * 4 / 2
+
+    def test_rows_matrix_and_list_inputs_agree_bitwise(self):
+        rng = np.random.default_rng(22)
+        for trial in range(60):
+            num_tasks = int(rng.integers(1, 6))
+            dim = int(rng.integers(1, 40))
+            dtype = np.float32 if trial % 2 else np.float64
+            taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(dtype)
+            taus[(taus == 0) & (rng.random(size=taus.shape) < 0.5)] = -0.0
+            taus[rng.random(size=taus.shape) < 0.1] = np.inf
+            taus[rng.random(size=taus.shape) < 0.1] = -np.inf
+            budgets = random_budgets(rng, num_tasks, dim)
+            rounds = int(rng.integers(1, 4))
+            config = MergeConfig(rounds=rounds, seed=trial)
+            for method in MERGE_METHODS:
+                want_merged, want_assignment = merge(method, taus, budgets, config)
+                for source in (list(taus), reused_buffer_rows(taus)):
+                    merged, assignment = merge(method, source, budgets, config)
+                    assert merged.tobytes() == want_merged.tobytes()
+                    if want_assignment is not None:
+                        assert assignment.owner.tobytes() == want_assignment.owner.tobytes()
+                        assert assignment.provenance.tobytes() == want_assignment.provenance.tobytes()
+                if method == "average":
+                    with np.errstate(invalid="ignore"):
+                        assert want_merged.tobytes() == taus.mean(axis=0).tobytes()
+                if method == "tunable":
+                    ref_merged, ref_owner, ref_prov = reference_tunable_merge(
+                        [row.tolist() for row in taus], budgets.tolist(), rounds, trial
+                    )
+                    assert want_merged.tobytes() == np.array(ref_merged, dtype=dtype).tobytes()
+                    assert want_assignment.owner.tolist() == ref_owner
+                    assert want_assignment.provenance.tolist() == ref_prov
+
+    def test_row_source_checks(self):
+        with pytest.raises(ValidationError, match="empty"):
+            magmax_merge(Rows(0, 3, lambda task: np.zeros(3)))
+        with pytest.raises(ValidationError, match="no elements"):
+            average_merge(Rows(2, 0, lambda task: np.zeros(0)))
