@@ -195,7 +195,7 @@ def cmd_merge(args) -> int:
     if assignment is not None:
         census = assignment_census(assignment)
         log.debug("census: %s", " ".join(str(c) for c in census))
-        if args.method == "tunable":
+        if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
             residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
             log.debug("residual fraction: %.6g", residual)
         census_path = args.census_out or f"{args.out}.census.json"

@@ -183,8 +183,8 @@ def tunable_merge(
     provenance :data:`RESIDUAL_RANDOM`.
 
     The rows are read twice: once for the record-setter bits, kept packed
-    (T*d/8 bytes), and once, last row first, to copy the owned elements of
-    the tasks with a nonzero budget.
+    (T*d/8 bytes), and once, last row first, to copy the elements each task
+    owns.
     """
     config = config or MergeConfig()
     rows = _as_rows(taus)
@@ -200,25 +200,28 @@ def tunable_merge(
         raise ValidationError(f"budget sum {total} != element count {rows.dim}")
 
     owner, claimed = _budgeted_owners(rows, budgets.astype(np.int64), config)
-    # A task with budget 0 owns nothing, so its row is not read again.
-    merged = _gather(rows, owner, [t for t in range(rows.count - 1, -1, -1) if budgets[t]])
+    merged = _gather(rows, owner, range(rows.count - 1, -1, -1))
     return merged, Assignment(owner, claimed.view(np.uint8), rows.count)
 
 
 def average_merge(taus: TaskVectors) -> np.ndarray:
     """Element-wise arithmetic mean of the task vectors.
 
-    The rows are summed in task order starting from 0, which is what
-    ``mean(axis=0)`` of the stacked matrix does, so the result is the same
-    to the bit. The mean of +inf and -inf is NaN.
+    The rows are summed in task order starting from 0, in the dtype that
+    ``mean(axis=0)`` of the stacked matrix sums in (float32 for float16
+    rows, float64 for integer rows), so the result is the same to the bit.
+    The mean of +inf and -inf is NaN.
     """
     rows = _as_rows(taus)
+    first = rows.read(0)
+    half = first.dtype == np.float16
     # A sum that starts from 0: row 0 is copied, and -0.0 becomes +0.0.
-    total = rows.read(0) + 0.0
+    total = np.add(first, 0.0, dtype=np.float32 if half else np.result_type(first.dtype, 0.0))
     with np.errstate(invalid="ignore"):
         for task in range(1, rows.count):
             np.add(total, rows.read(task), out=total)
-    return total / rows.count
+    total /= rows.count
+    return total.astype(np.float16) if half else total
 
 
 def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignment]:

@@ -346,7 +346,7 @@ class TestStreaming:
         for trial in range(60):
             num_tasks = int(rng.integers(1, 6))
             dim = int(rng.integers(1, 40))
-            dtype = np.float32 if trial % 2 else np.float64
+            dtype = (np.float16, np.float32, np.float64)[trial % 3]
             taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(dtype)
             taus[(taus == 0) & (rng.random(size=taus.shape) < 0.5)] = -0.0
             taus[rng.random(size=taus.shape) < 0.1] = np.inf
@@ -372,6 +372,16 @@ class TestStreaming:
                     assert want_merged.tobytes() == np.array(ref_merged, dtype=dtype).tobytes()
                     assert want_assignment.owner.tolist() == ref_owner
                     assert want_assignment.provenance.tolist() == ref_prov
+
+    def test_average_sums_float16_in_float32_like_mean(self):
+        rng = np.random.default_rng(23)
+        taus = (rng.normal(size=(9, 500)) * 3000).astype(np.float16)
+        taus[:, 0] = 60000
+        merged = average_merge(taus)
+        assert merged.dtype == np.float16
+        assert merged[0] == 60000
+        assert merged.tobytes() == taus.mean(axis=0).tobytes()
+        assert average_merge(reused_buffer_rows(taus)).tobytes() == merged.tobytes()
 
     def test_row_source_checks(self):
         with pytest.raises(ValidationError, match="empty"):
