@@ -48,6 +48,10 @@ DTYPE_U16 = 1
 
 _NUMPY_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U16: np.dtype("<u2")}
 
+#: Elements per block of the temporaries made on the encode and merge paths,
+#: so that none of them grows with the size of a vector.
+_BLOCK = 2**16
+
 Source = Union[str, Path, BinaryIO]
 TensorInput = Union[Mapping[str, np.ndarray], Iterable[tuple[str, np.ndarray]]]
 
@@ -251,13 +255,14 @@ def _reject_nan(
     specs: Sequence[TensorSpec], flat: np.ndarray, problem: str = "NaN payload rejected"
 ) -> None:
     """Raise ``tensor '<name>': <problem>`` for the first tensor of ``flat`` holding NaN."""
-    nan = np.isnan(flat)
-    if nan.any():
-        first = int(nan.argmax())
-        for spec in specs:
-            if first < spec.num_elements:
-                raise CodecError(f"tensor {spec.name!r}: {problem}")
-            first -= spec.num_elements
+    # max propagates NaN, so one reduction without temporaries clears a clean vector.
+    if not np.isnan(flat.max()):
+        return
+    offset = 0
+    for spec in specs:
+        if np.isnan(flat[offset : offset + spec.num_elements].max()):
+            raise CodecError(f"tensor {spec.name!r}: {problem}")
+        offset += spec.num_elements
 
 
 # Low-level record I/O, shared with the assignment side-file writer.
@@ -284,9 +289,13 @@ def _write_records(
     try:
         stream.write(_container_header(len(records)))
         for name, code, arr in records:
-            data = np.ascontiguousarray(arr, dtype=_NUMPY_DTYPES[code])
-            stream.write(_record_header(name, code, data.shape))
-            stream.write(data)
+            stream.write(_record_header(name, code, arr.shape))
+            # Converted one block at a time, so a payload is never copied whole.
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, _BLOCK):
+                stream.write(
+                    np.ascontiguousarray(flat[start : start + _BLOCK], dtype=_NUMPY_DTYPES[code])
+                )
     finally:
         if close:
             stream.close()

@@ -3,10 +3,11 @@
 All strategies operate on the global flat index: each output element is
 copied bitwise from exactly one task vector (``average`` excepted). Task
 vectors are read one row at a time from a :class:`Rows` source, so no
-(T, d) matrix is built; a strategy keeps O(d) state, plus T*d/8 bytes of
-packed bits for ``tunable``. Rows are selected with arithmetic on their bit
-patterns, not with masked copies. Task ids are 1-based throughout; flat
-indices are 0-based numpy indices.
+(T, d) matrix is built. A strategy keeps a few d-sized vectors of state
+(plus T*d/8 bytes of packed bits for ``tunable``); every other temporary
+holds at most one block of ``_BLOCK`` elements. Rows are selected with
+arithmetic on their bit patterns, not with masked copies. Task ids are
+1-based throughout; flat indices are 0-based numpy indices.
 
 Randomized selection is driven by counter-based keyed streams: a Philox
 generator keyed by (seed, round, task), so results are reproducible and
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .container import DTYPE_U16, _read_records, _write_records
+from .container import _BLOCK, DTYPE_U16, _read_records, _write_records
 from .errors import ShapeMismatchError, ValidationError
 
 MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
@@ -156,14 +157,26 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     """Keep, per element, the value of largest absolute magnitude.
 
     Ties go to the later task: the owner is the element's last record-setter.
+    The merged vector is its own running maximum: ``|merged|`` is the largest
+    magnitude read so far.
     """
     rows = _as_rows(taus)
     merged = rows.read(0).copy()
     owner = np.ones(rows.dim, dtype=np.int32)
-    for task, row, setters, scratch in _record_setters(rows, merged):
-        _select(merged, row, setters, scratch)
-        # Later tasks have larger ids, so the last record-setter wins.
-        np.maximum(owner, setters * np.int32(task + 1), out=owner)
+    size = min(_BLOCK, rows.dim)
+    record, magnitude = np.empty(size, merged.dtype), np.empty(size, merged.dtype)
+    setters, ids = np.empty(size, dtype=bool), np.empty(size, dtype=np.int32)
+    for task in range(1, rows.count):
+        row = rows.read(task)
+        for block in _blocks(rows.dim):
+            n = block.stop - block.start
+            np.abs(merged[block], out=record[:n])
+            np.abs(row[block], out=magnitude[:n])
+            np.greater_equal(magnitude[:n], record[:n], out=setters[:n])
+            _select(merged[block], row[block], setters[:n], record[:n])
+            # Later tasks have larger ids, so the last record-setter wins.
+            np.multiply(setters[:n], np.int32(task + 1), out=ids[:n])
+            np.maximum(owner[block], ids[:n], out=owner[block])
     return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
 
@@ -193,6 +206,8 @@ def tunable_merge(
         raise ValidationError(
             f"preference vector has {budgets.size} budgets for {rows.count} tasks"
         )
+    if budgets.dtype.kind not in "biu" and not all(float(n).is_integer() for n in budgets.tolist()):
+        raise ValidationError("budgets must be integers")
     if np.any(budgets < 0):
         raise ValidationError("negative budget")
     total = int(budgets.sum())
@@ -239,7 +254,11 @@ def assignment_census(assignment: Assignment) -> np.ndarray:
     owner = assignment.owner
     if owner.size and (owner.min() < 1 or owner.max() > num_tasks):
         raise ValidationError("owner out of range")
-    return np.bincount(owner, minlength=num_tasks + 1)[1:].astype(np.int64)
+    counts = np.zeros(num_tasks + 1, dtype=np.int64)
+    # bincount copies its input to intp, so it is given one block at a time.
+    for block in _blocks(owner.size):
+        counts += np.bincount(owner[block], minlength=num_tasks + 1)
+    return counts[1:]
 
 
 def write_assignment(destination, assignment: Assignment) -> None:
@@ -248,8 +267,8 @@ def write_assignment(destination, assignment: Assignment) -> None:
         raise ValidationError("owner map limited to 65535 tasks")
     _write_records(
         [
-            ("owner", DTYPE_U16, assignment.owner.astype(np.uint16)),
-            ("provenance", DTYPE_U16, assignment.provenance.astype(np.uint16)),
+            ("owner", DTYPE_U16, assignment.owner),
+            ("provenance", DTYPE_U16, assignment.provenance),
             ("num_tasks", DTYPE_U16, np.asarray([assignment.num_tasks], dtype=np.uint16)),
         ],
         destination,
@@ -298,25 +317,10 @@ def _as_rows(taus: TaskVectors) -> Rows:
     return rows
 
 
-def _record_setters(
-    rows: Rows, first: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(t, row, setters, scratch)`` for rows t = 1..T-1 in order.
-
-    ``setters`` is True where ``|row| >= |rows[s]|`` for every s < t, with
-    ``first`` as row 0; every row 0 element is a record-setter. A running
-    max of the magnitudes is the only state. The yielded buffers are reused
-    for the next row, and ``scratch`` is free for the caller to overwrite.
-    """
-    running = np.abs(first)
-    magnitude = np.empty_like(running)
-    setters = np.empty(rows.dim, dtype=bool)
-    for task in range(1, rows.count):
-        row = rows.read(task)
-        np.abs(row, out=magnitude)
-        np.greater_equal(magnitude, running, out=setters)
-        np.maximum(running, magnitude, out=running)
-        yield task, row, setters, magnitude
+def _blocks(size: int) -> Iterator[slice]:
+    """Consecutive slices of at most :data:`_BLOCK` elements that cover ``range(size)``."""
+    for start in range(0, size, _BLOCK):
+        yield slice(start, min(start + _BLOCK, size))
 
 
 def _budgeted_owners(
@@ -327,48 +331,96 @@ def _budgeted_owners(
     Reads the rows once for their record-setter bits, then runs the claim
     sweep and the residual fill of :func:`tunable_merge` on those bits.
     """
-    num_tasks, dim = rows.count, rows.dim
-    packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
-    packed[0] = 0xFF
-    for task, _, setters, _ in _record_setters(rows, rows.read(0)):
-        packed[task] = np.packbits(setters)
-
+    packed = _record_setter_bits(rows)
+    dim = rows.dim
     # Candidates are shuffled as int32 where they fit; the order is the
     # same as for int64, and the index arrays are half the size.
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     owner = np.zeros(dim, dtype=np.int32)
     unassigned = np.ones(dim, dtype=bool)
-    for task in range(num_tasks, 0, -1):
+    for task in range(rows.count, 0, -1):
         need = int(deficits[task - 1])
         if need == 0:
             continue
-        setters = np.unpackbits(packed[task - 1], count=dim).view(bool)
-        claim = np.flatnonzero(unassigned & setters).astype(index)
+        candidates = np.unpackbits(packed[task - 1], count=dim).view(bool)
+        np.logical_and(candidates, unassigned, out=candidates)
+        claim = _flatnonzero(candidates, index)
+        del candidates  # freed before the next task's bits are unpacked
         if claim.size > need:
-            claim = selection_stream(config.seed, 1, task).permutation(claim)[:need]
+            selection_stream(config.seed, 1, task).shuffle(claim)
+            claim = claim[:need]
         owner[claim] = task
         unassigned[claim] = False
         deficits[task - 1] -= claim.size
+    del packed
 
-    leftovers = selection_stream(config.seed, config.rounds + 1, 0).permutation(
-        np.flatnonzero(unassigned).astype(index)
-    )
-    owner[leftovers] = np.repeat(np.arange(1, num_tasks + 1, dtype=np.int32), deficits)
-    return owner, ~unassigned
+    leftovers = _flatnonzero(unassigned, index)
+    selection_stream(config.seed, config.rounds + 1, 0).shuffle(leftovers)
+    start = 0
+    for task, count in enumerate(deficits.tolist(), 1):
+        owner[leftovers[start : start + count]] = task
+        start += count
+    return owner, np.logical_not(unassigned, out=unassigned)
+
+
+def _record_setter_bits(rows: Rows) -> np.ndarray:
+    """Packed (T, ceil(d/8)) bits: bit p of row t is set where row t is a record-setter.
+
+    That is where ``|rows[t][p]| >= |rows[s][p]|`` for every s < t; every
+    element of row 0 is one. A running maximum of the magnitudes is the
+    only state besides the bits.
+    """
+    num_tasks, dim = rows.count, rows.dim
+    packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
+    packed[0] = 0xFF
+    running = np.abs(rows.read(0))
+    magnitude = np.empty(min(_BLOCK, dim), dtype=running.dtype)
+    setters = np.empty(dim, dtype=bool)
+    for task in range(1, num_tasks):
+        row = rows.read(task)
+        for block in _blocks(dim):
+            part = magnitude[: block.stop - block.start]
+            np.abs(row[block], out=part)
+            np.greater_equal(part, running[block], out=setters[block])
+            np.maximum(running[block], part, out=running[block])
+        # 8 elements pack into one byte, so 8 blocks of bits make one block of bytes.
+        for start in range(0, dim, 8 * _BLOCK):
+            packed[task, start // 8 : (start + 8 * _BLOCK) // 8] = np.packbits(
+                setters[start : start + 8 * _BLOCK]
+            )
+    return packed
+
+
+def _flatnonzero(mask: np.ndarray, dtype: type) -> np.ndarray:
+    """``np.flatnonzero(mask)`` as ``dtype``, found one block at a time."""
+    found = np.empty(np.count_nonzero(mask), dtype=dtype)
+    filled = 0
+    for block in _blocks(mask.size):
+        part = np.flatnonzero(mask[block])
+        np.add(part, block.start, out=found[filled : filled + part.size])
+        filled += part.size
+    return found
 
 
 def _gather(rows: Rows, owner: np.ndarray, order: Iterable[int]) -> np.ndarray:
     """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in ``order``."""
     first, *rest = order
     merged = rows.read(first).copy()
-    scratch = np.empty_like(merged)
+    scratch = np.empty(min(_BLOCK, merged.size), dtype=merged.dtype)
+    mask = np.empty(scratch.size, dtype=bool)
     for task in rest:
-        _select(merged, rows.read(task), owner == task + 1, scratch)
+        row = rows.read(task)
+        for block in _blocks(merged.size):
+            n = block.stop - block.start
+            np.equal(owner[block], task + 1, out=mask[:n])
+            _select(merged[block], row[block], mask[:n], scratch[:n])
     return merged
 
 
 def _select(dest: np.ndarray, row: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> None:
     """Set ``dest[p] = row[p]`` where ``mask[p]``, bitwise; ``scratch`` is overwritten.
+
+    Callers pass one block of each vector, so ``scratch`` stays block-sized.
 
     ``dest ^= (dest ^ row) & mask`` on the unsigned views: three arithmetic
     passes with no branch per element, exact for ties, -0.0 and infinities.

@@ -180,9 +180,12 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
     row_cost_pot = np.zeros(n_x)
     col_cost_pot = np.zeros(n_y)
     total_iters = 0
+    # One (n_x, n_y) buffer for the stage kernel and one for both logsumexps.
+    kernel = np.empty_like(normed)
+    work = np.empty_like(normed)
     for level, eps in enumerate(levels):
         final = level == len(levels) - 1
-        kernel = -normed / eps
+        np.divide(np.negative(normed, out=kernel), eps, out=kernel)
         row_pot = row_cost_pot / eps
         col_pot = col_cost_pot / eps
         budget = cfg.max_iters - total_iters
@@ -193,20 +196,21 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
             # Row sums of the current plan factor through the next update's
             # logsumexp, so the marginal check costs nothing extra. Column
             # sums are exact by construction after every column update.
-            col_lse = _logsumexp(kernel + col_pot[None, :], axis=1)
+            col_lse = _logsumexp(np.add(kernel, col_pot[None, :], out=work), axis=1)
             if np.abs(np.exp(row_pot + col_lse) - weight_a).sum() <= stage_tol:
                 break
             row_pot = log_a - col_lse
-            col_pot = log_b - _logsumexp(kernel + row_pot[:, None], axis=0)
+            col_pot = log_b - _logsumexp(np.add(kernel, row_pot[:, None], out=work), axis=0)
             total_iters += 1
         row_cost_pot = row_pot * eps
         col_cost_pot = col_pot * eps
 
-    plan = np.exp(kernel + row_pot[:, None] + col_pot[None, :])
+    plan = np.add(kernel, row_pot[:, None], out=work)
+    np.exp(np.add(plan, col_pot[None, :], out=plan), out=plan)
     row_gap = np.abs(plan.sum(axis=1) - weight_a).sum()
     col_gap = np.abs(plan.sum(axis=0) - weight_b).sum()
     converged = bool(row_gap <= cfg.tol and col_gap <= cfg.tol)
-    return SinkhornResult(float((plan * cost).sum()), converged, total_iters)
+    return SinkhornResult(float(np.multiply(plan, cost, out=plan).sum()), converged, total_iters)
 
 
 def ot_similarity(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -> float:
@@ -328,6 +332,7 @@ def _exp_transform(gamma: float, distance: float) -> float:
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of ``values`` along ``axis``; ``values`` is overwritten."""
     peak = values.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(values - peak).sum(axis=axis)) + peak.squeeze(axis)
-    return out
+    np.exp(np.subtract(values, peak, out=values), out=values)
+    return np.log(values.sum(axis=axis)) + peak.squeeze(axis)

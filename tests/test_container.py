@@ -148,6 +148,11 @@ class TestCodec:
         with pytest.raises(CodecError, match="NaN"):
             encode_container(pset, io.BytesIO())
 
+    def test_nan_names_the_first_tensor_holding_it_among_infinities(self):
+        pset = ParameterSet({"a": [np.inf, -np.inf], "b": [-np.inf, 1.0, np.nan], "c": [np.nan]})
+        with pytest.raises(CodecError, match="tensor 'b': NaN"):
+            encode_container(pset, io.BytesIO())
+
     def test_duplicate_name_in_stream(self):
         record = (
             struct.pack("<H", 1) + b"w" + bytes([0, 1]) + struct.pack("<Q", 1) + struct.pack("<f", 1.0)

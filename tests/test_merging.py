@@ -25,6 +25,7 @@ from tvmerge import (
     tunable_merge,
     write_assignment,
 )
+from tvmerge import container, merging
 
 from reference_merge import argmax_later_wins, reference_tunable_merge
 
@@ -129,6 +130,13 @@ class TestTunable:
     def test_negative_budget(self):
         with pytest.raises(ValidationError, match="negative"):
             tunable_merge(np.zeros((2, 4)), [-1, 5], MergeConfig())
+
+    def test_non_integer_budgets_rejected(self):
+        for budgets in ([2.5, 1.5], np.array([2.5, 1.5]), [np.inf, -np.inf], [np.nan, 4.0]):
+            with pytest.raises(ValidationError, match="budgets must be integers"):
+                tunable_merge(np.zeros((2, 4)), budgets, MergeConfig())
+        _, assignment = tunable_merge(np.ones((2, 4)), [1.0, 3.0], MergeConfig())
+        assert assignment_census(assignment).tolist() == [1, 3]
 
     def test_wrong_budget_count(self):
         with pytest.raises(ValidationError, match="budgets"):
@@ -320,6 +328,13 @@ class TestMergeDispatch:
             merge("tunable", np.zeros((2, 3)))
 
 
+# Peak traced allocation of each strategy at T=16, d=2**18, in rows of 4d
+# bytes. The live state is a few d-sized vectors (the merged vector, the
+# int32 owner, a bool vector, the running maximum in tunable's first pass,
+# T*d/8 bytes of packed bits); every other temporary is one block.
+PEAK_ROWS = {"tunable": 2.75, "randmix": 2.75, "magmax": 3.5, "average": 1.1}
+
+
 class TestStreaming:
     @pytest.mark.parametrize("method", MERGE_METHODS)
     def test_peak_allocation_below_half_the_matrix(self, method):
@@ -339,7 +354,22 @@ class TestStreaming:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < num_tasks * dim * 4 / 2
+        assert peak < PEAK_ROWS[method] * dim * 4
+
+    def test_assignment_write_and_census_allocate_blocks_only(self, tmp_path):
+        # Large enough that the blocks (at most 8 bytes per element of one
+        # block, for bincount's intp copy) are small against a row.
+        dim = 2**20
+        owner = np.random.default_rng(24).integers(1, 4, size=dim, dtype=np.int32)
+        assignment = Assignment(owner, np.ones(dim, dtype=np.uint8), 3)
+        tracemalloc.start()
+        try:
+            write_assignment(tmp_path / "a.tvc", assignment)
+            assignment_census(assignment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * dim * 4
 
     def test_rows_matrix_and_list_inputs_agree_bitwise(self):
         rng = np.random.default_rng(22)
@@ -388,3 +418,41 @@ class TestStreaming:
             magmax_merge(Rows(0, 3, lambda task: np.zeros(3)))
         with pytest.raises(ValidationError, match="no elements"):
             average_merge(Rows(2, 0, lambda task: np.zeros(0)))
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("num_tasks", [1, 3])
+    # 83 also crosses two boundaries of the 8-block stretches that pack into bits.
+    @pytest.mark.parametrize("dim", [1, 4, 5, 6, 11, 23, 83])
+    def test_five_element_blocks_give_the_same_bytes(self, monkeypatch, num_tasks, dim):
+        rng = np.random.default_rng(100 * dim + num_tasks)
+        cases = []
+        for dtype in (np.float16, np.float32, np.float64):
+            taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(dtype)
+            taus[(taus == 0) & (rng.random(size=taus.shape) < 0.5)] = -0.0
+            taus[rng.random(size=taus.shape) < 0.15] = np.inf
+            taus[rng.random(size=taus.shape) < 0.15] = -np.inf
+            cases.append((taus, random_budgets(rng, num_tasks, dim)))
+
+        def outputs():
+            result = []
+            for taus, budgets in cases:
+                for method in MERGE_METHODS:
+                    rows = reused_buffer_rows(taus)
+                    merged, assignment = merge(method, rows, budgets, MergeConfig(seed=dim))
+                    result.append(merged.tobytes())
+                    if assignment is not None:
+                        side_file = io.BytesIO()
+                        write_assignment(side_file, assignment)
+                        result += [
+                            assignment.owner.tobytes(),
+                            assignment.provenance.tobytes(),
+                            side_file.getvalue(),
+                            assignment_census(assignment).tobytes(),
+                        ]
+            return result
+
+        want = outputs()
+        monkeypatch.setattr(merging, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 5)
+        assert outputs() == want
