@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -22,11 +23,13 @@ from . import __version__
 from .container import (
     LayoutReader,
     ParameterSet,
+    TensorSpec,
     _reject_nan,
     apply_task_vector,
     compute_task_vector,
     decode_container,
     encode_container,
+    read_layout,
 )
 from .errors import (
     ConfigError,
@@ -176,7 +179,7 @@ def cmd_merge(args) -> int:
     if args.method in ("tunable", "randmix") and args.seed is None:
         raise UsageError(f"--seed is required for --method {args.method}")
 
-    layout, rows = _task_rows(args.taus)
+    specs, rows = _task_rows(args.taus)
     log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
     pref = None
     if args.pref_file is not None:
@@ -190,8 +193,8 @@ def cmd_merge(args) -> int:
 
     if args.method == "average":
         # The inputs hold no NaN, so a NaN here is the mean of +inf and -inf.
-        _reject_nan(layout.specs, merged, "the average of +inf and -inf is NaN")
-    encode_container(layout.with_flat(merged), args.out)
+        _reject_nan(specs, merged, "the average of +inf and -inf is NaN")
+    encode_container(ParameterSet._of(specs, merged), args.out)
     if assignment is not None:
         census = assignment_census(assignment)
         log.debug("census: %s", " ".join(str(c) for c in census))
@@ -295,30 +298,26 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _task_rows(paths: list[str]) -> tuple[ParameterSet, Rows]:
+def _task_rows(paths: list[str]) -> tuple[tuple[TensorSpec, ...], Rows]:
     """The first file's layout, and the task vectors of all files as a row source.
 
-    The first file's own vector is the one buffer every row is read into,
-    straight from its file, which must match the first file's header bytes.
-    A file that does not raises what a full decode of it raises, or a
-    shape mismatch. Rows are read only when a strategy asks for them.
+    The layout comes from the first file's headers alone. Every file, the
+    first included, is then streamed a block at a time whenever a strategy
+    asks for its row, and must match the first file's header bytes. A file
+    that does not raises what a full decode of it raises, or a shape
+    mismatch.
     """
-    layout = decode_container(paths[0])
-    buffer = layout.flat()
-    reader = LayoutReader(layout.specs)
-    held = 0
+    specs = read_layout(paths[0])
+    reader = LayoutReader(specs)
 
-    def read(task: int) -> np.ndarray:
-        nonlocal held
-        if task != held:
-            held = None
-            if not reader.read_into(paths[task], buffer):
-                decode_container(paths[task])  # raises the CodecError that malformed bytes get
-                raise ShapeMismatchError(f"shape mismatch: {paths[task]} has a different layout")
-            held = task
-        return buffer
+    def blocks(task: int) -> Iterator[np.ndarray]:
+        try:
+            yield from reader.blocks(paths[task])
+        except ShapeMismatchError:
+            decode_container(paths[task])  # raises the CodecError that malformed bytes get
+            raise ShapeMismatchError(f"shape mismatch: {paths[task]} has a different layout") from None
 
-    return layout, Rows(len(paths), buffer.size, read)
+    return specs, Rows(len(paths), sum(spec.num_elements for spec in specs), blocks)
 
 
 def _read_json_object(path: str, what: str) -> dict:

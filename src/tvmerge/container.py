@@ -21,15 +21,19 @@ carry. Code 1 (u16) exists solely for assignment side-files written by
 :mod:`tvmerge.merging`. NaN payloads are rejected on both encode and
 decode; selection by absolute magnitude is undefined with NaN present.
 
-:func:`decode_container` parses any stream. A :class:`LayoutReader` reads
-streams that must hold one known layout, such as merge inputs after the
-first: it compares each record's header bytes with the bytes that layout
-encodes to and reads each payload straight into its slice of a caller's
-float32 vector.
+Readers take a path or a seekable binary stream: the headers are parsed
+first, seeking over the payloads, so every declared length is checked
+against the stream's size before anything is allocated for it.
+:func:`read_layout` parses the headers only. :func:`decode_container`
+then reads each payload with ``readinto`` into its slice of one vector. A
+:class:`LayoutReader` streams files that must hold one known layout, such
+as merge inputs: it compares each record's header bytes with the bytes
+that layout encodes to and yields the vector one block at a time.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -193,76 +197,125 @@ def encode_container(pset: ParameterSet, destination: Source) -> None:
 
 
 def decode_container(source: Source) -> ParameterSet:
-    """Read a TVC1 stream of float32 tensors, copying each payload once."""
-    pset = ParameterSet(_read_records(source, DTYPE_F32))
-    _reject_nan(pset.specs, pset.flat())
-    return pset
+    """Read a TVC1 stream of float32 tensors, reading each payload once into one vector.
+
+    ``source`` is a path or a seekable binary stream, read from its current
+    position to its end.
+    """
+    headers, flat = _read_flat(source, DTYPE_F32)
+    specs = tuple(TensorSpec(name, dims) for name, dims in headers)
+    _reject_nan(specs, flat)
+    return ParameterSet._of(specs, flat)
+
+
+def read_layout(source: Source) -> tuple[TensorSpec, ...]:
+    """The layout of a TVC1 stream of float32 tensors, from its headers alone.
+
+    The payloads are skipped, not read, but the stream is checked as
+    :func:`decode_container` checks it, with the same errors, except for NaN
+    payloads. ``source`` is a path or a seekable binary stream.
+    """
+    stream, close = _open(source, "rb")
+    try:
+        headers = _read_headers(stream, DTYPE_F32)
+    finally:
+        if close:
+            stream.close()
+    return tuple(TensorSpec(name, dims) for name, dims, _ in headers)
+
+
+_OTHER_LAYOUT = "shape mismatch: stream does not hold the reader's layout"
 
 
 class LayoutReader:
-    """Reads TVC1 streams that hold exactly one known float32 layout into a vector.
+    """Streams TVC1 files that hold exactly one known float32 layout, a block at a time.
 
-    The header bytes of the layout are built once, so each stream costs one
-    header comparison and one ``readinto`` per record.
+    The layout's header bytes and the cut of every payload at block
+    boundaries are worked out once, so each stream costs one header
+    comparison and one ``readinto`` per record (one more for each block
+    boundary the record crosses). Blocks are read into one buffer that the
+    reader owns, so a reader streams one source at a time.
     """
 
     def __init__(self, specs: Sequence[TensorSpec]):
-        f32 = _NUMPY_DTYPES[DTYPE_F32]
         self._specs = tuple(specs)
         self._prefix = _container_header(len(self._specs))
-        self._records = [
-            (_record_header(spec.name, DTYPE_F32, spec.dims), spec.num_elements * f32.itemsize)
-            for spec in self._specs
-        ]
-        self._nbytes = sum(nbytes for _, nbytes in self._records)
+        sizes = [spec.num_elements for spec in self._specs]
+        self._size = sum(sizes)
+        buffer = np.empty(min(_BLOCK, self._size), dtype=_NUMPY_DTYPES[DTYPE_F32])
+        raw = memoryview(buffer).cast("B")
+        # One step per piece of a payload that falls in one block: the
+        # record's header bytes (None after its first piece), the slice of
+        # the buffer the piece fills, and the block it completes (or None).
+        self._steps: list[tuple[bytes | None, memoryview, np.ndarray | None]] = []
+        pos = 0
+        for spec, size in zip(self._specs, sizes):
+            header: bytes | None = _record_header(spec.name, DTYPE_F32, spec.dims)
+            stop = pos + size
+            while pos < stop:
+                start = pos - pos % buffer.size
+                end = min(start + buffer.size, self._size)
+                count = min(stop, end) - pos
+                piece = raw[(pos - start) * buffer.itemsize : (pos - start + count) * buffer.itemsize]
+                pos += count
+                self._steps.append((header, piece, buffer[: end - start] if pos == end else None))
+                header = None
 
-    def read_into(self, source: Source, dest: np.ndarray) -> bool:
-        """Fill ``dest`` from ``source``; False if the stream is not exactly this layout.
+    def blocks(self, source: Source) -> Iterator[np.ndarray]:
+        """Yield the vector in ``source`` as consecutive blocks of at most ``_BLOCK`` elements.
 
-        ``dest`` must be a contiguous little-endian float32 vector of the
-        layout's size. On False it is partly overwritten, and
-        :func:`decode_container` of the same bytes tells what is wrong with
-        them: it raises, or returns a set with another layout. A NaN payload
-        raises the :class:`CodecError` that :func:`decode_container` raises.
+        Every block is the reader's one buffer, refilled, so a caller is done
+        with a block before it asks for the next. A stream that is not
+        exactly this layout raises :class:`ShapeMismatchError`, at the latest
+        before the last block: :func:`decode_container` of the same bytes then
+        tells what is wrong with them, by raising or by returning another
+        layout. A NaN raises the :class:`CodecError` that
+        :func:`decode_container` raises, naming the first tensor that holds
+        one, when its block is read.
         """
-        f32 = _NUMPY_DTYPES[DTYPE_F32]
-        if dest.dtype != f32 or not dest.flags.c_contiguous or dest.nbytes != self._nbytes:
-            raise ShapeMismatchError(
-                f"destination must be a contiguous float32 vector of {self._nbytes} bytes"
-            )
-        payload = memoryview(dest).cast("B")
         stream, close = _open(source, "rb")
         try:
             if stream.read(len(self._prefix)) != self._prefix:
-                return False
-            offset = 0
-            for header, nbytes in self._records:
-                if stream.read(len(header)) != header:
-                    return False
-                if stream.readinto(payload[offset : offset + nbytes]) != nbytes:
-                    return False
-                offset += nbytes
-            if stream.read(1):
-                return False
+                raise ShapeMismatchError(_OTHER_LAYOUT)
+            start = 0
+            for header, piece, block in self._steps:
+                if header is not None and stream.read(len(header)) != header:
+                    raise ShapeMismatchError(_OTHER_LAYOUT)
+                if stream.readinto(piece) != len(piece):
+                    raise ShapeMismatchError(_OTHER_LAYOUT)
+                if block is None:
+                    continue
+                # Checked before the last block is yielded, since a caller
+                # that has every block need not resume the stream.
+                if start + block.size == self._size and stream.read(1):
+                    raise ShapeMismatchError(_OTHER_LAYOUT)
+                _reject_nan(self._specs, block, start=start)
+                yield block
+                start += block.size
         finally:
             if close:
                 stream.close()
-        _reject_nan(self._specs, dest)
-        return True
 
 
 def _reject_nan(
-    specs: Sequence[TensorSpec], flat: np.ndarray, problem: str = "NaN payload rejected"
+    specs: Sequence[TensorSpec],
+    flat: np.ndarray,
+    problem: str = "NaN payload rejected",
+    start: int = 0,
 ) -> None:
-    """Raise ``tensor '<name>': <problem>`` for the first tensor of ``flat`` holding NaN."""
+    """Raise ``tensor '<name>': <problem>`` for the first tensor of ``flat`` holding NaN.
+
+    ``flat`` holds the layout's elements from flat index ``start`` on.
+    """
     # max propagates NaN, so one reduction without temporaries clears a clean vector.
     if not np.isnan(flat.max()):
         return
-    offset = 0
+    offset = -start
     for spec in specs:
-        if np.isnan(flat[offset : offset + spec.num_elements].max()):
+        end = offset + spec.num_elements
+        if end > 0 and np.isnan(flat[max(offset, 0) : end].max()):
             raise CodecError(f"tensor {spec.name!r}: {problem}")
-        offset += spec.num_elements
+        offset = end
 
 
 # Low-level record I/O, shared with the assignment side-file writer.
@@ -301,28 +354,29 @@ def _write_records(
             stream.close()
 
 
-def _read_records(source: Source, dtype_code: int) -> list[tuple[str, np.ndarray]]:
-    """Parse a whole TVC1 stream of ``dtype_code`` records into read-only payload views.
+def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
 
-    Each declared length is checked against the bytes present before
-    anything is allocated for it.
+    Returns each record's name, dims and payload offset. Payloads are sought
+    over, not read; each declared length is checked against the bytes left
+    in the stream first. The stream must be seekable.
     """
-    stream, close = _open(source, "rb")
-    try:
-        view = memoryview(stream.read())
-    finally:
-        if close:
-            stream.close()
-    pos = 0
+    pos = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(pos)
 
-    def take(size: int, what: str) -> memoryview:
+    def advance(size: int, what: str) -> int:
         nonlocal pos
-        if size > len(view) - pos:
+        if size > end - pos:
             raise CodecError(f"unexpected end of stream while reading {what}")
         pos += size
-        return view[pos - size : pos]
+        return pos - size
 
-    magic = bytes(take(4, "magic"))
+    def take(size: int, what: str) -> bytes:
+        advance(size, what)
+        return stream.read(size)
+
+    magic = take(4, "magic")
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
     version = take(1, "version")[0]
@@ -331,7 +385,7 @@ def _read_records(source: Source, dtype_code: int) -> list[tuple[str, np.ndarray
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     if count == 0:
         raise CodecError("empty container")
-    records: list[tuple[str, np.ndarray]] = []
+    headers: list[tuple[str, tuple[int, ...], int]] = []
     seen: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
@@ -348,14 +402,41 @@ def _read_records(source: Source, dtype_code: int) -> list[tuple[str, np.ndarray
         if ndim == 0:
             raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
         dims = struct.unpack(f"<{ndim}Q", take(8 * ndim, "dims"))
-        if any(d == 0 for d in dims):
+        if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
-        dtype = _NUMPY_DTYPES[code]
-        payload = take(math.prod(dims) * dtype.itemsize, f"payload of {name!r}")
-        records.append((name, np.frombuffer(payload, dtype=dtype).reshape(dims)))
-    if pos != len(view):
+        nbytes = math.prod(dims) * _NUMPY_DTYPES[code].itemsize
+        headers.append((name, dims, advance(nbytes, f"payload of {name!r}")))
+        stream.seek(pos)
+    if pos != end:
         raise CodecError("trailing data after last record")
-    return records
+    return headers
+
+
+def _read_flat(
+    source: Source, dtype_code: int
+) -> tuple[list[tuple[str, tuple[int, ...]]], np.ndarray]:
+    """Names and dims of a TVC1 stream's records, and their payloads as one vector.
+
+    The headers are parsed first; then each payload is read with
+    ``readinto`` straight into its slice of the vector, so the payload bytes
+    are held once.
+    """
+    stream, close = _open(source, "rb")
+    try:
+        headers = _read_headers(stream, dtype_code)
+        flat = np.empty(sum(math.prod(dims) for _, dims, _ in headers), _NUMPY_DTYPES[dtype_code])
+        payload = memoryview(flat).cast("B")
+        start = 0
+        for name, dims, offset in headers:
+            nbytes = math.prod(dims) * flat.itemsize
+            stream.seek(offset)
+            if stream.readinto(payload[start : start + nbytes]) != nbytes:
+                raise CodecError(f"unexpected end of stream while reading payload of {name!r}")
+            start += nbytes
+    finally:
+        if close:
+            stream.close()
+    return [(name, dims) for name, dims, _ in headers], flat
 
 
 def _open(target: Source, mode: str) -> tuple[BinaryIO, bool]:

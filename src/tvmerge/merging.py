@@ -2,10 +2,11 @@
 
 All strategies operate on the global flat index: each output element is
 copied bitwise from exactly one task vector (``average`` excepted). Task
-vectors are read one row at a time from a :class:`Rows` source, so no
-(T, d) matrix is built. A strategy keeps a few d-sized vectors of state
-(plus T*d/8 bytes of packed bits for ``tunable``); every other temporary
-holds at most one block of ``_BLOCK`` elements. Rows are selected with
+vectors are read one row at a time from a :class:`Rows` source, each row
+as a stream of blocks of ``_BLOCK`` elements, so neither a (T, d) matrix
+nor a d-sized row buffer is built. A strategy keeps a few d-sized vectors
+of state (plus T*d/8 bytes of packed bits for ``tunable``); every other
+temporary holds at most one block. Rows are selected with
 arithmetic on their bit patterns, not with masked copies. Task ids are
 1-based throughout; flat indices are 0-based numpy indices.
 
@@ -16,12 +17,14 @@ independent of scheduling or invocation order.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .container import _BLOCK, DTYPE_U16, _read_records, _write_records
+from .container import _BLOCK, DTYPE_U16, _read_flat, _write_records
 from .errors import ShapeMismatchError, ValidationError
 
 MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
@@ -35,19 +38,20 @@ Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
 
 @dataclass(frozen=True)
 class Rows:
-    """``count`` task vectors of ``dim`` elements each, read one at a time.
+    """``count`` task vectors of ``dim`` elements each, read as streams of blocks.
 
-    ``read(t)`` returns task vector t (0-based) as a 1-D array of ``dim``
-    elements, with the same dtype for every t. It may fill and return one
-    reused buffer, so a strategy is done with a row before it reads the
-    next, and it may read a row more than once. Every strategy accepts a
-    source like this in place of a (T, d) matrix; the source checks its own
-    rows for NaN.
+    ``blocks(t)`` yields task vector t (0-based) as consecutive 1-D pieces
+    of ``_BLOCK`` elements (the last one shorter), with the same dtype for
+    every t. Each piece may be one reused buffer, refilled, so a strategy is
+    done with a piece before it asks for the next. A strategy streams one
+    row at a time to its end, and it may stream a row more than once. Every
+    strategy accepts a source like this in place of a (T, d) matrix; the
+    source checks its own rows for NaN.
     """
 
     count: int
     dim: int
-    read: Callable[[int], np.ndarray]
+    blocks: Callable[[int], Iterable[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -161,19 +165,18 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     magnitude read so far.
     """
     rows = _as_rows(taus)
-    merged = rows.read(0).copy()
+    merged = _copy_row(rows, 0)
     owner = np.ones(rows.dim, dtype=np.int32)
     size = min(_BLOCK, rows.dim)
     record, magnitude = np.empty(size, merged.dtype), np.empty(size, merged.dtype)
     setters, ids = np.empty(size, dtype=bool), np.empty(size, dtype=np.int32)
     for task in range(1, rows.count):
-        row = rows.read(task)
-        for block in _blocks(rows.dim):
+        for block, row in _pieces(rows, task):
             n = block.stop - block.start
             np.abs(merged[block], out=record[:n])
-            np.abs(row[block], out=magnitude[:n])
+            np.abs(row, out=magnitude[:n])
             np.greater_equal(magnitude[:n], record[:n], out=setters[:n])
-            _select(merged[block], row[block], setters[:n], record[:n])
+            _select(merged[block], row, setters[:n], record[:n])
             # Later tasks have larger ids, so the last record-setter wins.
             np.multiply(setters[:n], np.int32(task + 1), out=ids[:n])
             np.maximum(owner[block], ids[:n], out=owner[block])
@@ -228,13 +231,16 @@ def average_merge(taus: TaskVectors) -> np.ndarray:
     The mean of +inf and -inf is NaN.
     """
     rows = _as_rows(taus)
-    first = rows.read(0)
-    half = first.dtype == np.float16
-    # A sum that starts from 0: row 0 is copied, and -0.0 becomes +0.0.
-    total = np.add(first, 0.0, dtype=np.float32 if half else np.result_type(first.dtype, 0.0))
+    dtype, pieces = _peek(rows, 0)
+    half = dtype == np.float16
+    total = np.empty(rows.dim, np.float32 if half else np.result_type(dtype, 0.0))
+    # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
+    for block, part in pieces:
+        np.add(part, 0.0, dtype=total.dtype, out=total[block])
     with np.errstate(invalid="ignore"):
         for task in range(1, rows.count):
-            np.add(total, rows.read(task), out=total)
+            for block, part in _pieces(rows, task):
+                np.add(total[block], part, out=total[block])
     total /= rows.count
     return total.astype(np.float16) if half else total
 
@@ -276,7 +282,13 @@ def write_assignment(destination, assignment: Assignment) -> None:
 
 
 def read_assignment(source) -> Assignment:
-    records = dict(_read_records(source, DTYPE_U16))
+    """Read a side-file written by :func:`write_assignment` (a path or a seekable stream)."""
+    headers, flat = _read_flat(source, DTYPE_U16)
+    records, start = {}, 0
+    for name, dims in headers:
+        size = math.prod(dims)
+        records[name] = flat[start : start + size].reshape(dims)
+        start += size
     try:
         owner = records["owner"]
         provenance = records["provenance"]
@@ -290,9 +302,9 @@ def _as_rows(taus: TaskVectors) -> Rows:
     """Check ``taus`` and present it as a row source.
 
     A (T, d) matrix or a sequence of equal-length 1-D vectors is checked for
-    NaN up front and its rows are read in place (vectors of mixed dtypes are
-    converted to the dtype their stack would have); a :class:`Rows` is used
-    as is.
+    NaN up front and its rows are streamed as views (vectors of mixed dtypes
+    are converted to the dtype their stack would have); a :class:`Rows` is
+    used as is.
     """
     if isinstance(taus, Rows):
         rows = taus
@@ -309,7 +321,8 @@ def _as_rows(taus: TaskVectors) -> Rows:
         if arrays:
             dtype = np.result_type(*{a.dtype for a in arrays})
             arrays = [a.astype(dtype, copy=False) for a in arrays]
-        rows = Rows(len(arrays), arrays[0].size if arrays else 0, arrays.__getitem__)
+        dim = arrays[0].size if arrays else 0
+        rows = Rows(len(arrays), dim, lambda task: (arrays[task][block] for block in _blocks(dim)))
     if rows.count == 0:
         raise ValidationError("empty task list")
     if rows.dim == 0:
@@ -321,6 +334,27 @@ def _blocks(size: int) -> Iterator[slice]:
     """Consecutive slices of at most :data:`_BLOCK` elements that cover ``range(size)``."""
     for start in range(0, size, _BLOCK):
         yield slice(start, min(start + _BLOCK, size))
+
+
+def _pieces(rows: Rows, task: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row ``task`` as (slice of the row, piece) pairs; a stream of another length raises."""
+    return zip(_blocks(rows.dim), rows.blocks(task), strict=True)
+
+
+def _peek(rows: Rows, task: int) -> tuple[np.dtype, Iterator[tuple[slice, np.ndarray]]]:
+    """The dtype of row ``task``, and its :func:`_pieces` from the first on."""
+    pieces = _pieces(rows, task)
+    first = next(pieces)
+    return first[1].dtype, itertools.chain([first], pieces)
+
+
+def _copy_row(rows: Rows, task: int) -> np.ndarray:
+    """A new array holding row ``task``, filled one block at a time."""
+    dtype, pieces = _peek(rows, task)
+    row = np.empty(rows.dim, dtype)
+    for block, part in pieces:
+        row[block] = part
+    return row
 
 
 def _budgeted_owners(
@@ -352,6 +386,9 @@ def _budgeted_owners(
         owner[claim] = task
         unassigned[claim] = False
         deficits[task - 1] -= claim.size
+        # A kept prefix is a view that holds every candidate; free it before
+        # the next task's candidates are counted.
+        del claim
     del packed
 
     leftovers = _flatnonzero(unassigned, index)
@@ -373,14 +410,14 @@ def _record_setter_bits(rows: Rows) -> np.ndarray:
     num_tasks, dim = rows.count, rows.dim
     packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
     packed[0] = 0xFF
-    running = np.abs(rows.read(0))
+    running = _copy_row(rows, 0)
+    np.abs(running, out=running)
     magnitude = np.empty(min(_BLOCK, dim), dtype=running.dtype)
     setters = np.empty(dim, dtype=bool)
     for task in range(1, num_tasks):
-        row = rows.read(task)
-        for block in _blocks(dim):
+        for block, row in _pieces(rows, task):
             part = magnitude[: block.stop - block.start]
-            np.abs(row[block], out=part)
+            np.abs(row, out=part)
             np.greater_equal(part, running[block], out=setters[block])
             np.maximum(running[block], part, out=running[block])
         # 8 elements pack into one byte, so 8 blocks of bits make one block of bytes.
@@ -405,15 +442,14 @@ def _flatnonzero(mask: np.ndarray, dtype: type) -> np.ndarray:
 def _gather(rows: Rows, owner: np.ndarray, order: Iterable[int]) -> np.ndarray:
     """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in ``order``."""
     first, *rest = order
-    merged = rows.read(first).copy()
+    merged = _copy_row(rows, first)
     scratch = np.empty(min(_BLOCK, merged.size), dtype=merged.dtype)
     mask = np.empty(scratch.size, dtype=bool)
     for task in rest:
-        row = rows.read(task)
-        for block in _blocks(merged.size):
+        for block, row in _pieces(rows, task):
             n = block.stop - block.start
             np.equal(owner[block], task + 1, out=mask[:n])
-            _select(merged[block], row[block], mask[:n], scratch[:n])
+            _select(merged[block], row, mask[:n], scratch[:n])
     return merged
 
 

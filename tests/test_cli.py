@@ -3,6 +3,7 @@ import logging
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from tvmerge import (
     read_assignment,
     write_assignment,
 )
+from tvmerge import container, merging
 from tvmerge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -370,6 +372,116 @@ class TestMergeLaterInputs:
                 write_assignment(tmp / "ref.assignment.tvc", assignment)
                 assert out.read_bytes() == (tmp / "ref.tvc").read_bytes()
                 assert (tmp / "m.tvc.assignment.tvc").read_bytes() == (tmp / "ref.assignment.tvc").read_bytes()
+
+
+# Merge inputs are streamed from their files one block at a time. With
+# 5-element blocks, these tensors (offsets 0, 1, 4 and 11 of 22) straddle
+# block boundaries, start mid-block and fill the first block exactly.
+BLOCK_LAYOUT = (("a", (1,)), ("b", (3,)), ("c", (7,)), ("d", (11,)))
+
+
+def block_layout_records(task):
+    rng = np.random.default_rng(task)
+    records = []
+    for name, dims in BLOCK_LAYOUT:
+        values = rng.integers(-2, 3, size=dims).astype("<f4")
+        values[values == 0] = -0.0 if task % 2 else 0.0
+        values[rng.random(size=dims) < 0.15] = np.inf
+        values[rng.random(size=dims) < 0.15] = -np.inf
+        records.append({"name": name.encode(), "code": 0, "dims": dims, "values": values})
+    return records
+
+
+def with_nans(records, *places):
+    for name, index in places:
+        next(r for r in records if r["name"] == name.encode())["values"][index] = np.nan
+    return raw_container(records)
+
+
+BLOCK_METHOD_ARGS = {
+    "magmax": [],
+    "tunable": ["--alpha", "0.5", "--seed", "4"],
+    "average": [],
+    "randmix": ["--seed", "4"],
+}
+
+# Faults and their stderr (exit 2) in any input; a block of NaN-free
+# elements may precede the NaN within the block that holds it.
+BLOCK_FAULTS = {
+    "NaN at the start of c": (lambda r: with_nans(r, ("c", 0)), "tensor 'c': NaN payload rejected"),
+    "NaN at the end of c": (lambda r: with_nans(r, ("c", 6)), "tensor 'c': NaN payload rejected"),
+    "NaN at the start of d": (lambda r: with_nans(r, ("d", 0)), "tensor 'd': NaN payload rejected"),
+    "NaN in c and d": (lambda r: with_nans(r, ("d", 0), ("c", 6)), "tensor 'c': NaN payload rejected"),
+    "trailing byte": (lambda r: raw_container(r) + b"\0", "trailing data after last record"),
+}
+
+
+def write_block_inputs(directory, num_tasks=3, fault=None, position=None):
+    paths = []
+    for task in range(num_tasks):
+        path = directory / f"t{task}.tvc"
+        records = block_layout_records(task)
+        path.write_bytes(fault(records) if task == position else raw_container(records))
+        paths.append(str(path))
+    return paths
+
+
+def merge_outputs(directory, method, paths):
+    out = directory / f"{method}.tvc"
+    assert main(["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(out), *paths]) == 0
+    written = [out] + [Path(f"{out}{suffix}") for suffix in (".assignment.tvc", ".census.json")]
+    return [path.read_bytes() for path in written if path.exists()]
+
+
+class TestMergeStreamsBlocks:
+    @pytest.mark.parametrize("method", BLOCK_METHOD_ARGS)
+    def test_five_element_blocks_give_the_same_bytes(self, tmp_path, monkeypatch, method):
+        paths = write_block_inputs(tmp_path)
+        want = merge_outputs(tmp_path, method, paths)
+        monkeypatch.setattr(container, "_BLOCK", 5)
+        monkeypatch.setattr(merging, "_BLOCK", 5)
+        assert merge_outputs(tmp_path, method, paths) == want
+
+    @pytest.mark.parametrize("block", [5, None], ids=["block 5", "default block"])
+    @pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
+    @pytest.mark.parametrize("fault", BLOCK_FAULTS)
+    def test_fault_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, fault, position, block):
+        if block is not None:
+            monkeypatch.setattr(container, "_BLOCK", block)
+            monkeypatch.setattr(merging, "_BLOCK", block)
+        build, message = BLOCK_FAULTS[fault]
+        paths = write_block_inputs(tmp_path, fault=build, position=position)
+        for method in BLOCK_METHOD_ARGS:
+            argv = ["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(tmp_path / "m.tvc"), *paths]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"validation error: {message}\n"
+            assert not (tmp_path / "m.tvc").exists()
+
+    # Peak traced allocation of `tvmerge merge` over T=8 files of d=2**20
+    # elements, in rows of 4d bytes: the live state of each strategy, with
+    # every input streamed through one block buffer. Tunable's bound also
+    # fails if a task's claim outlives its step of the claim sweep (2.72).
+    @pytest.mark.parametrize(
+        "method, bound", [("magmax", 2.75), ("tunable", 2.6), ("randmix", 2.75), ("average", 1.5)]
+    )
+    def test_peak_allocation(self, tmp_path, method, bound):
+        dim, split = 2**20, 3 * 40_000  # tensor "a" crosses a block boundary
+        rng = np.random.default_rng(31)
+        paths = []
+        for task in range(8):
+            flat = rng.normal(size=dim).astype(np.float32)
+            pset = ParameterSet([("a", flat[:split].reshape(3, -1)), ("b", flat[split:])])
+            encode_container(pset, tmp_path / f"t{task}.tvc")
+            paths.append(str(tmp_path / f"t{task}.tvc"))
+        del flat, pset
+        argv = ["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(tmp_path / "m.tvc"), *paths]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * dim * 4
 
 
 class TestApply:

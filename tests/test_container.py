@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from tvmerge import (
     decode_container,
     encode_container,
 )
-from tvmerge.container import LayoutReader
+from tvmerge import container
+from tvmerge.container import LayoutReader, read_layout
+
+
+def encoded(pset):
+    buffer = io.BytesIO()
+    encode_container(pset, buffer)
+    return buffer.getvalue()
 
 
 def roundtrip(pset):
@@ -176,22 +184,79 @@ class TestCodec:
             decode_container(tmp_path / "nope.tvc")
 
 
-class TestLayoutReader:
-    def test_stream_read_into_matches_decode(self):
-        pset = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf])])
-        buffer = io.BytesIO()
-        encode_container(pset, buffer)
-        dest = np.empty(pset.num_elements, dtype=np.float32)
-        assert LayoutReader(pset.specs).read_into(io.BytesIO(buffer.getvalue()), dest)
-        assert np.array_equal(dest.view(np.uint32), pset.flat().view(np.uint32))
+    def test_decode_holds_the_payload_once(self):
+        dim = 2**20
+        raw = encoded(ParameterSet({"w": np.arange(dim, dtype=np.float32)}))
+        tracemalloc.start()
+        try:
+            decode_container(io.BytesIO(raw))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * dim * 4
 
     @pytest.mark.parametrize(
-        "dest", [np.empty(5, np.float32), np.empty(6, np.float64), np.empty(12, np.float32)[::2]]
+        "raw",
+        [
+            b"TVC",
+            b"XXXX" + bytes(16),
+            b"TVC1" + bytes([9]) + struct.pack("<I", 1),
+            encoded(ParameterSet({"w": np.ones(8)}))[:-5],
+            encoded(ParameterSet({"w": np.ones(2)})) + b"\x00",
+            b"TVC1" + bytes([1]) + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w" + bytes([0, 1]) + struct.pack("<Q", 2**61),
+        ],
+        ids=["short magic", "bad magic", "bad version", "truncated", "trailing", "length 2^61"],
     )
-    def test_wrong_destination_rejected(self, dest):
-        reader = LayoutReader(ParameterSet({"w": np.ones(6)}).specs)
-        with pytest.raises(ShapeMismatchError, match="destination"):
-            reader.read_into(io.BytesIO(), dest)
+    def test_read_layout_raises_what_decode_raises(self, raw):
+        with pytest.raises(CodecError) as decoded:
+            decode_container(io.BytesIO(raw))
+        with pytest.raises(CodecError) as headers_only:
+            read_layout(io.BytesIO(raw))
+        assert str(headers_only.value) == str(decoded.value)
+
+    def test_read_layout_starts_at_the_stream_position(self):
+        stream = io.BytesIO(b"junk" + encoded(ParameterSet({"w": np.zeros((2, 3)), "b": np.zeros(2)})))
+        specs = (TensorSpec("w", (2, 3)), TensorSpec("b", (2,)))
+        for read in (read_layout, lambda source: decode_container(source).specs):
+            stream.seek(4)
+            assert read(stream) == specs
+
+
+class TestLayoutReader:
+    @pytest.mark.parametrize("block", [2, 5, 2**16])
+    def test_stream_blocks_match_decode(self, monkeypatch, block):
+        monkeypatch.setattr(container, "_BLOCK", block)
+        pset = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf])])
+        blocks = [part.copy() for part in LayoutReader(pset.specs).blocks(io.BytesIO(encoded(pset)))]
+        assert [part.size for part in blocks] == [block] * (8 // block) + [8 % block] * (8 % block > 0)
+        assert np.concatenate(blocks).view(np.uint32).tolist() == pset.flat().view(np.uint32).tolist()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            encoded(ParameterSet({"w": np.ones(6), "c": np.ones(2)})),
+            encoded(ParameterSet({"w": np.ones((2, 3)), "b": np.ones(2)})),
+            encoded(ParameterSet({"w": np.ones(6), "b": np.ones(2)}))[:-1],
+            encoded(ParameterSet({"w": np.ones(6), "b": np.ones(2)})) + b"\x00",
+            b"",
+        ],
+        ids=["renamed", "reshaped", "truncated", "trailing", "empty"],
+    )
+    def test_other_stream_raises_shape_mismatch(self, raw):
+        reader = LayoutReader(ParameterSet({"w": np.ones(6), "b": np.ones(2)}).specs)
+        with pytest.raises(ShapeMismatchError):
+            list(reader.blocks(io.BytesIO(raw)))
+
+    def test_nan_names_the_first_tensor_of_its_block(self, monkeypatch):
+        monkeypatch.setattr(container, "_BLOCK", 4)
+        pset = ParameterSet([("a", np.ones(3)), ("b", np.ones(3)), ("c", np.ones(3))])
+        raw = bytearray(encoded(pset))
+        c_payload = len(raw) - 12
+        b_payload = c_payload - len(container._record_header("c", 0, (3,))) - 12
+        # Elements 5 and 7 of the layout, in the second block [4, 8).
+        raw[b_payload + 8 : b_payload + 12] = raw[c_payload + 4 : c_payload + 8] = struct.pack("<f", np.nan)
+        with pytest.raises(CodecError, match="tensor 'b': NaN"):
+            list(LayoutReader(pset.specs).blocks(io.BytesIO(bytes(raw))))
 
 
 class TestTaskVectorArithmetic:

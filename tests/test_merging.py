@@ -34,15 +34,26 @@ def random_budgets(rng, num_tasks, dim):
     return rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
 
 
+def block_buffer_rows(num_tasks, dim, dtype, fill):
+    """A row source that refills one block buffer: ``fill(task, block, out)`` writes a block."""
+    buffer = np.empty(min(merging._BLOCK, dim), dtype=dtype)
+
+    def blocks(task):
+        for block in merging._blocks(dim):
+            part = buffer[: block.stop - block.start]
+            fill(task, block, part)
+            yield part
+
+    return Rows(num_tasks, dim, blocks)
+
+
 def reused_buffer_rows(taus):
-    """A row source over ``taus`` that copies every row into one buffer."""
-    buffer = np.empty(taus.shape[1], dtype=taus.dtype)
+    """A row source over ``taus`` that copies every block into one buffer."""
 
-    def read(task):
-        np.copyto(buffer, taus[task])
-        return buffer
+    def fill(task, block, out):
+        np.copyto(out, taus[task, block])
 
-    return Rows(taus.shape[0], taus.shape[1], read)
+    return block_buffer_rows(*taus.shape, taus.dtype, fill)
 
 
 class TestMagmax:
@@ -329,10 +340,11 @@ class TestMergeDispatch:
 
 
 # Peak traced allocation of each strategy at T=16, d=2**18, in rows of 4d
-# bytes. The live state is a few d-sized vectors (the merged vector, the
-# int32 owner, a bool vector, the running maximum in tunable's first pass,
-# T*d/8 bytes of packed bits); every other temporary is one block.
-PEAK_ROWS = {"tunable": 2.75, "randmix": 2.75, "magmax": 3.5, "average": 1.1}
+# bytes, with the rows streamed through one block buffer. The live state is
+# a few d-sized vectors (the merged vector, the int32 owner, a bool vector,
+# the running maximum in tunable's first pass, T*d/8 bytes of packed bits);
+# every other temporary is one block.
+PEAK_ROWS = {"tunable": 2.75, "randmix": 2.75, "magmax": 3.25, "average": 1.1}
 
 
 class TestStreaming:
@@ -340,17 +352,16 @@ class TestStreaming:
     def test_peak_allocation_below_half_the_matrix(self, method):
         num_tasks, dim = 16, 2**18
         base = np.random.default_rng(0).normal(size=dim).astype(np.float32)
-        buffer = np.empty(dim, dtype=np.float32)
 
-        def read(task):
-            np.multiply(base, np.float32(task + 1), out=buffer)
-            np.sin(buffer, out=buffer)
-            return buffer
+        def fill(task, block, out):
+            np.multiply(base[block], np.float32(task + 1), out=out)
+            np.sin(out, out=out)
 
+        rows = block_buffer_rows(num_tasks, dim, np.float32, fill)
         budgets = [dim // num_tasks] * num_tasks
         tracemalloc.start()
         try:
-            merge(method, Rows(num_tasks, dim, read), budgets, MergeConfig(seed=3))
+            merge(method, rows, budgets, MergeConfig(seed=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -415,9 +426,9 @@ class TestStreaming:
 
     def test_row_source_checks(self):
         with pytest.raises(ValidationError, match="empty"):
-            magmax_merge(Rows(0, 3, lambda task: np.zeros(3)))
+            magmax_merge(Rows(0, 3, lambda task: [np.zeros(3)]))
         with pytest.raises(ValidationError, match="no elements"):
-            average_merge(Rows(2, 0, lambda task: np.zeros(0)))
+            average_merge(Rows(2, 0, lambda task: []))
 
 
 class TestBlockBoundaries:
