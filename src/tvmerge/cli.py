@@ -42,7 +42,6 @@ from .harness import PipelineConfig, run_pipeline
 from .merging import (
     MERGE_METHODS,
     RESIDUAL_RANDOM,
-    MergeConfig,
     Rows,
     assignment_census,
     merge,
@@ -59,7 +58,7 @@ from .preference import (
     save_preference,
     validate_preference,
 )
-from .similarity import EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
+from .similarity import METRICS, EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
 
 log = logging.getLogger("tvmerge")
 
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="geometric budget schedule for tunable merging")
     p.add_argument("--sim-file", help="similarity scores JSON for tunable merging")
     p.add_argument("--seed", type=int, help="required for tunable and randmix")
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=int, help="accepted for old scripts and ignored")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("apply", help="add a scaled task vector onto a base model")
@@ -123,17 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("sim", help="score tasks against a meta dataset")
-    p.add_argument("--metric", required=True, choices=["ot", "label", "cos", "mmd"])
+    p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--task", action="append", required=True, help="repeat once per task")
     p.add_argument("--meta", action="append", required=True, help="one shared or one per task")
     p.add_argument("--out", help="similarity JSON (default: stdout)")
-    p.add_argument("--gamma", type=float, default=100.0)
-    p.add_argument("--gamma-cos", type=float, default=10.0)
-    p.add_argument("--gamma-mmd", type=float, default=10.0)
-    p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--bandwidth", type=float, dest="mmd_bandwidth")
+    solver = p.add_argument_group(
+        "solver settings", "a setting not given keeps its OTConfig default", argument_default=argparse.SUPPRESS
+    )
+    solver.add_argument("--gamma", type=float)
+    solver.add_argument("--gamma-cos", type=float)
+    solver.add_argument("--gamma-mmd", type=float)
+    solver.add_argument("--epsilon", type=float)
+    solver.add_argument("--max-iters", type=int)
+    solver.add_argument("--tol", type=float)
+    solver.add_argument("--bandwidth", type=float, dest="mmd_bandwidth")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("prefvec", help="build or validate a budgets file")
@@ -178,6 +180,8 @@ def cmd_merge(args) -> int:
         raise UsageError(f"--{sources[0].replace('_', '-')} only applies to --method tunable")
     if args.method in ("tunable", "randmix") and args.seed is None:
         raise UsageError(f"--seed is required for --method {args.method}")
+    if args.rounds is not None:
+        log.warning("--rounds is ignored; the seed alone keys the merge")
 
     specs, rows = _task_rows(args.taus)
     log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
@@ -188,8 +192,7 @@ def cmd_merge(args) -> int:
         pref = preference_from_alpha(AlphaSchedule(args.alpha, rows.count, rows.dim))
     elif args.sim_file is not None:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
-    config = MergeConfig(rounds=args.rounds, seed=args.seed or 0)
-    merged, assignment = merge(args.method, rows, pref, config)
+    merged, assignment = merge(args.method, rows, pref, args.seed or 0)
 
     if args.method == "average":
         # The inputs hold no NaN, so a NaN here is the mean of +inf and -inf.
@@ -218,7 +221,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    cfg = OTConfig(**{f.name: getattr(args, f.name) for f in fields(OTConfig)})
+    cfg = OTConfig(**{f.name: getattr(args, f.name) for f in fields(OTConfig) if hasattr(args, f.name)})
     if args.metric == "label":
         tasks = [_read_labels(path) for path in args.task]
         metas = [_read_labels(path) for path in args.meta]

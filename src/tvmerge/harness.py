@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
@@ -25,10 +26,10 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .merging import (
     MERGE_METHODS,
-    MergeConfig,
     PreferenceVector,
     RESIDUAL_RANDOM,
     assignment_census,
+    check_seed,
     merge,
 )
 from .preference import (
@@ -38,6 +39,8 @@ from .preference import (
     preference_from_similarities,
 )
 from .similarity import EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
+
+log = logging.getLogger("tvmerge")
 
 SUPPORT_MODES = ("disjoint", "overlapping")
 DELTA_MODES = ("incremental", "cumulative")
@@ -309,7 +312,8 @@ class PipelineConfig:
     ``generate_task_suite`` and ``mix_target_environment`` besides the
     tasks and the seed; ``environment`` is None when the config has none.
     ``alphas`` lists the schedules to run: a list-valued alpha sweeps them,
-    and every source other than ``alpha`` runs once, as ``[None]``.
+    and every source other than ``alpha`` runs once, as ``[None]``. An
+    integer ``merge.rounds`` is accepted for old configs and ignored.
     """
 
     seed: int
@@ -319,7 +323,6 @@ class PipelineConfig:
     environment: dict | None
     method: str
     delta_mode: str
-    rounds: int
     lambda_merge: float
     source: str | None
     alphas: list
@@ -354,6 +357,9 @@ class PipelineConfig:
         lambda_merge = _field(merge_, "lambda_merge", _number, 0.5)
         if not (0.0 <= lambda_merge <= 1.0):
             raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
+        if "rounds" in merge_:
+            _field(merge_, "rounds", _integer)
+            log.warning("config field 'rounds' is ignored; the seed alone keys the merge")
 
         source = _field(pref, "source", _string, None)
         if method == "tunable" and source not in PREFERENCE_SOURCES:
@@ -385,7 +391,6 @@ class PipelineConfig:
             else None,
             method=method,
             delta_mode=delta_mode,
-            rounds=_field(merge_, "rounds", _integer, 2),
             lambda_merge=lambda_merge,
             source=source,
             alphas=alphas,
@@ -439,7 +444,7 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     alpha sweeps the schedule and emits one run per alpha.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_dict(config)
-    merge_config = MergeConfig(rounds=cfg.rounds, seed=cfg.seed)
+    check_seed(cfg.seed)
     tasks, theta_0 = generate_task_suite(cfg.num_tasks, cfg.dim, seed=cfg.seed, **cfg.suite)
     thetas = sequential_finetune_analog(tasks, theta_0)
     if cfg.delta_mode == "incremental":
@@ -454,7 +459,7 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
     runs = []
     for alpha in cfg.alphas:
         budgets = _build_budgets(cfg, alpha, tasks, env, workers)
-        merged, assignment = merge(cfg.method, taus, budgets, merge_config)
+        merged, assignment = merge(cfg.method, taus, budgets, cfg.seed)
         result = evaluate(theta_0 + cfg.lambda_merge * merged, tasks, env)
         census = residual = None
         if assignment is not None:
@@ -476,7 +481,6 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
         "method": cfg.method,
         "delta_mode": cfg.delta_mode,
         "lambda_merge": cfg.lambda_merge,
-        "rounds": cfg.rounds,
         "num_tasks": cfg.num_tasks,
         "dim": cfg.dim,
         "support_sizes": [int(t.support.size) for t in tasks],

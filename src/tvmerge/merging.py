@@ -12,7 +12,8 @@ arithmetic on their bit patterns, not with masked copies. Task ids are
 
 Randomized selection is driven by counter-based keyed streams: a Philox
 generator keyed by (seed, round, task), so results are reproducible and
-independent of scheduling or invocation order.
+independent of scheduling or invocation order. The seed is the only input
+to those streams.
 """
 
 from __future__ import annotations
@@ -55,25 +56,6 @@ class Rows:
 
 
 @dataclass(frozen=True)
-class MergeConfig:
-    """Knobs of the randomized strategies.
-
-    ``seed`` keys every selection stream. ``rounds`` only keys the residual
-    fill stream, (seed, rounds+1, 0); the claim sweep runs once whatever its
-    value, because a task's candidates are exhausted after its first claim.
-    """
-
-    rounds: int = 2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValidationError("rounds must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValidationError("seed must fit in 64 unsigned bits")
-
-
-@dataclass(frozen=True)
 class PreferenceVector:
     """Per-task element budgets; must sum to the model's element count."""
 
@@ -104,9 +86,11 @@ class PreferenceVector:
 class Assignment:
     """Which task supplied each merged element, and in which phase.
 
-    ``owner[p]`` is a task id in 1..T (int32). ``provenance[p]`` (uint8) is
-    1 where the owner claimed the element by magnitude, or
-    :data:`RESIDUAL_RANDOM` where the final random fill placed it.
+    ``owner[p]`` is a task id in 1..T. ``provenance[p]`` is 1 where the
+    owner claimed the element by magnitude, or :data:`RESIDUAL_RANDOM` where
+    the final random fill placed it. Maps that cast safely to intp keep
+    their dtype, so the u16 maps of a side-file are not copied; other maps
+    become int32 and uint8.
     """
 
     owner: np.ndarray
@@ -114,11 +98,11 @@ class Assignment:
     num_tasks: int
 
     def __post_init__(self) -> None:
-        self.owner = np.asarray(self.owner, dtype=np.int32)
         provenance = np.asarray(self.provenance)
         if provenance.size and (provenance.min() < 0 or provenance.max() > 0xFF):
             raise ValidationError("provenance codes must lie in 0..255")
-        self.provenance = provenance.astype(np.uint8, copy=False)
+        self.owner = _integers(self.owner, np.int32)
+        self.provenance = _integers(provenance, np.uint8)
         if self.owner.shape != self.provenance.shape or self.owner.ndim != 1:
             raise ValidationError("owner and provenance must be equal-length vectors")
 
@@ -127,12 +111,15 @@ class Assignment:
         return self.owner.size
 
 
-def provenance_label(code: int) -> str:
-    return "residual-random" if code == RESIDUAL_RANDOM else f"round-{code}"
+def check_seed(seed: int) -> None:
+    """Raise ValidationError unless ``seed`` can key a selection stream."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 unsigned bits")
 
 
 def selection_stream(seed: int, round_index: int, task: int) -> np.random.Generator:
     """Deterministic generator keyed by (seed, round, task)."""
+    check_seed(seed)
     key = np.empty(2, dtype=np.uint64)
     key[0] = np.uint64(seed)
     key[1] = np.uint64(((round_index & 0xFFFFFFFF) << 32) | (task & 0xFFFFFFFF))
@@ -140,20 +127,23 @@ def selection_stream(seed: int, round_index: int, task: int) -> np.random.Genera
 
 
 def merge(
-    method: str, taus: TaskVectors, pref: Budgets | None = None, config: MergeConfig | None = None
+    method: str, taus: TaskVectors, pref: Budgets | None = None, seed: int = 0
 ) -> tuple[np.ndarray, Assignment | None]:
-    """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment."""
-    config = config or MergeConfig()
+    """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment.
+
+    Every method checks ``seed``; only ``tunable`` and ``randmix`` draw from it.
+    """
+    check_seed(seed)
     if method == "magmax":
         return magmax_merge(taus)
     if method == "tunable":
         if pref is None:
             raise ValidationError("tunable merging needs a preference vector")
-        return tunable_merge(taus, pref, config)
+        return tunable_merge(taus, pref, seed)
     if method == "average":
         return average_merge(taus), None
     if method == "randmix":
-        return random_mix_merge(taus, config.seed)
+        return random_mix_merge(taus, seed)
     raise ValidationError(f"unknown merge method {method!r}")
 
 
@@ -183,9 +173,7 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
 
-def tunable_merge(
-    taus: TaskVectors, pref: Budgets, config: MergeConfig | None = None
-) -> tuple[np.ndarray, Assignment]:
+def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.ndarray, Assignment]:
     """Budgeted magnitude merge: task t contributes exactly ``pref[t]`` elements.
 
     One sweep scans tasks from last to first. A task claims the
@@ -194,15 +182,14 @@ def tunable_merge(
     the claim overshoots its budget, the kept subset is chosen by shuffling
     the candidates (sorted by flat index) with the stream keyed (seed, 1,
     task) and taking the prefix. Claimed elements have provenance 1. The
-    leftover elements are then shuffled once with key (seed, rounds+1, 0)
-    and dealt to tasks with unmet budgets in ascending task order, with
+    leftover elements are then shuffled once with key (seed, 3, 0) and
+    dealt to tasks with unmet budgets in ascending task order, with
     provenance :data:`RESIDUAL_RANDOM`.
 
     The rows are read twice: once for the record-setter bits, kept packed
     (T*d/8 bytes), and once, last row first, to copy the elements each task
     owns.
     """
-    config = config or MergeConfig()
     rows = _as_rows(taus)
     budgets = pref.as_array() if isinstance(pref, PreferenceVector) else np.asarray(pref)
     if budgets.ndim != 1 or budgets.size != rows.count:
@@ -217,7 +204,7 @@ def tunable_merge(
     if total != rows.dim:
         raise ValidationError(f"budget sum {total} != element count {rows.dim}")
 
-    owner, claimed = _budgeted_owners(rows, budgets.astype(np.int64), config)
+    owner, claimed = _budgeted_owners(rows, budgets.astype(np.int64), seed)
     merged = _gather(rows, owner, range(rows.count - 1, -1, -1))
     return merged, Assignment(owner, claimed.view(np.uint8), rows.count)
 
@@ -298,6 +285,12 @@ def read_assignment(source) -> Assignment:
     return Assignment(owner, provenance, num_tasks)
 
 
+def _integers(values, dtype: type) -> np.ndarray:
+    """``values`` as an array, as is if it casts safely to intp (as bincount needs), else as ``dtype``."""
+    array = np.asarray(values)
+    return array if np.can_cast(array.dtype, np.intp) else array.astype(dtype)
+
+
 def _as_rows(taus: TaskVectors) -> Rows:
     """Check ``taus`` and present it as a row source.
 
@@ -357,9 +350,7 @@ def _copy_row(rows: Rows, task: int) -> np.ndarray:
     return row
 
 
-def _budgeted_owners(
-    rows: Rows, deficits: np.ndarray, config: MergeConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Owner of every element under ``deficits`` (the budgets), and where it was claimed.
 
     Reads the rows once for their record-setter bits, then runs the claim
@@ -381,7 +372,7 @@ def _budgeted_owners(
         claim = _flatnonzero(candidates, index)
         del candidates  # freed before the next task's bits are unpacked
         if claim.size > need:
-            selection_stream(config.seed, 1, task).shuffle(claim)
+            selection_stream(seed, 1, task).shuffle(claim)
             claim = claim[:need]
         owner[claim] = task
         unassigned[claim] = False
@@ -392,7 +383,8 @@ def _budgeted_owners(
     del packed
 
     leftovers = _flatnonzero(unassigned, index)
-    selection_stream(config.seed, config.rounds + 1, 0).shuffle(leftovers)
+    # Round 3 was the fill's key under the former default of two rounds, so outputs keep their bytes.
+    selection_stream(seed, 3, 0).shuffle(leftovers)
     start = 0
     for task, count in enumerate(deficits.tolist(), 1):
         owner[leftovers[start : start + count]] = task

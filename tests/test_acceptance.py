@@ -15,7 +15,6 @@ from tvmerge import (
     AlphaSchedule,
     EmbeddingSet,
     LabelHistogram,
-    MergeConfig,
     OTConfig,
     assignment_census,
     generate_task_suite,
@@ -54,7 +53,7 @@ def test_01_budget_exactness_and_partition():
             num_tasks = int(rng.choice([3, 8, 20]))
             taus = rng.standard_normal((num_tasks, dim))
             budgets = rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
-            _, assignment = tunable_merge(taus, budgets, MergeConfig(seed=cases))
+            _, assignment = tunable_merge(taus, budgets, seed=cases)
             census = assignment_census(assignment)
             assert census.tolist() == budgets.tolist()
             assert assignment.owner.size == dim
@@ -71,7 +70,7 @@ def test_02_reduction_to_unbudgeted_merge():
             taus = rng.standard_normal((8, 10**4))
             plain_merged, plain_assignment = magmax_merge(taus)
             census = assignment_census(plain_assignment)
-            merged, assignment = tunable_merge(taus, census, MergeConfig(seed=trial))
+            merged, assignment = tunable_merge(taus, census, seed=trial)
             assert merged.tobytes() == plain_merged.tobytes()
             assert np.array_equal(assignment.owner, plain_assignment.owner)
 
@@ -82,7 +81,7 @@ def test_03_alpha_zero_corner():
         taus = rng.standard_normal((5, 4096))
         pref = preference_from_alpha(AlphaSchedule(0.0, 5, 4096))
         assert pref.budgets == (0, 0, 0, 0, 4096)
-        merged, assignment = tunable_merge(taus, pref, MergeConfig(seed=3))
+        merged, assignment = tunable_merge(taus, pref, seed=3)
         assert merged.tobytes() == taus[-1].tobytes()
         assert set(assignment.owner.tolist()) == {5}
 
@@ -93,17 +92,14 @@ def test_04_reference_transliteration_corpus():
         for case in range(200):
             num_tasks = int(rng.integers(1, 4))
             dim = int(rng.integers(1, 13))
-            rounds = int(rng.integers(1, 4))
             if case % 2:
                 taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(float)
             else:
                 taus = rng.standard_normal((num_tasks, dim))
             budgets = rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
-            merged, assignment = tunable_merge(
-                taus, budgets, MergeConfig(rounds=rounds, seed=case)
-            )
+            merged, assignment = tunable_merge(taus, budgets, seed=case)
             ref_merged, ref_owner, ref_prov = reference_tunable_merge(
-                [row.tolist() for row in taus], budgets.tolist(), rounds, case
+                [row.tolist() for row in taus], budgets.tolist(), 2, case
             )
             assert merged.tolist() == ref_merged
             assert assignment.owner.tolist() == ref_owner
@@ -177,7 +173,7 @@ def test_08_exact_recovery():
         thetas = sequential_finetune_analog(tasks, theta_0)
         bases = [theta_0, *thetas[:-1]]
         taus = np.stack([t - b for t, b in zip(thetas, bases)])
-        merged, _ = tunable_merge(taus, [t.support.size for t in tasks], MergeConfig(seed=31))
+        merged, _ = tunable_merge(taus, [t.support.size for t in tasks], seed=31)
         for loss in evaluate(theta_0 + merged, tasks).task_losses.values():
             assert loss <= 1e-18
 

@@ -4,6 +4,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmerge import (
-    MergeConfig,
+    OTConfig,
     ParameterSet,
     ValidationError,
     decode_container,
@@ -210,6 +211,43 @@ class TestMerge:
         assert code == 2
         assert "unexpected end of stream" in capsys.readouterr().err
 
+    def test_rounds_is_ignored_with_one_warning(self, tmp_path, caplog, recwarn):
+        # Task 1 claims 2 of its 6 record-setter elements; the residual fill
+        # deals the other 4 to tasks 2 and 3, so its shuffle shows in the bytes.
+        write_container(tmp_path / "t1.tvc", [5.0] * 6)
+        write_container(tmp_path / "t2.tvc", [0.0] * 6)
+        write_container(tmp_path / "t3.tvc", [0.0] * 6)
+        pref = tmp_path / "pref.json"
+        pref.write_text(json.dumps({"budgets": [2, 2, 2], "d": 6}))
+        paths = [str(tmp_path / f"t{task}.tvc") for task in (1, 2, 3)]
+        outputs = {}
+        for rounds in ([], ["--rounds", "0"], ["--rounds", "5"]):
+            caplog.clear()
+            out = tmp_path / f"m{len(outputs)}.tvc"
+            argv = ["merge", "--method", "tunable", "--pref-file", str(pref), "--seed", "3", *rounds, "--out", str(out)]
+            assert main([*argv, *paths]) == 0
+            warned = [r.getMessage() for r in caplog.records if r.name == "tvmerge" and r.levelno == logging.WARNING]
+            assert warned == (["--rounds is ignored; the seed alone keys the merge"] if rounds else [])
+            outputs[" ".join(rounds)] = [
+                Path(f"{out}{suffix}").read_bytes() for suffix in ("", ".census.json", ".assignment.tvc")
+            ]
+        assert outputs["--rounds 0"] == outputs[""] == outputs["--rounds 5"]
+        assert main(["merge", "--method", "magmax", "--rounds", "two", "--out", str(tmp_path / "x.tvc"), *paths]) == 4
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("method", [["magmax"], ["average"], ["randmix"], ["tunable", "--alpha", "1"]])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, method, seed):
+        write_container(tmp_path / "t1.tvc", [1.0, -3.0, 2.0])
+        write_container(tmp_path / "t2.tvc", [-2.0, 1.0, 2.0])
+        out = tmp_path / "m.tvc"
+        code = main(
+            ["merge", "--method", *method, "--seed", seed, "--out", str(out), str(tmp_path / "t1.tvc"), str(tmp_path / "t2.tvc")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "validation error: seed must fit in 64 unsigned bits\n"
+        assert not out.exists()
+
 
 # Merge inputs after the first go through their own reader, so their faults
 # are checked in every position but the first. Records are dicts of raw
@@ -367,7 +405,7 @@ class TestMergeLaterInputs:
             assert code == (0 if mergeable else 2)
             if code == 0:
                 taus = np.stack([pset.flat() for pset in decoded])
-                merged, assignment = merge("magmax", taus, None, MergeConfig())
+                merged, assignment = merge("magmax", taus, None)
                 encode_container(decoded[0].with_flat(merged), tmp / "ref.tvc")
                 write_assignment(tmp / "ref.assignment.tvc", assignment)
                 assert out.read_bytes() == (tmp / "ref.tvc").read_bytes()
@@ -531,6 +569,14 @@ class TestSim:
         payload = json.loads(out.read_text())
         assert payload["scores"][0] > payload["scores"][1]
 
+    def test_settings_not_given_keep_their_otconfig_defaults(self, tmp_path, capsys):
+        (tmp_path / "task.json").write_text(json.dumps({"labels": [0, 1]}))
+        argv = ["sim", "--metric", "label", "--task", str(tmp_path / "task.json"), "--meta", str(tmp_path / "task.json")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == asdict(OTConfig())
+        assert main([*argv, "--max-iters", "7", "--bandwidth", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == asdict(OTConfig(max_iters=7, mmd_bandwidth=0.5))
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--epsilon", "nan"), ("--gamma", "inf"), ("--gamma-cos", "inf"), ("--bandwidth", "nan")],
@@ -681,6 +727,8 @@ class TestPipeline:
             ("max_iters", {"similarity_config": {"max_iters": 10.5}}),
             ("epsilon", {"similarity_config": {"epsilon": True}}),
             ("mmd_bandwidth", {"similarity_config": {"mmd_bandwidth": "1"}}),
+            ("rounds", {"merge": {"rounds": "2"}}),
+            ("rounds", {"merge": {"rounds": 2.0}}),
         ],
     )
     def test_wrongly_typed_field_exits_6(self, tmp_path, capsys, key, override):
@@ -777,6 +825,41 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--seed", "9"]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["seed"] == 9
+
+    def test_rounds_key_is_ignored_with_one_warning(self, tmp_path, caplog, recwarn):
+        reports = []
+        for rounds in ({}, {"rounds": 0}, {"rounds": 7}):
+            caplog.clear()
+            config = {
+                "seed": 1,
+                "suite": {"num_tasks": 3, "dim": 12, "samples_per_task": 12},
+                "merge": {"method": "tunable", "delta_mode": "cumulative", **rounds},
+                "preference": {"source": "alpha", "alpha": 0.5},
+                "report": {"json": str(tmp_path / f"r{len(reports)}.json")},
+            }
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            assert main(["pipeline", "--config", str(path)]) == 0
+            warned = [r.getMessage() for r in caplog.records if r.name == "tvmerge" and r.levelno == logging.WARNING]
+            assert warned == (["config field 'rounds' is ignored; the seed alone keys the merge"] if rounds else [])
+            reports.append((tmp_path / f"r{len(reports)}.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert "rounds" not in json.loads(reports[0])
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "magmax"},
+            "report": {"json": str(tmp_path / "r.json")},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path), "--seed", seed]) == 2
+        assert capsys.readouterr().err == "validation error: seed must fit in 64 unsigned bits\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestNonUtf8Input:

@@ -90,7 +90,9 @@ def write_inputs(directory: Path, with_inf: bool) -> list[str]:
     """Tie-heavy integer-valued float32 task vectors, optionally with +-inf.
 
     The seed makes tunable's residual fill deal to more than one task on
-    both input sets, so ``--rounds`` (which keys that fill) changes bytes.
+    both input sets, so a change to the stream that shuffles that fill
+    changes bytes. ``--rounds`` is accepted and ignored, so the ``rounds1``
+    and ``rounds5`` cases give the same bytes.
     """
     rng = np.random.default_rng(2615)
     paths = []

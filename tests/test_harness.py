@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tvmerge import (
     ConfigError,
-    MergeConfig,
     OTConfig,
     PipelineConfig,
     SyntheticTask,
@@ -194,7 +193,7 @@ class TestExactRecoveryAndSteering:
         thetas = sequential_finetune_analog(tasks, theta_0)
         taus = incremental_deltas(thetas, theta_0)
         budgets = [t.support.size for t in tasks]
-        merged, _ = tunable_merge(taus, budgets, MergeConfig(seed=99))
+        merged, _ = tunable_merge(taus, budgets, seed=99)
         result = evaluate(theta_0 + merged, tasks)
         assert all(loss <= 1e-18 for loss in result.task_losses.values())
 
@@ -205,8 +204,8 @@ class TestExactRecoveryAndSteering:
         base = [4, 4]
         shifted = [3, 5]  # one unit moved from task 1 to task 2
         for seed in range(5):
-            merged_a, _ = tunable_merge(taus, base, MergeConfig(seed=seed))
-            merged_b, _ = tunable_merge(taus, shifted, MergeConfig(seed=seed))
+            merged_a, _ = tunable_merge(taus, base, seed=seed)
+            merged_b, _ = tunable_merge(taus, shifted, seed=seed)
             loss_a = evaluate(theta_0 + merged_a, tasks).task_losses
             loss_b = evaluate(theta_0 + merged_b, tasks).task_losses
             assert loss_b[2] <= loss_a[2] + 1e-18

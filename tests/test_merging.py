@@ -7,7 +7,6 @@ import pytest
 from tvmerge import (
     MERGE_METHODS,
     Assignment,
-    MergeConfig,
     ParameterSet,
     PreferenceVector,
     RESIDUAL_RANDOM,
@@ -19,7 +18,6 @@ from tvmerge import (
     average_merge,
     magmax_merge,
     merge,
-    provenance_label,
     random_mix_merge,
     read_assignment,
     tunable_merge,
@@ -119,39 +117,39 @@ class TestMagmax:
 class TestTunable:
     def test_hand_example_no_randomness(self):
         taus = np.array([[5.0, 4.0, 1.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
-        merged, assignment = tunable_merge(taus, [2, 2], MergeConfig(seed=123))
+        merged, assignment = tunable_merge(taus, [2, 2], seed=123)
         assert merged.tolist() == [5.0, 4.0, 3.0, 4.0]
         assert assignment.owner.tolist() == [1, 1, 2, 2]
         assert assignment.provenance.tolist() == [1, 1, 1, 1]
         # seed is irrelevant when every claim fits its budget
-        merged_b, _ = tunable_merge(taus, [2, 2], MergeConfig(seed=999))
+        merged_b, _ = tunable_merge(taus, [2, 2], seed=999)
         assert np.array_equal(merged, merged_b)
 
     def test_last_task_only_budget_returns_it_bitwise(self):
         rng = np.random.default_rng(2)
         taus = rng.normal(size=(4, 64)).astype(np.float32)
-        merged, assignment = tunable_merge(taus, [0, 0, 0, 64], MergeConfig(seed=7))
+        merged, assignment = tunable_merge(taus, [0, 0, 0, 64], seed=7)
         assert merged.tobytes() == taus[3].tobytes()
         assert set(assignment.owner.tolist()) == {4}
 
     def test_budget_sum_mismatch(self):
         with pytest.raises(ValidationError, match="sum"):
-            tunable_merge(np.zeros((2, 4)), [2, 1], MergeConfig())
+            tunable_merge(np.zeros((2, 4)), [2, 1])
 
     def test_negative_budget(self):
         with pytest.raises(ValidationError, match="negative"):
-            tunable_merge(np.zeros((2, 4)), [-1, 5], MergeConfig())
+            tunable_merge(np.zeros((2, 4)), [-1, 5])
 
     def test_non_integer_budgets_rejected(self):
         for budgets in ([2.5, 1.5], np.array([2.5, 1.5]), [np.inf, -np.inf], [np.nan, 4.0]):
             with pytest.raises(ValidationError, match="budgets must be integers"):
-                tunable_merge(np.zeros((2, 4)), budgets, MergeConfig())
-        _, assignment = tunable_merge(np.ones((2, 4)), [1.0, 3.0], MergeConfig())
+                tunable_merge(np.zeros((2, 4)), budgets)
+        _, assignment = tunable_merge(np.ones((2, 4)), [1.0, 3.0])
         assert assignment_census(assignment).tolist() == [1, 3]
 
     def test_wrong_budget_count(self):
         with pytest.raises(ValidationError, match="budgets"):
-            tunable_merge(np.zeros((2, 4)), [4], MergeConfig())
+            tunable_merge(np.zeros((2, 4)), [4])
 
     def test_census_matches_budgets_exactly(self):
         rng = np.random.default_rng(3)
@@ -160,14 +158,14 @@ class TestTunable:
             dim = int(rng.integers(1, 200))
             taus = rng.normal(size=(num_tasks, dim))
             budgets = random_budgets(rng, num_tasks, dim)
-            _, assignment = tunable_merge(taus, budgets, MergeConfig(seed=trial))
+            _, assignment = tunable_merge(taus, budgets, seed=trial)
             assert assignment_census(assignment).tolist() == budgets.tolist()
 
     def test_partition_every_element_owned_once(self):
         rng = np.random.default_rng(4)
         taus = rng.normal(size=(5, 333))
         budgets = random_budgets(rng, 5, 333)
-        _, assignment = tunable_merge(taus, budgets, MergeConfig(seed=5))
+        _, assignment = tunable_merge(taus, budgets, seed=5)
         assert assignment.owner.min() >= 1 and assignment.owner.max() <= 5
         assert assignment.owner.size == 333
 
@@ -177,7 +175,7 @@ class TestTunable:
             taus = rng.normal(size=(4, 257))
             magmax_merged, magmax_assignment = magmax_merge(taus)
             census = assignment_census(magmax_assignment)
-            merged, assignment = tunable_merge(taus, census, MergeConfig(seed=trial))
+            merged, assignment = tunable_merge(taus, census, seed=trial)
             assert np.array_equal(merged, magmax_merged)
             assert np.array_equal(assignment.owner, magmax_assignment.owner)
 
@@ -185,7 +183,7 @@ class TestTunable:
         rng = np.random.default_rng(8)
         taus = rng.normal(size=(3, 400))
         budgets = random_budgets(rng, 3, 400)
-        _, assignment = tunable_merge(taus, budgets, MergeConfig(seed=9))
+        _, assignment = tunable_merge(taus, budgets, seed=9)
         magmax_set = np.abs(taus).argmax(axis=0) == 2  # continuous values, no ties
         kept_in_round_one = (assignment.owner == 3) & (assignment.provenance == 1)
         # random reduction only removes candidates, never adds
@@ -196,11 +194,11 @@ class TestTunable:
         rng = np.random.default_rng(10)
         taus = rng.normal(size=(4, 300))
         budgets = random_budgets(rng, 4, 300)
-        merged_a, assign_a = tunable_merge(taus, budgets, MergeConfig(seed=42))
-        merged_b, assign_b = tunable_merge(taus, budgets, MergeConfig(seed=42))
+        merged_a, assign_a = tunable_merge(taus, budgets, seed=42)
+        merged_b, assign_b = tunable_merge(taus, budgets, seed=42)
         assert np.array_equal(merged_a, merged_b)
         assert np.array_equal(assign_a.owner, assign_b.owner)
-        merged_c, _ = tunable_merge(taus, budgets, MergeConfig(seed=43))
+        merged_c, _ = tunable_merge(taus, budgets, seed=43)
         assert not np.array_equal(merged_a, merged_c)
 
     def test_matches_reference_on_tie_heavy_instances(self):
@@ -208,17 +206,14 @@ class TestTunable:
         for trial in range(40):
             num_tasks = int(rng.integers(1, 4))
             dim = int(rng.integers(1, 13))
-            rounds = int(rng.integers(1, 4))
             if trial % 2:
                 taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(float)
             else:
                 taus = rng.normal(size=(num_tasks, dim))
             budgets = random_budgets(rng, num_tasks, dim)
-            merged, assignment = tunable_merge(
-                taus, budgets, MergeConfig(rounds=rounds, seed=trial)
-            )
+            merged, assignment = tunable_merge(taus, budgets, seed=trial)
             ref_merged, ref_owner, ref_prov = reference_tunable_merge(
-                [row.tolist() for row in taus], budgets.tolist(), rounds, trial
+                [row.tolist() for row in taus], budgets.tolist(), 2, trial
             )
             assert merged.tolist() == ref_merged
             assert assignment.owner.tolist() == ref_owner
@@ -226,19 +221,17 @@ class TestTunable:
 
     def test_accepts_preference_vector_type(self):
         taus = np.array([[1.0, 2.0], [3.0, 0.0]])
-        merged, _ = tunable_merge(taus, PreferenceVector((1, 1)), MergeConfig(seed=0))
+        merged, _ = tunable_merge(taus, PreferenceVector((1, 1)), seed=0)
         assert sorted(merged.tolist()) == [2.0, 3.0]
 
     def test_residual_provenance_reported(self):
         # the second task never wins a magnitude comparison, so most of its
         # budget can only be met by the residual random fill
         taus = np.array([[5.0, 5.0, 5.0, 5.0], [1.0, 0.0, 0.0, 0.0]])
-        merged, assignment = tunable_merge(taus, [1, 3], MergeConfig(seed=1))
+        merged, assignment = tunable_merge(taus, [1, 3], seed=1)
         assert assignment_census(assignment).tolist() == [1, 3]
         assert (assignment.provenance == RESIDUAL_RANDOM).sum() == 3
         assert np.all(assignment.owner[assignment.provenance == RESIDUAL_RANDOM] == 2)
-        assert provenance_label(RESIDUAL_RANDOM) == "residual-random"
-        assert provenance_label(2) == "round-2"
 
 
 class TestAverageAndRandomMix:
@@ -300,13 +293,20 @@ class TestCensusAndAssignmentIO:
         assert loaded.num_tasks == 5
 
 
-class TestMergeConfig:
+class TestSeed:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            MergeConfig(rounds=0)
-        with pytest.raises(ValidationError):
-            MergeConfig(seed=-1)
-        assert MergeConfig(seed=2**64 - 1).seed == 2**64 - 1
+        taus = np.ones((2, 4))
+        for seed in (-1, 2**64):
+            for method in MERGE_METHODS:
+                with pytest.raises(ValidationError, match="seed must fit in 64 unsigned bits"):
+                    merge(method, taus, [2, 2], seed)
+            with pytest.raises(ValidationError, match="seed must fit in 64 unsigned bits"):
+                tunable_merge(taus, [1, 3], seed)
+            # Called directly, randmix checks the seed where it draws from it.
+            with pytest.raises(ValidationError, match="seed must fit in 64 unsigned bits"):
+                random_mix_merge(taus, seed)
+        for method in MERGE_METHODS:
+            merge(method, taus, [1, 3], 2**64 - 1)
 
 
 class TestMergeDispatch:
@@ -314,15 +314,14 @@ class TestMergeDispatch:
         rng = np.random.default_rng(16)
         taus = rng.integers(-2, 3, size=(3, 40)).astype(float)
         budgets = random_budgets(rng, 3, 40)
-        config = MergeConfig(rounds=3, seed=5)
         expected = {
             "magmax": magmax_merge(taus),
-            "tunable": tunable_merge(taus, budgets, config),
+            "tunable": tunable_merge(taus, budgets, seed=5),
             "average": (average_merge(taus), None),
             "randmix": random_mix_merge(taus, seed=5),
         }
         for method, (want_merged, want_assignment) in expected.items():
-            merged, assignment = merge(method, taus, budgets, config)
+            merged, assignment = merge(method, taus, budgets, seed=5)
             assert merged.tobytes() == want_merged.tobytes()
             if want_assignment is None:
                 assert assignment is None
@@ -361,7 +360,7 @@ class TestStreaming:
         budgets = [dim // num_tasks] * num_tasks
         tracemalloc.start()
         try:
-            merge(method, rows, budgets, MergeConfig(seed=3))
+            merge(method, rows, budgets, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -382,6 +381,23 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 0.25 * dim * 4
 
+    def test_read_assignment_and_census_hold_the_side_file_once(self):
+        # The u16 maps read from the file are counted as they are, not copied
+        # to int32 and uint8; the file's two maps together make one row.
+        dim = 2**20
+        owner = np.random.default_rng(25).integers(1, 4, size=dim, dtype=np.int32)
+        side_file = io.BytesIO()
+        write_assignment(side_file, Assignment(owner, np.ones(dim, dtype=np.uint8), 3))
+        side_file.seek(0)
+        tracemalloc.start()
+        try:
+            census = assignment_census(read_assignment(side_file))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert census.tolist() == np.bincount(owner, minlength=4)[1:].tolist()
+        assert peak < 1.25 * dim * 4
+
     def test_rows_matrix_and_list_inputs_agree_bitwise(self):
         rng = np.random.default_rng(22)
         for trial in range(60):
@@ -393,12 +409,10 @@ class TestStreaming:
             taus[rng.random(size=taus.shape) < 0.1] = np.inf
             taus[rng.random(size=taus.shape) < 0.1] = -np.inf
             budgets = random_budgets(rng, num_tasks, dim)
-            rounds = int(rng.integers(1, 4))
-            config = MergeConfig(rounds=rounds, seed=trial)
             for method in MERGE_METHODS:
-                want_merged, want_assignment = merge(method, taus, budgets, config)
+                want_merged, want_assignment = merge(method, taus, budgets, trial)
                 for source in (list(taus), reused_buffer_rows(taus)):
-                    merged, assignment = merge(method, source, budgets, config)
+                    merged, assignment = merge(method, source, budgets, trial)
                     assert merged.tobytes() == want_merged.tobytes()
                     if want_assignment is not None:
                         assert assignment.owner.tobytes() == want_assignment.owner.tobytes()
@@ -408,7 +422,7 @@ class TestStreaming:
                         assert want_merged.tobytes() == taus.mean(axis=0).tobytes()
                 if method == "tunable":
                     ref_merged, ref_owner, ref_prov = reference_tunable_merge(
-                        [row.tolist() for row in taus], budgets.tolist(), rounds, trial
+                        [row.tolist() for row in taus], budgets.tolist(), 2, trial
                     )
                     assert want_merged.tobytes() == np.array(ref_merged, dtype=dtype).tobytes()
                     assert want_assignment.owner.tolist() == ref_owner
@@ -450,7 +464,7 @@ class TestBlockBoundaries:
             for taus, budgets in cases:
                 for method in MERGE_METHODS:
                     rows = reused_buffer_rows(taus)
-                    merged, assignment = merge(method, rows, budgets, MergeConfig(seed=dim))
+                    merged, assignment = merge(method, rows, budgets, seed=dim)
                     result.append(merged.tobytes())
                     if assignment is not None:
                         side_file = io.BytesIO()
