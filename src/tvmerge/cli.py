@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -29,12 +28,10 @@ from .container import (
     compute_task_vector,
     decode_container,
     encode_container,
-    read_layout,
 )
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    ShapeMismatchError,
     UsageError,
     ValidationError,
 )
@@ -307,20 +304,11 @@ def _task_rows(paths: list[str]) -> tuple[tuple[TensorSpec, ...], Rows]:
     The layout comes from the first file's headers alone. Every file, the
     first included, is then streamed a block at a time whenever a strategy
     asks for its row, and must match the first file's header bytes. A file
-    that does not raises what a full decode of it raises, or a shape
-    mismatch.
+    that does not raises, from its headers alone, what a full decode of it
+    raises, or a shape mismatch naming its path.
     """
-    specs = read_layout(paths[0])
-    reader = LayoutReader(specs)
-
-    def blocks(task: int) -> Iterator[np.ndarray]:
-        try:
-            yield from reader.blocks(paths[task])
-        except ShapeMismatchError:
-            decode_container(paths[task])  # raises the CodecError that malformed bytes get
-            raise ShapeMismatchError(f"shape mismatch: {paths[task]} has a different layout") from None
-
-    return specs, Rows(len(paths), sum(spec.num_elements for spec in specs), blocks)
+    reader = LayoutReader(paths[0])
+    return reader.specs, Rows(len(paths), reader.num_elements, lambda task: reader.blocks(paths[task]))
 
 
 def _read_json_object(path: str, what: str) -> dict:

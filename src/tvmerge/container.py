@@ -24,11 +24,12 @@ decode; selection by absolute magnitude is undefined with NaN present.
 Readers take a path or a seekable binary stream: the headers are parsed
 first, seeking over the payloads, so every declared length is checked
 against the stream's size before anything is allocated for it.
-:func:`read_layout` parses the headers only. :func:`decode_container`
-then reads each payload with ``readinto`` into its slice of one vector. A
-:class:`LayoutReader` streams files that must hold one known layout, such
+:func:`decode_container` then reads each payload with ``readinto`` into
+its slice of one vector. A :class:`LayoutReader` takes its layout from the
+headers of a first file and streams files that must hold that layout, such
 as merge inputs: it compares each record's header bytes with the bytes
-that layout encodes to and yields the vector one block at a time.
+that layout encodes to and yields the vector one block at a time. A file
+that does not match is explained from its headers alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
@@ -208,53 +210,37 @@ def decode_container(source: Source) -> ParameterSet:
     return ParameterSet._of(specs, flat)
 
 
-def read_layout(source: Source) -> tuple[TensorSpec, ...]:
-    """The layout of a TVC1 stream of float32 tensors, from its headers alone.
-
-    The payloads are skipped, not read, but the stream is checked as
-    :func:`decode_container` checks it, with the same errors, except for NaN
-    payloads. ``source`` is a path or a seekable binary stream.
-    """
-    stream, close = _open(source, "rb")
-    try:
-        headers = _read_headers(stream, DTYPE_F32)
-    finally:
-        if close:
-            stream.close()
-    return tuple(TensorSpec(name, dims) for name, dims, _ in headers)
-
-
-_OTHER_LAYOUT = "shape mismatch: stream does not hold the reader's layout"
-
-
 class LayoutReader:
-    """Streams TVC1 files that hold exactly one known float32 layout, a block at a time.
+    """Streams TVC1 files that hold the float32 layout of a first file, a block at a time.
 
-    The layout's header bytes and the cut of every payload at block
-    boundaries are worked out once, so each stream costs one header
-    comparison and one ``readinto`` per record (one more for each block
-    boundary the record crosses). Blocks are read into one buffer that the
-    reader owns, so a reader streams one source at a time.
+    The first file's headers are parsed once, and are checked as
+    :func:`decode_container` checks them, with the same errors; its payloads
+    are not read. The layout's header bytes and the cut of every payload at
+    block boundaries are then worked out once, so each stream costs one
+    header comparison and one ``readinto`` per record (one more for each
+    block boundary the record crosses). Blocks are read into one buffer that
+    the reader owns, so a reader streams one source at a time.
     """
 
-    def __init__(self, specs: Sequence[TensorSpec]):
-        self._specs = tuple(specs)
-        self._prefix = _container_header(len(self._specs))
-        sizes = [spec.num_elements for spec in self._specs]
-        self._size = sum(sizes)
-        buffer = np.empty(min(_BLOCK, self._size), dtype=_NUMPY_DTYPES[DTYPE_F32])
+    def __init__(self, source: Source):
+        with _opened(source, "rb") as stream:
+            self.specs = _read_specs(stream)
+        self._prefix = _container_header(len(self.specs))
+        sizes = [spec.num_elements for spec in self.specs]
+        self.num_elements = sum(sizes)
+        buffer = np.empty(min(_BLOCK, self.num_elements), dtype=_NUMPY_DTYPES[DTYPE_F32])
         raw = memoryview(buffer).cast("B")
         # One step per piece of a payload that falls in one block: the
         # record's header bytes (None after its first piece), the slice of
         # the buffer the piece fills, and the block it completes (or None).
         self._steps: list[tuple[bytes | None, memoryview, np.ndarray | None]] = []
         pos = 0
-        for spec, size in zip(self._specs, sizes):
+        for spec, size in zip(self.specs, sizes):
             header: bytes | None = _record_header(spec.name, DTYPE_F32, spec.dims)
             stop = pos + size
             while pos < stop:
                 start = pos - pos % buffer.size
-                end = min(start + buffer.size, self._size)
+                end = min(start + buffer.size, self.num_elements)
                 count = min(stop, end) - pos
                 piece = raw[(pos - start) * buffer.itemsize : (pos - start + count) * buffer.itemsize]
                 pos += count
@@ -266,35 +252,41 @@ class LayoutReader:
 
         Every block is the reader's one buffer, refilled, so a caller is done
         with a block before it asks for the next. A stream that is not
-        exactly this layout raises :class:`ShapeMismatchError`, at the latest
-        before the last block: :func:`decode_container` of the same bytes then
-        tells what is wrong with them, by raising or by returning another
-        layout. A NaN raises the :class:`CodecError` that
-        :func:`decode_container` raises, naming the first tensor that holds
-        one, when its block is read.
+        exactly this layout raises at the latest before the last block, with
+        no payload read to explain it: its headers are parsed again, which
+        raises what :func:`decode_container` raises for them, and if they
+        are well formed, ``ShapeMismatchError("shape mismatch: <source> has
+        a different layout")`` (``stream`` for a source that is not a path).
+        A NaN raises the :class:`CodecError` that :func:`decode_container`
+        raises, naming the first tensor that holds one, when its block is
+        read.
         """
-        stream, close = _open(source, "rb")
-        try:
+        with _opened(source, "rb") as stream:
+            origin = stream.tell()
+
+            def mismatch() -> ShapeMismatchError:
+                stream.seek(origin)
+                _read_specs(stream)
+                name = source if isinstance(source, (str, Path)) else "stream"
+                return ShapeMismatchError(f"shape mismatch: {name} has a different layout")
+
             if stream.read(len(self._prefix)) != self._prefix:
-                raise ShapeMismatchError(_OTHER_LAYOUT)
+                raise mismatch()
             start = 0
             for header, piece, block in self._steps:
                 if header is not None and stream.read(len(header)) != header:
-                    raise ShapeMismatchError(_OTHER_LAYOUT)
+                    raise mismatch()
                 if stream.readinto(piece) != len(piece):
-                    raise ShapeMismatchError(_OTHER_LAYOUT)
+                    raise mismatch()
                 if block is None:
                     continue
                 # Checked before the last block is yielded, since a caller
                 # that has every block need not resume the stream.
-                if start + block.size == self._size and stream.read(1):
-                    raise ShapeMismatchError(_OTHER_LAYOUT)
-                _reject_nan(self._specs, block, start=start)
+                if start + block.size == self.num_elements and stream.read(1):
+                    raise mismatch()
+                _reject_nan(self.specs, block, start=start)
                 yield block
                 start += block.size
-        finally:
-            if close:
-                stream.close()
 
 
 def _reject_nan(
@@ -338,8 +330,7 @@ def _write_records(
 ) -> None:
     if not records:
         raise CodecError("empty container")
-    stream, close = _open(destination, "wb")
-    try:
+    with _opened(destination, "wb") as stream:
         stream.write(_container_header(len(records)))
         for name, code, arr in records:
             stream.write(_record_header(name, code, arr.shape))
@@ -349,9 +340,6 @@ def _write_records(
                 stream.write(
                     np.ascontiguousarray(flat[start : start + _BLOCK], dtype=_NUMPY_DTYPES[code])
                 )
-    finally:
-        if close:
-            stream.close()
 
 
 def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[str, tuple[int, ...], int]]:
@@ -421,8 +409,7 @@ def _read_flat(
     ``readinto`` straight into its slice of the vector, so the payload bytes
     are held once.
     """
-    stream, close = _open(source, "rb")
-    try:
+    with _opened(source, "rb") as stream:
         headers = _read_headers(stream, dtype_code)
         flat = np.empty(sum(math.prod(dims) for _, dims, _ in headers), _NUMPY_DTYPES[dtype_code])
         payload = memoryview(flat).cast("B")
@@ -433,16 +420,22 @@ def _read_flat(
             if stream.readinto(payload[start : start + nbytes]) != nbytes:
                 raise CodecError(f"unexpected end of stream while reading payload of {name!r}")
             start += nbytes
-    finally:
-        if close:
-            stream.close()
     return [(name, dims) for name, dims, _ in headers], flat
 
 
-def _open(target: Source, mode: str) -> tuple[BinaryIO, bool]:
+def _read_specs(stream: BinaryIO) -> tuple[TensorSpec, ...]:
+    """The float32 layout of a TVC1 stream, from its headers alone, checked as a decode checks it."""
+    return tuple(TensorSpec(name, dims) for name, dims, _ in _read_headers(stream, DTYPE_F32))
+
+
+@contextmanager
+def _opened(target: Source, mode: str) -> Iterator[BinaryIO]:
+    """``target`` as a stream: a path is opened and closed again, a stream is left open."""
     if isinstance(target, (str, Path)):
-        return open(target, mode), True
-    return target, False
+        with open(target, mode) as stream:
+            yield stream
+    else:
+        yield target
 
 
 def _require_same_layout(a: ParameterSet, b: ParameterSet) -> None:

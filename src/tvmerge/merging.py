@@ -64,7 +64,7 @@ class PreferenceVector:
     def __post_init__(self) -> None:
         if not self.budgets:
             raise ValidationError("preference vector must not be empty")
-        if any(int(n) != n for n in self.budgets):
+        if not all(_is_integral(n) for n in self.budgets):
             raise ValidationError("budgets must be integers")
         if any(n < 0 for n in self.budgets):
             raise ValidationError("negative budget")
@@ -190,21 +190,18 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     (T*d/8 bytes), and once, last row first, to copy the elements each task
     owns.
     """
+    check_seed(seed)
     rows = _as_rows(taus)
-    budgets = pref.as_array() if isinstance(pref, PreferenceVector) else np.asarray(pref)
-    if budgets.ndim != 1 or budgets.size != rows.count:
+    budgets = pref.budgets if isinstance(pref, PreferenceVector) else np.asarray(pref)
+    if np.ndim(budgets) != 1 or len(budgets) != rows.count:
         raise ValidationError(
-            f"preference vector has {budgets.size} budgets for {rows.count} tasks"
+            f"preference vector has {np.size(budgets)} budgets for {rows.count} tasks"
         )
-    if budgets.dtype.kind not in "biu" and not all(float(n).is_integer() for n in budgets.tolist()):
-        raise ValidationError("budgets must be integers")
-    if np.any(budgets < 0):
-        raise ValidationError("negative budget")
-    total = int(budgets.sum())
-    if total != rows.dim:
-        raise ValidationError(f"budget sum {total} != element count {rows.dim}")
+    pref = PreferenceVector(tuple(budgets))
+    if pref.total != rows.dim:
+        raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
 
-    owner, claimed = _budgeted_owners(rows, budgets.astype(np.int64), seed)
+    owner, claimed = _budgeted_owners(rows, pref.as_array(), seed)
     merged = _gather(rows, owner, range(rows.count - 1, -1, -1))
     return merged, Assignment(owner, claimed.view(np.uint8), rows.count)
 
@@ -283,6 +280,16 @@ def read_assignment(source) -> Assignment:
     except KeyError as missing:
         raise ValidationError(f"assignment file lacks record {missing}") from None
     return Assignment(owner, provenance, num_tasks)
+
+
+def _is_integral(value) -> bool:
+    """Whether ``value`` is an integer: an integral number, not a boolean."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _integers(values, dtype: type) -> np.ndarray:

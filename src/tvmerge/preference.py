@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ValidationError
-from .merging import PreferenceVector
+from .merging import PreferenceVector, _is_integral
 
 #: Alpha values above this are clamped before the geometric weights are formed.
 ALPHA_CAP = 1e6
@@ -96,12 +96,16 @@ def validate_preference(
     budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
     if not isinstance(budgets, (list, tuple, np.ndarray)):
         return [f"budgets must be a list, got {type(budgets).__name__}"]
+    if not len(budgets):
+        return ["preference vector must not be empty"]
     violations = []
     for index, n in enumerate(budgets, start=1):
         if not _is_integral(n):
             violations.append(f"non-integer budget {n} for task {index}")
         elif n < 0:
             violations.append(f"negative budget {n} for task {index}")
+    if not _is_integral(dim):
+        violations.append(f"non-integer element count d {dim!r}")
     total = sum(int(n) for n in budgets if _is_integral(n))
     if not violations and total != dim:
         violations.append(f"sum {total} != {dim}")
@@ -141,13 +145,6 @@ def _floor_remainder_allocation(scores: Sequence[float], dim: int) -> list[int]:
     floors = [int(s / total * dim) for s in exact]
     remainder = dim - sum(floors)
     return [n + 1 if index < remainder else n for index, n in enumerate(floors)]
-
-
-def _is_integral(value) -> bool:
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _check_scores(scores: Sequence[float]) -> None:

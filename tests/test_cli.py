@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import math
@@ -13,16 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmerge import (
+    Assignment,
     OTConfig,
     ParameterSet,
     ValidationError,
     decode_container,
     encode_container,
+    load_preference,
     merge,
     read_assignment,
     write_assignment,
 )
-from tvmerge import container, merging
+from tvmerge import cli, container, merging
 from tvmerge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -367,6 +370,19 @@ class TestMergeLaterInputs:
         assert code == 2
         assert capsys.readouterr().err == message.format(path=paths[position])
 
+    @pytest.mark.parametrize("position", [1, 2], ids=["second", "last"])
+    @pytest.mark.parametrize("fault", LATER_INPUT_FAULTS)
+    def test_fault_is_explained_without_decoding(self, tmp_path, capsys, monkeypatch, fault, position):
+        def decode(*args):
+            raise AssertionError("a merge input was decoded")
+
+        monkeypatch.setattr(cli, "decode_container", decode)
+        monkeypatch.setattr(container, "_read_flat", decode)
+        build, message = LATER_INPUT_FAULTS[fault]
+        paths = write_inputs(tmp_path, build(layout_records(position)), position)
+        assert main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), *paths]) == 2
+        assert capsys.readouterr().err == message.format(path=paths[position])
+
     # The preference needs only the first input's element count and is
     # resolved before inputs 2..T are read, so its fault is reported ahead
     # of a fault in a later input.
@@ -668,6 +684,54 @@ class TestPrefvec:
         assert err.strip() and "Traceback" not in err
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=6,
+)
+
+# Budget files that `merge --pref-file` rejects, and the one line that
+# `prefvec --validate` prints for them (merge prints it after "validation error: ").
+REJECTED_PREF_FILES = {
+    "no budgets": ({"budgets": [], "d": 0}, "preference vector must not be empty"),
+    "string d": ({"budgets": [2, 2], "d": "4"}, "non-integer element count d '4'"),
+    "boolean budget": ({"budgets": [True, 3], "d": 4}, "non-integer budget True for task 1"),
+    "boolean d": ({"budgets": [0, 1], "d": True}, "non-integer element count d True"),
+}
+
+
+class TestPrefvecValidateAgreesWithMerge:
+    @pytest.mark.parametrize("case", REJECTED_PREF_FILES)
+    def test_rejected_file_exits_2_in_both(self, tmp_path, capsys, case):
+        payload, message = REJECTED_PREF_FILES[case]
+        path = tmp_path / "pref.json"
+        path.write_text(json.dumps(payload))
+        assert main(["prefvec", "--validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"{message}\n"
+        paths = [tmp_path / "t1.tvc", tmp_path / "t2.tvc"]
+        for tau in paths:
+            write_container(tau, [1.0, -2.0, 3.0, 4.0])
+        argv = ["merge", "--method", "tunable", "--seed", "1", "--pref-file", str(path), "--out", str(tmp_path / "m.tvc")]
+        assert main([*argv, *map(str, paths)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_exits_0_exactly_when_the_file_loads(self, data):
+        small = st.integers(-1, 6) | st.booleans() | st.sampled_from([1.0, 2.5, math.inf, math.nan])
+        budgets = data.draw(st.lists(small, max_size=4) | JSON_VALUES)
+        dim = data.draw(st.integers(0, 20) | JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pref.json"
+            path.write_text(json.dumps({"budgets": budgets, "d": dim}))
+            try:
+                load_preference(path)
+                loads = True
+            except ValidationError:
+                loads = False
+            assert main(["prefvec", "--validate", str(path)]) == (0 if loads else 2)
+
+
 class TestCensus:
     def test_census_from_side_file(self, tmp_path, capsys):
         write_container(tmp_path / "t1.tvc", [1.0, -3.0, 2.0])
@@ -678,6 +742,27 @@ class TestCensus:
         code = main(["census", "--assignment", str(tmp_path / "m.tvc.assignment.tvc")])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"counts": [1, 2]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_side_file_exits_0_or_2(self, data):
+        """Any flip, cut or extension of a side-file gives a census or exits 2."""
+        buffer = io.BytesIO()
+        write_assignment(buffer, Assignment(np.array([1, 3, 2, 3, 1]), np.array([1, 0, 1, 1, 0]), 3))
+        raw = bytearray(buffer.getvalue())
+        kind = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if kind == "flip":
+            flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+            for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4)):
+                raw[index] ^= mask
+        elif kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=64))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.assignment.tvc"
+            path.write_bytes(bytes(raw))
+            assert main(["census", "--assignment", str(path)]) in (0, 2)
 
 
 class TestPipeline:

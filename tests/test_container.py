@@ -18,7 +18,7 @@ from tvmerge import (
     encode_container,
 )
 from tvmerge import container
-from tvmerge.container import LayoutReader, read_layout
+from tvmerge.container import LayoutReader
 
 
 def encoded(pset):
@@ -208,18 +208,23 @@ class TestCodec:
         ids=["short magic", "bad magic", "bad version", "truncated", "trailing", "length 2^61"],
     )
     def test_read_layout_raises_what_decode_raises(self, raw):
+        """A layout read from the headers alone (a LayoutReader's first file) fails as a decode does."""
         with pytest.raises(CodecError) as decoded:
             decode_container(io.BytesIO(raw))
         with pytest.raises(CodecError) as headers_only:
-            read_layout(io.BytesIO(raw))
+            LayoutReader(io.BytesIO(raw))
         assert str(headers_only.value) == str(decoded.value)
 
     def test_read_layout_starts_at_the_stream_position(self):
         stream = io.BytesIO(b"junk" + encoded(ParameterSet({"w": np.zeros((2, 3)), "b": np.zeros(2)})))
         specs = (TensorSpec("w", (2, 3)), TensorSpec("b", (2,)))
-        for read in (read_layout, lambda source: decode_container(source).specs):
+        for read in (lambda source: LayoutReader(source).specs, lambda source: decode_container(source).specs):
             stream.seek(4)
             assert read(stream) == specs
+
+
+LAYOUT = ParameterSet({"w": np.ones(6), "b": np.ones(2)})
+OTHER_LAYOUT = "shape mismatch: stream has a different layout"
 
 
 class TestLayoutReader:
@@ -227,25 +232,47 @@ class TestLayoutReader:
     def test_stream_blocks_match_decode(self, monkeypatch, block):
         monkeypatch.setattr(container, "_BLOCK", block)
         pset = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf])])
-        blocks = [part.copy() for part in LayoutReader(pset.specs).blocks(io.BytesIO(encoded(pset)))]
+        raw = encoded(pset)
+        blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw)).blocks(io.BytesIO(raw))]
         assert [part.size for part in blocks] == [block] * (8 // block) + [8 % block] * (8 % block > 0)
         assert np.concatenate(blocks).view(np.uint32).tolist() == pset.flat().view(np.uint32).tolist()
 
     @pytest.mark.parametrize(
-        "raw",
+        "raw, error, message",
         [
-            encoded(ParameterSet({"w": np.ones(6), "c": np.ones(2)})),
-            encoded(ParameterSet({"w": np.ones((2, 3)), "b": np.ones(2)})),
-            encoded(ParameterSet({"w": np.ones(6), "b": np.ones(2)}))[:-1],
-            encoded(ParameterSet({"w": np.ones(6), "b": np.ones(2)})) + b"\x00",
-            b"",
+            (encoded(ParameterSet({"w": np.ones(6), "c": np.ones(2)})), ShapeMismatchError, OTHER_LAYOUT),
+            (encoded(ParameterSet({"w": np.ones((2, 3)), "b": np.ones(2)})), ShapeMismatchError, OTHER_LAYOUT),
+            (encoded(LAYOUT)[:-1], CodecError, "unexpected end of stream while reading payload of 'b'"),
+            (encoded(LAYOUT) + b"\x00", CodecError, "trailing data after last record"),
+            (b"", CodecError, "unexpected end of stream while reading magic"),
         ],
         ids=["renamed", "reshaped", "truncated", "trailing", "empty"],
     )
-    def test_other_stream_raises_shape_mismatch(self, raw):
-        reader = LayoutReader(ParameterSet({"w": np.ones(6), "b": np.ones(2)}).specs)
-        with pytest.raises(ShapeMismatchError):
+    def test_other_stream_raises_shape_mismatch(self, raw, error, message):
+        """Another layout raises a shape mismatch; malformed headers raise what their decode raises."""
+        reader = LayoutReader(io.BytesIO(encoded(LAYOUT)))
+        with pytest.raises(error) as streamed:
             list(reader.blocks(io.BytesIO(raw)))
+        assert type(streamed.value) is error and str(streamed.value) == message
+        if error is CodecError:
+            with pytest.raises(CodecError) as decoded:
+                decode_container(io.BytesIO(raw))
+            assert str(decoded.value) == message
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (encoded(LAYOUT)[:-1], "unexpected end of stream while reading payload of 'b'"),
+            (encoded(ParameterSet({"w": np.ones(8)})), OTHER_LAYOUT),
+        ],
+        ids=["truncated", "other layout"],
+    )
+    def test_mismatch_is_explained_from_the_stream_position(self, raw, message):
+        stream = io.BytesIO(b"junk" + raw)
+        stream.seek(4)
+        with pytest.raises(ValidationError) as streamed:
+            list(LayoutReader(io.BytesIO(encoded(LAYOUT))).blocks(stream))
+        assert str(streamed.value) == message
 
     def test_nan_names_the_first_tensor_of_its_block(self, monkeypatch):
         monkeypatch.setattr(container, "_BLOCK", 4)
@@ -256,7 +283,7 @@ class TestLayoutReader:
         # Elements 5 and 7 of the layout, in the second block [4, 8).
         raw[b_payload + 8 : b_payload + 12] = raw[c_payload + 4 : c_payload + 8] = struct.pack("<f", np.nan)
         with pytest.raises(CodecError, match="tensor 'b': NaN"):
-            list(LayoutReader(pset.specs).blocks(io.BytesIO(bytes(raw))))
+            list(LayoutReader(io.BytesIO(encoded(pset))).blocks(io.BytesIO(bytes(raw))))
 
 
 class TestTaskVectorArithmetic:

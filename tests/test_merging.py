@@ -151,6 +151,18 @@ class TestTunable:
         with pytest.raises(ValidationError, match="budgets"):
             tunable_merge(np.zeros((2, 4)), [4])
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_checked_before_any_row_is_read(self, seed):
+        streamed = []
+
+        def fill(task, block, out):
+            streamed.append(task)
+            out.fill(1.0)
+
+        with pytest.raises(ValidationError, match="seed"):
+            tunable_merge(block_buffer_rows(2, 8, np.float32, fill), [4, 4], seed=seed)
+        assert streamed == []
+
     def test_census_matches_budgets_exactly(self):
         rng = np.random.default_rng(3)
         for trial in range(10):

@@ -127,6 +127,11 @@ class TestValidateAndIO:
         with pytest.raises(ValidationError):
             PreferenceVector((-1, 8))
 
+    @pytest.mark.parametrize("budgets", [(float("nan"), 1), (float("inf"), 1), (None,), (True, 1), (2.5, 1.5)])
+    def test_preference_vector_type_rejects_non_integers(self, budgets):
+        with pytest.raises(ValidationError, match="budgets must be integers"):
+            PreferenceVector(budgets)
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "pref.json"
         save_preference(path, PreferenceVector((4, 3)))
