@@ -1,9 +1,10 @@
 """Byte-identity guard: CLI outputs must match digests recorded earlier.
 
-``golden_digests.json`` holds the SHA-256 of every file that ``tvmerge
-merge`` and ``tvmerge pipeline`` write for fixed seeded inputs, plus each
-run's exit code. A change that is meant to keep outputs byte-identical must
-pass this test unchanged. The digests were recorded with numpy 2.4.6 on
+``golden_digests.json`` holds the SHA-256 of every file that the
+``tvmerge`` commands (``merge``, ``pipeline``, ``sim``, ``prefvec``,
+``taskvec``, ``apply``, ``census``) write for fixed seeded inputs, plus
+each run's exit code. A change that is meant to keep outputs
+byte-identical must pass this test unchanged. The digests were recorded with numpy 2.4.6 on
 x86-64; float reductions (``average``, the pipeline's float64 math) may
 round differently under another numpy build.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvmerge import ParameterSet, encode_container
+from tvmerge import Assignment, ParameterSet, encode_container, write_assignment
 from tvmerge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +85,20 @@ PIPELINE_CASES = [
     "pipeline-example-seed9",
     *(f"pipeline-{name}" for name in PIPELINE_CONFIGS),
 ]
+# The sim flag of every OTConfig field, so "-tuned" runs with SIM_TUNED.
+SIM_TUNED_ARGS = [
+    arg
+    for key, value in SIM_TUNED.items()
+    for arg in ({"mmd_bandwidth": "--bandwidth"}.get(key, "--" + key.replace("_", "-")), repr(value))
+]
+COMMAND_CASES = [
+    *(f"sim-{metric}{suffix}" for metric in ("ot", "mmd", "cos", "label") for suffix in ("", "-tuned")),
+    "prefvec-alpha",
+    "prefvec-sim-file",
+    "taskvec",
+    "apply",
+    "census-assignment",
+]
 
 
 def write_inputs(directory: Path, with_inf: bool) -> list[str]:
@@ -137,6 +152,63 @@ def write_pipeline_config(name: str, directory: Path) -> tuple[Path, list[str]]:
     return path, []
 
 
+def write_sim_inputs(directory: Path, metric: str) -> tuple[list[str], str]:
+    """Three task inputs and one shared meta input for ``tvmerge sim``.
+
+    Embeddings sit close enough to the meta set that no score is clamped at
+    the default gammas; label files use both the ``labels`` and ``counts``
+    forms.
+    """
+    rng = np.random.default_rng(4151)
+    if metric == "label":
+        payloads = [
+            {"labels": rng.integers(0, 3, size=20).tolist()},
+            {"labels": rng.integers(1, 5, size=25).tolist()},
+            {"counts": {"0": 3, "2": 9, "7": 4}},
+            {"labels": rng.integers(0, 4, size=16).tolist()},
+        ]
+        paths = []
+        for index, payload in enumerate(payloads):
+            path = directory / f"labels{index}.json"
+            path.write_text(json.dumps(payload))
+            paths.append(str(path))
+        return paths[:3], paths[3]
+    offset = np.array([1.0, 0.5, -0.2, 0.3])
+    paths = []
+    for index, (rows, shift) in enumerate([(6, 0.0), (7, 0.05), (5, 0.15), (8, 0.0)]):
+        matrix = rng.normal(scale=0.1, size=(rows, offset.size)) + offset + shift
+        path = directory / f"emb{index}.tvc"
+        encode_container(ParameterSet({"emb": matrix.astype(np.float32)}), path)
+        paths.append(str(path))
+    return paths[:3], paths[3]
+
+
+def command_argv(case: str, directory: Path) -> tuple[list[str], dict[str, Path]]:
+    """The argv of one single-command case, and the files it writes."""
+    out = directory / "out"
+    if case.startswith("sim-"):
+        metric, _, tuned = case.removeprefix("sim-").partition("-")
+        tasks, meta = write_sim_inputs(directory, metric)
+        argv = ["sim", "--metric", metric, *(arg for task in tasks for arg in ("--task", task)), "--meta", meta]
+        return [*argv, *(SIM_TUNED_ARGS if tuned else []), "--out", str(out)], {"sim": out}
+    if case == "prefvec-alpha":
+        return ["prefvec", "--alpha", "0.5", "--tasks", "4", "--dim", "97", "--out", str(out)], {"pref": out}
+    if case == "prefvec-sim-file":
+        sims = directory / "sims.json"
+        sims.write_text(json.dumps({"scores": [0.31, 2.5e-5, 0.2, 0.7], "metric": "ot"}))
+        return ["prefvec", "--sim-file", str(sims), "--dim", "97", "--out", str(out)], {"pref": out}
+    if case == "census-assignment":
+        rng = np.random.default_rng(77)
+        side_file = directory / "m.assignment.tvc"
+        write_assignment(side_file, Assignment(rng.integers(1, 6, size=300), rng.integers(0, 2, size=300), 5))
+        return ["census", "--assignment", str(side_file), "--out", str(out)], {"census": out}
+    theta0, theta = write_inputs(directory, with_inf=False)[:2]
+    if case == "taskvec":
+        return ["taskvec", "--theta", theta, "--theta0", theta0, "--out", str(out)], {"container": out}
+    # "apply": theta plays the task vector; 0.3 is not exact in float32.
+    return ["apply", "--theta0", theta0, "--tau", theta, "--lambda-merge", "0.3", "--out", str(out)], {"container": out}
+
+
 def run_case(case: str, directory: Path) -> dict:
     """Run one golden case in ``directory``; return its exit code and output digests."""
     if case.startswith("pipeline-"):
@@ -146,7 +218,7 @@ def run_case(case: str, directory: Path) -> dict:
             ["pipeline", "--config", str(config), *extra, "--csv-out", str(csv_out), "--json-out", str(json_out)]
         )
         files = {"csv": csv_out, "json": json_out}
-    else:
+    elif case.startswith("merge-"):
         _, method, rounds, inputs = case.split("-")
         paths = write_inputs(directory, with_inf=inputs == "inf")
         out = directory / "merged.tvc"
@@ -159,10 +231,13 @@ def run_case(case: str, directory: Path) -> dict:
             "census": Path(f"{out}.census.json"),
             "assignment": Path(f"{out}.assignment.tvc"),
         }
+    else:
+        argv, files = command_argv(case, directory)
+        code = main(argv)
     # A failed run's leftovers are not part of the contract; only its exit code is.
     return {"exit": code, "files": digests(files) if code == 0 else {}}
 
 
-@pytest.mark.parametrize("case", [*MERGE_CASES, *PIPELINE_CASES])
+@pytest.mark.parametrize("case", [*MERGE_CASES, *PIPELINE_CASES, *COMMAND_CASES])
 def test_outputs_match_recorded_digests(case, tmp_path):
     assert run_case(case, tmp_path) == GOLDEN[case]
