@@ -1,9 +1,7 @@
 """Command-line front end: taskvec, merge, apply, sim, prefvec, census, pipeline.
 
 Exit codes are stable API: 0 ok, 2 validation, 3 I/O, 4 usage,
-5 numeric degenerate, 6 config parse. The TVM_THREADS environment
-variable caps the worker count for the per-task similarity fan-out;
-outputs are identical for any value.
+5 numeric degenerate, 6 config parse.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -70,19 +67,6 @@ EXIT_CONFIG = 6
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("TVM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"TVM_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError("TVM_THREADS must be >= 1")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +209,7 @@ def cmd_sim(args) -> int:
     else:
         tasks = [_read_embeddings(path) for path in args.task]
         metas = [_read_embeddings(path) for path in args.meta]
-    scores = similarity_vector(tasks, metas, args.metric, cfg, workers=worker_count())
+    scores = similarity_vector(tasks, metas, args.metric, cfg)
     payload = json.dumps(
         {
             "scores": list(scores.scores),
@@ -286,7 +270,7 @@ def cmd_pipeline(args) -> int:
     config = PipelineConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         config.seed = args.seed
-    report = run_pipeline(config, workers=worker_count())
+    report = run_pipeline(config)
     csv_out = args.csv_out or config.report_csv
     json_out = args.json_out or config.report_json
     if csv_out:

@@ -370,6 +370,8 @@ class PipelineConfig:
         if source == "alpha":
             several = isinstance(pref.get("alpha"), list)
             alphas = _field(pref, "alpha", _list_of(_number) if several else lambda value: [_number(value)])
+            if not alphas:
+                raise ConfigError("config field 'alpha' must not be an empty list")
         pref_path = _field(pref, "path", _string, None)
         if source == "file" and not pref_path:
             raise ConfigError("preference source 'file' needs a 'path'")
@@ -435,7 +437,7 @@ class PipelineReport:
         Path(destination).write_text(self.to_json_text())
 
 
-def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> PipelineReport:
+def run_pipeline(config: Union[PipelineConfig, dict]) -> PipelineReport:
     """Execute the full synthetic pipeline described by ``config``.
 
     Stages: generate the suite, fit tasks sequentially, form per-task
@@ -458,7 +460,7 @@ def run_pipeline(config: Union[PipelineConfig, dict], workers: int = 1) -> Pipel
 
     runs = []
     for alpha in cfg.alphas:
-        budgets = _build_budgets(cfg, alpha, tasks, env, workers)
+        budgets = _build_budgets(cfg, alpha, tasks, env)
         merged, assignment = merge(cfg.method, taus, budgets, cfg.seed)
         result = evaluate(theta_0 + cfg.lambda_merge * merged, tasks, env)
         census = residual = None
@@ -504,7 +506,6 @@ def _build_budgets(
     alpha: float | None,
     tasks: Sequence[SyntheticTask],
     env: TargetEnvironment | None,
-    workers: int,
 ) -> PreferenceVector | None:
     if cfg.source is None:
         return None
@@ -524,7 +525,7 @@ def _build_budgets(
     else:
         task_inputs = [task_embeddings(t) for t in tasks]
         meta = environment_meta_embeddings(env, tasks)
-    scores = similarity_vector(task_inputs, meta, cfg.metric, cfg.similarity_config, workers=workers)
+    scores = similarity_vector(task_inputs, meta, cfg.metric, cfg.similarity_config)
     return preference_from_similarities(scores, cfg.dim)
 
 

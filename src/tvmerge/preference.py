@@ -121,7 +121,7 @@ def read_json(source: Union[str, Path]):
     """Parse a JSON file; bytes that are not UTF-8 JSON raise ConfigError."""
     try:
         return json.loads(Path(source).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer literal over 4300 digits
         raise ConfigError(f"{source}: not valid UTF-8 JSON: {exc}") from None
 
 

@@ -14,7 +14,6 @@ well-defined.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -273,7 +272,6 @@ def similarity_vector(
     meta_input,
     metric: str,
     cfg: OTConfig | None = None,
-    workers: int = 1,
 ) -> SimilarityVector:
     """Score every task against the meta dataset with one metric.
 
@@ -294,8 +292,7 @@ def similarity_vector(
                 f"metric {metric!r} requires {expected.__name__} inputs, got {type(item).__name__}"
             )
 
-    def score(pair: tuple) -> float:
-        task, meta = pair
+    def score(task, meta) -> float:
         if metric == "ot":
             return ot_similarity(task, meta, cfg)
         if metric == "label":
@@ -304,13 +301,7 @@ def similarity_vector(
             return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
         return _exp_transform(cfg.gamma_mmd, mmd_rbf(task, meta, cfg.mmd_bandwidth))
 
-    pairs = list(zip(tasks, metas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(score, pairs))
-    else:
-        scores = [score(p) for p in pairs]
-    return SimilarityVector(tuple(scores), metric=metric)
+    return SimilarityVector(tuple(score(task, meta) for task, meta in zip(tasks, metas)), metric=metric)
 
 
 def _broadcast_meta(meta_input, num_tasks: int) -> list:

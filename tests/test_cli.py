@@ -840,6 +840,7 @@ class TestPipeline:
             ("lamda_merge", {"merge": {"method": "tunable", "lamda_merge": 0.5}}),
             ("metrc", {"preference": {"source": "similarity", "metrc": "ot"}}),
             ("member", {"environment": {"members": [1], "mix": [1.0], "total_samples": 20, "member": [2]}}),
+            ("alpha", {"preference": {"source": "alpha", "alpha": []}}),
         ],
     )
     def test_config_fault_exits_6_naming_key(self, tmp_path, capsys, key, override):
@@ -947,6 +948,15 @@ class TestPipeline:
         assert not (tmp_path / "r.json").exists()
 
 
+JSON_READERS = ["--config", "--pref-file", "--sim-file", "--task", "--validate"]
+# Each fault's test id suffix, its bytes and a fragment of its message.
+JSON_FAULTS = [
+    ("", b'{"labels": ["\xff"]}', "UTF-8"),
+    # Python converts integer literals of at most 4300 digits.
+    ("-5000 digits", b'{"labels": [' + b"1" * 5000 + b"]}", "4300 digits"),
+]
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("command", ["merge", "census"])
     def test_tensor_name_exits_2(self, tmp_path, capsys, command):
@@ -963,10 +973,17 @@ class TestNonUtf8Input:
         assert main(argv) == 2
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--config", "--pref-file", "--sim-file", "--task", "--validate"])
-    def test_json_file_exits_6(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, payload, message",
+        [
+            pytest.param(flag, payload, message, id=flag + suffix)
+            for suffix, payload, message in JSON_FAULTS
+            for flag in JSON_READERS
+        ],
+    )
+    def test_json_file_exits_6(self, tmp_path, capsys, flag, payload, message):
         bad = tmp_path / "bad.json"
-        bad.write_bytes(b'{"labels": ["\xff"]}')
+        bad.write_bytes(payload)
         write_container(tmp_path / "t.tvc", [1.0, 2.0])
         argv = {
             "--config": ["pipeline", "--config", str(bad)],
@@ -978,7 +995,7 @@ class TestNonUtf8Input:
             "--validate": ["prefvec", "--validate", str(bad)],
         }[flag]
         assert main(argv) == 6
-        assert "UTF-8" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminismUnderThreads:
@@ -1030,14 +1047,6 @@ class TestDeterminismUnderThreads:
             assert code == 0
             blobs.append(csv_out.read_bytes() + json_out.read_bytes())
         assert blobs[0] == blobs[1]
-
-    def test_invalid_thread_env_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TVM_THREADS", "many")
-        (tmp_path / "labels.json").write_text(json.dumps({"labels": [1]}))
-        code = main(
-            ["sim", "--metric", "label", "--task", str(tmp_path / "labels.json"), "--meta", str(tmp_path / "labels.json")]
-        )
-        assert code == 4
 
 
 class TestUsage:

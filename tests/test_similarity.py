@@ -280,11 +280,3 @@ class TestSimilarityVector:
             similarity_vector([hist], hist, "ot")
         with pytest.raises(ValidationError, match="unknown metric"):
             similarity_vector([hist], hist, "euclidean")
-
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(10)
-        tasks = [EmbeddingSet(rng.normal(size=(5, 3)) + i) for i in range(4)]
-        meta = EmbeddingSet(rng.normal(size=(6, 3)))
-        serial = similarity_vector(tasks, meta, "ot", workers=1)
-        parallel = similarity_vector(tasks, meta, "ot", workers=4)
-        assert serial.scores == parallel.scores
