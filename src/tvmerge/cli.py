@@ -348,6 +348,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"validation error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

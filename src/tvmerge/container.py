@@ -21,15 +21,16 @@ carry. Code 1 (u16) exists solely for assignment side-files written by
 :mod:`tvmerge.merging`. NaN payloads are rejected on both encode and
 decode; selection by absolute magnitude is undefined with NaN present.
 
-Readers take a path or a seekable binary stream: the headers are parsed
-first, seeking over the payloads, so every declared length is checked
-against the stream's size before anything is allocated for it.
-:func:`decode_container` then reads each payload with ``readinto`` into
-its slice of one vector. A :class:`LayoutReader` takes its layout from the
-headers of a first file and streams files that must hold that layout, such
-as merge inputs: it compares each record's header bytes with the bytes
-that layout encodes to and yields the vector one block at a time. A file
-that does not match is explained from its headers alone.
+Every TVC1 file, whether a container, a merge input or an assignment
+side-file, is read by one :class:`LayoutReader`. It takes a path or a
+seekable binary stream and parses the headers first, seeking over the
+payloads, so every declared length is checked against the stream's size
+before anything is allocated for it. It then streams files that must hold
+that layout, comparing each record's header bytes with the first file's and
+reading the payloads with ``readinto`` a block at a time; a file that does
+not match is explained from its headers alone. :func:`decode_container`
+and :func:`tvmerge.merging.read_assignment` read the first file itself as
+one block, so each payload goes straight into its slice of one vector.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,51 +206,50 @@ def decode_container(source: Source) -> ParameterSet:
     ``source`` is a path or a seekable binary stream, read from its current
     position to its end.
     """
-    headers, flat = _read_flat(source, DTYPE_F32)
-    specs = tuple(TensorSpec(name, dims) for name, dims in headers)
-    _reject_nan(specs, flat)
-    return ParameterSet._of(specs, flat)
+    return ParameterSet._of(*_read_whole(source, DTYPE_F32))
 
 
 class LayoutReader:
-    """Streams TVC1 files that hold the float32 layout of a first file, a block at a time.
+    """Streams TVC1 files that hold the layout of a first file, a block at a time.
 
-    The first file's headers are parsed once, and are checked as
-    :func:`decode_container` checks them, with the same errors; its payloads
-    are not read. The layout's header bytes and the cut of every payload at
-    block boundaries are then worked out once, so each stream costs one
-    header comparison and one ``readinto`` per record (one more for each
-    block boundary the record crosses). Blocks are read into one buffer that
-    the reader owns, so a reader streams one source at a time.
+    This is the one reader of TVC1 payloads. The first file's headers are
+    parsed once, and are checked as :func:`decode_container` checks them,
+    with the same errors; its payloads are not read. Its records must carry
+    ``dtype_code`` (float32 unless given). The cut of every payload at
+    boundaries of ``block`` elements (``_BLOCK`` unless given) is worked out
+    once, so each stream costs one comparison with the first file's header
+    bytes and one ``readinto`` per record (one more for each block boundary
+    the record crosses). Blocks are read into one buffer that the reader
+    owns, so a reader streams one source at a time.
     """
 
-    def __init__(self, source: Source):
+    def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
         with _opened(source, "rb") as stream:
-            self.specs = _read_specs(stream)
-        self._prefix = _container_header(len(self.specs))
-        sizes = [spec.num_elements for spec in self.specs]
-        self.num_elements = sum(sizes)
-        buffer = np.empty(min(_BLOCK, self.num_elements), dtype=_NUMPY_DTYPES[DTYPE_F32])
-        raw = memoryview(buffer).cast("B")
+            records = _read_headers(stream, dtype_code)
+        self._dtype_code = dtype_code
+        self.specs = tuple(spec for spec, _ in records)
+        self._prefix = _container_header(len(records))
+        self.num_elements = sum(spec.num_elements for spec in self.specs)
+        size = min(_BLOCK if block is None else block, self.num_elements)
+        buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
+        raw, itemsize = memoryview(buffer).cast("B"), buffer.itemsize
         # One step per piece of a payload that falls in one block: the
         # record's header bytes (None after its first piece), the slice of
         # the buffer the piece fills, and the block it completes (or None).
         self._steps: list[tuple[bytes | None, memoryview, np.ndarray | None]] = []
         pos = 0
-        for spec, size in zip(self.specs, sizes):
-            header: bytes | None = _record_header(spec.name, DTYPE_F32, spec.dims)
-            stop = pos + size
+        for spec, header in records:
+            stop = pos + spec.num_elements
             while pos < stop:
-                start = pos - pos % buffer.size
-                end = min(start + buffer.size, self.num_elements)
-                count = min(stop, end) - pos
-                piece = raw[(pos - start) * buffer.itemsize : (pos - start + count) * buffer.itemsize]
-                pos += count
-                self._steps.append((header, piece, buffer[: end - start] if pos == end else None))
+                offset = pos % size
+                end = offset + min(stop - pos, size - offset)
+                pos += end - offset
+                done = end == size or pos == self.num_elements
+                self._steps.append((header, raw[offset * itemsize : end * itemsize], buffer[:end] if done else None))
                 header = None
 
     def blocks(self, source: Source) -> Iterator[np.ndarray]:
-        """Yield the vector in ``source`` as consecutive blocks of at most ``_BLOCK`` elements.
+        """Yield the vector in ``source`` as consecutive blocks of the reader's block length.
 
         Every block is the reader's one buffer, refilled, so a caller is done
         with a block before it asks for the next. A stream that is not
@@ -266,7 +267,7 @@ class LayoutReader:
 
             def mismatch() -> ShapeMismatchError:
                 stream.seek(origin)
-                _read_specs(stream)
+                _read_headers(stream, self._dtype_code)
                 name = source if isinstance(source, (str, Path)) else "stream"
                 return ShapeMismatchError(f"shape mismatch: {name} has a different layout")
 
@@ -342,23 +343,23 @@ def _write_records(
                 )
 
 
-def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[str, tuple[int, ...], int]]:
+def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[TensorSpec, bytes]]:
     """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
 
-    Returns each record's name, dims and payload offset. Payloads are sought
-    over, not read; each declared length is checked against the bytes left
-    in the stream first. The stream must be seekable.
+    Returns each record's spec and its header bytes as read (name length
+    through dims). Payloads are sought over, not read; each declared length
+    is checked against the bytes left in the stream first. The stream must
+    be seekable.
     """
     pos = stream.tell()
     end = stream.seek(0, io.SEEK_END)
     stream.seek(pos)
 
-    def advance(size: int, what: str) -> int:
+    def advance(size: int, what: str) -> None:
         nonlocal pos
         if size > end - pos:
             raise CodecError(f"unexpected end of stream while reading {what}")
         pos += size
-        return pos - size
 
     def take(size: int, what: str) -> bytes:
         advance(size, what)
@@ -373,59 +374,49 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[str, tuple[in
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     if count == 0:
         raise CodecError("empty container")
-    headers: list[tuple[str, tuple[int, ...], int]] = []
+    records: list[tuple[str, tuple[int, ...], bytes]] = []
     seen: set[str] = set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        length = take(2, "name length")
+        raw_name = take(struct.unpack("<H", length)[0], "name")
         try:
-            name = str(take(name_len, "name"), "utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError:
             raise CodecError("tensor name is not valid UTF-8") from None
         if name in seen:
             raise CodecError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        code, ndim = take(2, "dtype/ndim")
+        code_ndim = take(2, "dtype/ndim")
+        code, ndim = code_ndim
         if code != dtype_code:
             raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
         if ndim == 0:
             raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
-        dims = struct.unpack(f"<{ndim}Q", take(8 * ndim, "dims"))
+        raw_dims = take(8 * ndim, "dims")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
         if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
-        nbytes = math.prod(dims) * _NUMPY_DTYPES[code].itemsize
-        headers.append((name, dims, advance(nbytes, f"payload of {name!r}")))
+        advance(math.prod(dims) * _NUMPY_DTYPES[code].itemsize, f"payload of {name!r}")
+        records.append((name, dims, length + raw_name + code_ndim + raw_dims))
         stream.seek(pos)
     if pos != end:
         raise CodecError("trailing data after last record")
-    return headers
+    return [(TensorSpec(name, dims), header) for name, dims, header in records]
 
 
-def _read_flat(
-    source: Source, dtype_code: int
-) -> tuple[list[tuple[str, tuple[int, ...]]], np.ndarray]:
-    """Names and dims of a TVC1 stream's records, and their payloads as one vector.
+def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...], np.ndarray]:
+    """The layout of a TVC1 stream of ``dtype_code`` records, and its payloads as one vector.
 
-    The headers are parsed first; then each payload is read with
-    ``readinto`` straight into its slice of the vector, so the payload bytes
-    are held once.
+    A :class:`LayoutReader` whose one block is the whole vector reads the
+    stream from where its headers start, so each payload is read once, with
+    ``readinto``, straight into its slice of the vector.
     """
     with _opened(source, "rb") as stream:
-        headers = _read_headers(stream, dtype_code)
-        flat = np.empty(sum(math.prod(dims) for _, dims, _ in headers), _NUMPY_DTYPES[dtype_code])
-        payload = memoryview(flat).cast("B")
-        start = 0
-        for name, dims, offset in headers:
-            nbytes = math.prod(dims) * flat.itemsize
-            stream.seek(offset)
-            if stream.readinto(payload[start : start + nbytes]) != nbytes:
-                raise CodecError(f"unexpected end of stream while reading payload of {name!r}")
-            start += nbytes
-    return [(name, dims) for name, dims, _ in headers], flat
-
-
-def _read_specs(stream: BinaryIO) -> tuple[TensorSpec, ...]:
-    """The float32 layout of a TVC1 stream, from its headers alone, checked as a decode checks it."""
-    return tuple(TensorSpec(name, dims) for name, dims, _ in _read_headers(stream, DTYPE_F32))
+        origin = stream.tell()
+        reader = LayoutReader(stream, dtype_code=dtype_code, block=sys.maxsize)
+        stream.seek(origin)
+        (flat,) = reader.blocks(stream)
+    return reader.specs, flat
 
 
 @contextmanager

@@ -115,8 +115,10 @@ def generate_task_suite(
         raise ValidationError(f"unknown support mode {support_mode!r}")
     if classes_per_task < 1:
         raise ValidationError("classes_per_task must be >= 1")
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be >= 0")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise ValidationError("noise_sigma must be finite and >= 0")
+    if not np.isfinite(cluster_separation):
+        raise ValidationError("cluster_separation must be finite")
     supports = _build_supports(num_tasks, dim, support_mode, overlap)
     widest = max(s.size for s in supports)
     if samples_per_task < widest:
@@ -312,8 +314,10 @@ class PipelineConfig:
     ``generate_task_suite`` and ``mix_target_environment`` besides the
     tasks and the seed; ``environment`` is None when the config has none.
     ``alphas`` lists the schedules to run: a list-valued alpha sweeps them,
-    and every source other than ``alpha`` runs once, as ``[None]``. An
-    integer ``merge.rounds`` is accepted for old configs and ignored.
+    and every source other than ``alpha`` runs once, as ``[None]``.
+    ``sweep`` is whether alpha was given as a list, which puts an alpha
+    column in the CSV report. An integer ``merge.rounds`` is accepted for
+    old configs and ignored.
     """
 
     seed: int
@@ -331,6 +335,7 @@ class PipelineConfig:
     similarity_config: OTConfig
     report_csv: str | None
     report_json: str | None
+    sweep: bool = False
 
     @classmethod
     def from_dict(cls, raw) -> "PipelineConfig":
@@ -367,9 +372,9 @@ class PipelineConfig:
         if method != "tunable" and source is not None:
             raise ConfigError(f"method {method!r} does not take a preference source")
         alphas = [None]
+        sweep = source == "alpha" and isinstance(pref.get("alpha"), list)
         if source == "alpha":
-            several = isinstance(pref.get("alpha"), list)
-            alphas = _field(pref, "alpha", _list_of(_number) if several else lambda value: [_number(value)])
+            alphas = _field(pref, "alpha", _list_of(_number) if sweep else lambda value: [_number(value)])
             if not alphas:
                 raise ConfigError("config field 'alpha' must not be an empty list")
         pref_path = _field(pref, "path", _string, None)
@@ -403,6 +408,7 @@ class PipelineConfig:
             ),
             report_csv=_field(report, "csv", _string, None),
             report_json=_field(report, "json", _string, None),
+            sweep=sweep,
         )
 
 
@@ -411,20 +417,20 @@ class PipelineReport:
     """The JSON summary of a pipeline run; the CSV report is derived from its runs."""
 
     summary: dict
+    sweep: bool = False  # whether the CSV starts with an alpha column
 
     def to_csv_text(self) -> str:
         runs = self.summary["runs"]
-        sweep = len({run["alpha"] for run in runs}) > 1
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         columns = ["task", "budget", "census", "loss"]
-        writer.writerow(["alpha", *columns] if sweep else columns)
+        writer.writerow(["alpha", *columns] if self.sweep else columns)
         for run in runs:
             losses = run["task_losses"]
             blank = [""] * len(losses)
             for task, budget, census in zip(losses, run["budgets"] or blank, run["census"] or blank):
                 cells = [task, budget, census, repr(losses[task])]
-                writer.writerow([repr(run["alpha"]), *cells] if sweep else cells)
+                writer.writerow([repr(run["alpha"]), *cells] if self.sweep else cells)
         return buffer.getvalue()
 
     def to_json_text(self) -> str:
@@ -498,7 +504,7 @@ def run_pipeline(config: Union[PipelineConfig, dict]) -> PipelineReport:
         },
         "runs": runs,
     }
-    return PipelineReport(summary)
+    return PipelineReport(summary, cfg.sweep)
 
 
 def _build_budgets(

@@ -19,13 +19,12 @@ to those streams.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .container import _BLOCK, DTYPE_U16, _read_flat, _write_records
+from .container import _BLOCK, DTYPE_U16, _read_whole, _write_records
 from .errors import ShapeMismatchError, ValidationError
 
 MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
@@ -267,12 +266,11 @@ def write_assignment(destination, assignment: Assignment) -> None:
 
 def read_assignment(source) -> Assignment:
     """Read a side-file written by :func:`write_assignment` (a path or a seekable stream)."""
-    headers, flat = _read_flat(source, DTYPE_U16)
+    specs, flat = _read_whole(source, DTYPE_U16)
     records, start = {}, 0
-    for name, dims in headers:
-        size = math.prod(dims)
-        records[name] = flat[start : start + size].reshape(dims)
-        start += size
+    for spec in specs:
+        records[spec.name] = flat[start : start + spec.num_elements].reshape(spec.dims)
+        start += spec.num_elements
     try:
         owner = records["owner"]
         provenance = records["provenance"]

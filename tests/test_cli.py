@@ -377,7 +377,7 @@ class TestMergeLaterInputs:
             raise AssertionError("a merge input was decoded")
 
         monkeypatch.setattr(cli, "decode_container", decode)
-        monkeypatch.setattr(container, "_read_flat", decode)
+        monkeypatch.setattr(container, "_read_whole", decode)
         build, message = LATER_INPUT_FAULTS[fault]
         paths = write_inputs(tmp_path, build(layout_records(position)), position)
         assert main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), *paths]) == 2
@@ -870,20 +870,54 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 0
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_similarity_setting_exits_2(self, tmp_path, capsys, value):
+    # The ids of the epsilon cases predate the suite cases.
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("similarity_config", "epsilon", float("nan")),
+            ("similarity_config", "epsilon", float("inf")),
+            ("suite", "noise_sigma", float("nan")),
+            ("suite", "noise_sigma", float("inf")),
+            ("suite", "cluster_separation", float("nan")),
+            ("suite", "cluster_separation", float("inf")),
+        ],
+        ids=["nan", "inf", "noise_sigma-nan", "noise_sigma-inf", "cluster_separation-nan", "cluster_separation-inf"],
+    )
+    def test_non_finite_similarity_setting_exits_2(self, tmp_path, capsys, section, key, value):
         config = {
             "seed": 1,
             "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
             "merge": {"method": "tunable", "lambda_merge": 1.0},
             "preference": {"source": "similarity", "metric": "ot"},
             "environment": {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 20},
-            "similarity_config": {"epsilon": value},
+            "similarity_config": {},
         }
+        config[section][key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 2
-        assert "epsilon must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and f"{key} must be finite" in err
+
+    # Each request is far beyond any address space, so it fails at once and allocates nothing.
+    @pytest.mark.parametrize(
+        "section, key",
+        [("suite", "dim"), ("suite", "samples_per_task"), ("environment", "total_samples")],
+        ids=["dim", "samples_per_task", "total_samples"],
+    )
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, section, key):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "similarity", "metric": "label"},
+            "environment": {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 20},
+        }
+        config[section][key] = 10**15
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error: out of memory: Unable to allocate")
 
     def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -19,6 +19,7 @@ from tvmerge import (
 )
 from tvmerge import container
 from tvmerge.container import LayoutReader
+from tvmerge.merging import Assignment, read_assignment, write_assignment
 
 
 def encoded(pset):
@@ -273,6 +274,28 @@ class TestLayoutReader:
         with pytest.raises(ValidationError) as streamed:
             list(LayoutReader(io.BytesIO(encoded(LAYOUT))).blocks(stream))
         assert str(streamed.value) == message
+
+    def test_reads_use_the_header_bytes_they_read(self, monkeypatch):
+        """No read path encodes a header: decode, side-files and streams compare the bytes read."""
+        first = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf]), ("c", [7.0])])
+        later = first.with_flat(-first.flat())
+        assignment = Assignment(np.array([2, 1, 2, 1]), np.array([1, 0, 1, 1]), 2)
+        side_file = io.BytesIO()
+        write_assignment(side_file, assignment)
+        raw_first, raw_later = encoded(first), encoded(later)
+
+        def encode_header(*args):
+            raise AssertionError("a header was encoded on a read path")
+
+        monkeypatch.setattr(container, "_record_header", encode_header)
+        monkeypatch.setattr(container, "_BLOCK", 4)
+        assert decode_container(io.BytesIO(raw_first)).bitwise_equal(first)
+        side_file.seek(0)
+        loaded = read_assignment(side_file)
+        assert loaded.owner.tolist() == [2, 1, 2, 1] and loaded.provenance.tolist() == [1, 0, 1, 1]
+        assert loaded.num_tasks == 2
+        blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw_first)).blocks(io.BytesIO(raw_later))]
+        assert np.concatenate(blocks).view(np.uint32).tolist() == later.flat().view(np.uint32).tolist()
 
     def test_nan_names_the_first_tensor_of_its_block(self, monkeypatch):
         monkeypatch.setattr(container, "_BLOCK", 4)

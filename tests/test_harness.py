@@ -265,6 +265,16 @@ class TestPipeline:
         assert text.splitlines()[0] == "alpha,task,budget,census,loss"
         single = run_pipeline(self.base_config())
         assert single.to_csv_text().splitlines()[0] == "task,budget,census,loss"
+        # The column follows the config's form, a list or a number, not how many values differ.
+        for alpha, header in (
+            ([0.5, 0.5], "alpha,task,budget,census,loss"),
+            ([0.5], "alpha,task,budget,census,loss"),
+            (0.5, "task,budget,census,loss"),
+        ):
+            lines = run_pipeline(self.base_config(preference={"source": "alpha", "alpha": alpha})).to_csv_text().splitlines()
+            runs = len(alpha) if isinstance(alpha, list) else 1
+            assert lines[0] == header and len(lines) == 1 + 3 * runs
+            assert all(line.startswith("0.5,") for line in lines[1:]) == isinstance(alpha, list)
 
     def test_residual_fraction_in_summary(self):
         report = run_pipeline(self.base_config(preference={"source": "alpha", "alpha": 0.0}))
