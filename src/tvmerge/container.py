@@ -219,33 +219,37 @@ class LayoutReader:
     boundaries of ``block`` elements (``_BLOCK`` unless given) is worked out
     once, so each stream costs one comparison with the first file's header
     bytes and one ``readinto`` per record (one more for each block boundary
-    the record crosses). Blocks are read into one buffer that the reader
-    owns, so a reader streams one source at a time.
+    the record crosses); a reader with one block cuts at use instead. Blocks
+    are read into one buffer that the reader owns, so a reader streams one
+    source at a time.
     """
 
     def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
         with _opened(source, "rb") as stream:
-            records = _read_headers(stream, dtype_code)
+            self.specs, self._headers = _read_headers(stream, dtype_code)
         self._dtype_code = dtype_code
-        self.specs = tuple(spec for spec, _ in records)
-        self._prefix = _container_header(len(records))
+        self._prefix = _container_header(len(self.specs))
         self.num_elements = sum(spec.num_elements for spec in self.specs)
         size = min(_BLOCK if block is None else block, self.num_elements)
-        buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
+        self._buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
+        # A one-block reader, as a whole-vector read makes to stream its file
+        # once, cuts its pieces at use rather than keep a slice per record.
+        self._steps = None if size == self.num_elements else list(self._plan())
+
+    def _plan(self) -> Iterator[tuple[bytes | None, memoryview, np.ndarray | None]]:
+        """One step per piece of a payload in one block: the record's header bytes (None
+        after its first piece), the buffer slice the piece fills, the block it completes or None."""
+        buffer, size = self._buffer, self._buffer.size
         raw, itemsize = memoryview(buffer).cast("B"), buffer.itemsize
-        # One step per piece of a payload that falls in one block: the
-        # record's header bytes (None after its first piece), the slice of
-        # the buffer the piece fills, and the block it completes (or None).
-        self._steps: list[tuple[bytes | None, memoryview, np.ndarray | None]] = []
         pos = 0
-        for spec, header in records:
+        for spec, header in zip(self.specs, self._headers):
             stop = pos + spec.num_elements
             while pos < stop:
                 offset = pos % size
                 end = offset + min(stop - pos, size - offset)
                 pos += end - offset
                 done = end == size or pos == self.num_elements
-                self._steps.append((header, raw[offset * itemsize : end * itemsize], buffer[:end] if done else None))
+                yield header, raw[offset * itemsize : end * itemsize], buffer[:end] if done else None
                 header = None
 
     def blocks(self, source: Source) -> Iterator[np.ndarray]:
@@ -274,7 +278,7 @@ class LayoutReader:
             if stream.read(len(self._prefix)) != self._prefix:
                 raise mismatch()
             start = 0
-            for header, piece, block in self._steps:
+            for header, piece, block in self._plan() if self._steps is None else self._steps:
                 if header is not None and stream.read(len(header)) != header:
                     raise mismatch()
                 if stream.readinto(piece) != len(piece):
@@ -326,9 +330,7 @@ def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
     return struct.pack(f"<H{len(name_bytes)}sBB{ndim}Q", len(name_bytes), name_bytes, code, ndim, *dims)
 
 
-def _write_records(
-    records: Sequence[tuple[str, int, np.ndarray]], destination: Source
-) -> None:
+def _write_records(records: Sequence[tuple[str, int, np.ndarray]], destination: Source) -> None:
     if not records:
         raise CodecError("empty container")
     with _opened(destination, "wb") as stream:
@@ -343,10 +345,10 @@ def _write_records(
                 )
 
 
-def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[TensorSpec, bytes]]:
+def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, ...], list[bytes]]:
     """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
 
-    Returns each record's spec and its header bytes as read (name length
+    Returns the records' specs, and their header bytes as read (name length
     through dims). Payloads are sought over, not read; each declared length
     is checked against the bytes left in the stream first. The stream must
     be seekable.
@@ -401,7 +403,7 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> list[tuple[TensorSpec, b
         stream.seek(pos)
     if pos != end:
         raise CodecError("trailing data after last record")
-    return [(TensorSpec(name, dims), header) for name, dims, header in records]
+    return tuple(TensorSpec(name, dims) for name, dims, _ in records), [header for *_, header in records]
 
 
 def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...], np.ndarray]:
@@ -431,6 +433,4 @@ def _opened(target: Source, mode: str) -> Iterator[BinaryIO]:
 
 def _require_same_layout(a: ParameterSet, b: ParameterSet) -> None:
     if not a.same_layout(b):
-        raise ShapeMismatchError(
-            f"shape mismatch: layouts differ ({a!r} vs {b!r})"
-        )
+        raise ShapeMismatchError(f"shape mismatch: layouts differ ({a!r} vs {b!r})")

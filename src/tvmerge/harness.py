@@ -316,8 +316,8 @@ class PipelineConfig:
     ``alphas`` lists the schedules to run: a list-valued alpha sweeps them,
     and every source other than ``alpha`` runs once, as ``[None]``.
     ``sweep`` is whether alpha was given as a list, which puts an alpha
-    column in the CSV report. An integer ``merge.rounds`` is accepted for
-    old configs and ignored.
+    column in the CSV report even for one value. An integer
+    ``merge.rounds`` is accepted for old configs and ignored.
     """
 
     seed: int
@@ -417,20 +417,21 @@ class PipelineReport:
     """The JSON summary of a pipeline run; the CSV report is derived from its runs."""
 
     summary: dict
-    sweep: bool = False  # whether the CSV starts with an alpha column
+    sweep: bool = False  # alpha was a list; more than one run implies it
 
     def to_csv_text(self) -> str:
         runs = self.summary["runs"]
+        sweep = self.sweep or len(runs) > 1
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         columns = ["task", "budget", "census", "loss"]
-        writer.writerow(["alpha", *columns] if self.sweep else columns)
+        writer.writerow(["alpha", *columns] if sweep else columns)
         for run in runs:
             losses = run["task_losses"]
             blank = [""] * len(losses)
             for task, budget, census in zip(losses, run["budgets"] or blank, run["census"] or blank):
                 cells = [task, budget, census, repr(losses[task])]
-                writer.writerow([repr(run["alpha"]), *cells] if self.sweep else cells)
+                writer.writerow([repr(run["alpha"]), *cells] if sweep else cells)
         return buffer.getvalue()
 
     def to_json_text(self) -> str:

@@ -872,18 +872,18 @@ class TestPipeline:
 
     # The ids of the epsilon cases predate the suite cases.
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, message",
         [
-            ("similarity_config", "epsilon", float("nan")),
-            ("similarity_config", "epsilon", float("inf")),
-            ("suite", "noise_sigma", float("nan")),
-            ("suite", "noise_sigma", float("inf")),
-            ("suite", "cluster_separation", float("nan")),
-            ("suite", "cluster_separation", float("inf")),
+            ("similarity_config", "epsilon", float("nan"), "epsilon must be finite and positive"),
+            ("similarity_config", "epsilon", float("inf"), "epsilon must be finite and positive"),
+            ("suite", "noise_sigma", float("nan"), "noise_sigma must be finite and >= 0"),
+            ("suite", "noise_sigma", float("inf"), "noise_sigma must be finite and >= 0"),
+            ("suite", "cluster_separation", float("nan"), "cluster_separation must be finite"),
+            ("suite", "cluster_separation", float("inf"), "cluster_separation must be finite"),
         ],
         ids=["nan", "inf", "noise_sigma-nan", "noise_sigma-inf", "cluster_separation-nan", "cluster_separation-inf"],
     )
-    def test_non_finite_similarity_setting_exits_2(self, tmp_path, capsys, section, key, value):
+    def test_non_finite_similarity_setting_exits_2(self, tmp_path, capsys, section, key, value, message):
         config = {
             "seed": 1,
             "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
@@ -896,8 +896,7 @@ class TestPipeline:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ") and f"{key} must be finite" in err
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     # Each request is far beyond any address space, so it fails at once and allocates nothing.
     @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from tvmerge import (
     ConfigError,
     OTConfig,
     PipelineConfig,
+    PipelineReport,
     SyntheticTask,
     ValidationError,
     evaluate,
@@ -275,6 +276,14 @@ class TestPipeline:
             runs = len(alpha) if isinstance(alpha, list) else 1
             assert lines[0] == header and len(lines) == 1 + 3 * runs
             assert all(line.startswith("0.5,") for line in lines[1:]) == isinstance(alpha, list)
+        # A config built without from_dict, or a report built from a summary,
+        # still labels the rows of several runs.
+        config = replace(PipelineConfig.from_dict(self.base_config()), alphas=[0.1, 0.9])
+        swept = run_pipeline(config)
+        for report in (swept, PipelineReport(swept.summary)):
+            lines = report.to_csv_text().splitlines()
+            assert lines[0] == "alpha,task,budget,census,loss"
+            assert [line.split(",")[0] for line in lines[1:]] == ["0.1"] * 3 + ["0.9"] * 3
 
     def test_residual_fraction_in_summary(self):
         report = run_pipeline(self.base_config(preference={"source": "alpha", "alpha": 0.0}))
