@@ -45,12 +45,13 @@ from .merging import (
 from .preference import (
     AlphaSchedule,
     SimilarityVector,
+    _read_budgets,
     load_preference,
     preference_from_alpha,
     preference_from_similarities,
     read_json,
+    read_json_object,
     save_preference,
-    validate_preference,
 )
 from .similarity import METRICS, EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
 
@@ -185,10 +186,7 @@ def cmd_merge(args) -> int:
         if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
             residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
             log.debug("residual fraction: %.6g", residual)
-        census_path = args.census_out or f"{args.out}.census.json"
-        Path(census_path).write_text(
-            json.dumps({"counts": [int(c) for c in census]}, sort_keys=True) + "\n"
-        )
+        _write_census(census, args.census_out or f"{args.out}.census.json")
         assignment_path = args.assignment_out or f"{args.out}.assignment.tvc"
         write_assignment(assignment_path, assignment)
     return EXIT_OK
@@ -227,15 +225,9 @@ def cmd_sim(args) -> int:
 
 def cmd_prefvec(args) -> int:
     if args.validate is not None:
-        payload = _read_json_object(args.validate, "preference file")
-        budgets = payload.get("budgets")
-        dim = args.dim if args.dim is not None else payload.get("d")
-        if budgets is None or dim is None:
-            raise ValidationError("preference file must contain 'budgets' and 'd'")
-        violations = validate_preference(budgets, dim)
+        _, violations = _read_budgets(args.validate, args.dim)
         if violations:
-            for line in violations:
-                print(line, file=sys.stderr)
+            print("\n".join(violations), file=sys.stderr)
             return EXIT_VALIDATION
         print("ok")
         return EXIT_OK
@@ -256,13 +248,7 @@ def cmd_prefvec(args) -> int:
 
 
 def cmd_census(args) -> int:
-    assignment = read_assignment(args.assignment)
-    census = assignment_census(assignment)
-    payload = json.dumps({"counts": [int(c) for c in census]}, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+    _write_census(assignment_census(read_assignment(args.assignment)), args.out)
     return EXIT_OK
 
 
@@ -295,15 +281,17 @@ def _task_rows(paths: list[str]) -> tuple[tuple[TensorSpec, ...], Rows]:
     return reader.specs, Rows(len(paths), reader.num_elements, lambda task: reader.blocks(paths[task]))
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    return payload
+def _write_census(census: np.ndarray, out: str | None) -> None:
+    """Write ``{"counts": [...]}`` and a newline to ``out``, or to stdout when no path is given."""
+    payload = json.dumps({"counts": [int(c) for c in census]}, sort_keys=True)
+    if out:
+        Path(out).write_text(payload + "\n")
+    else:
+        print(payload)
 
 
 def _read_sim_file(path: str) -> SimilarityVector:
-    payload = _read_json_object(path, "similarity file")
+    payload = read_json_object(path, "similarity file")
     scores = payload.get("scores")
     if not isinstance(scores, list):
         raise ValidationError("similarity file must contain a 'scores' list")
@@ -322,7 +310,7 @@ def _read_embeddings(path: str) -> EmbeddingSet:
 
 
 def _read_labels(path: str) -> LabelHistogram:
-    payload = _read_json_object(path, "label file")
+    payload = read_json_object(path, "label file")
     if isinstance(payload.get("labels"), list):
         return LabelHistogram.from_labels(payload["labels"])
     if isinstance(payload.get("counts"), dict):

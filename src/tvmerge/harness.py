@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .merging import (
     MERGE_METHODS,
-    PreferenceVector,
     RESIDUAL_RANDOM,
     assignment_census,
     check_seed,
@@ -34,6 +33,7 @@ from .merging import (
 )
 from .preference import (
     AlphaSchedule,
+    PreferenceVector,
     load_preference,
     preference_from_alpha,
     preference_from_similarities,
@@ -517,13 +517,8 @@ def _build_budgets(
     if cfg.source is None:
         return None
     if cfg.source == "file":
-        pref = load_preference(cfg.pref_path)
-        if pref.total != cfg.dim or pref.num_tasks != cfg.num_tasks:
-            raise ValidationError(
-                f"preference file describes {pref.num_tasks} tasks / {pref.total} elements, "
-                f"suite has {cfg.num_tasks} / {cfg.dim}"
-            )
-        return pref
+        # Whether the file fits the suite is checked by tunable_merge.
+        return load_preference(cfg.pref_path)
     if cfg.source == "alpha":
         return preference_from_alpha(AlphaSchedule(alpha, cfg.num_tasks, cfg.dim))
     if cfg.metric == "label":

@@ -10,6 +10,9 @@ temporary holds at most one block. Rows are selected with
 arithmetic on their bit patterns, not with masked copies. Task ids are
 1-based throughout; flat indices are 0-based numpy indices.
 
+Budgets follow the rule of :mod:`tvmerge.preference`; :func:`tunable_merge`
+checks only that they fit: one per task, summing to the element count.
+
 Randomized selection is driven by counter-based keyed streams: a Philox
 generator keyed by (seed, round, task), so results are reproducible and
 independent of scheduling or invocation order. The seed is the only input
@@ -26,6 +29,7 @@ import numpy as np
 
 from .container import _BLOCK, DTYPE_U16, _read_whole, _write_records
 from .errors import ShapeMismatchError, ValidationError
+from .preference import PreferenceVector
 
 MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
 
@@ -52,33 +56,6 @@ class Rows:
     count: int
     dim: int
     blocks: Callable[[int], Iterable[np.ndarray]]
-
-
-@dataclass(frozen=True)
-class PreferenceVector:
-    """Per-task element budgets; must sum to the model's element count."""
-
-    budgets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.budgets:
-            raise ValidationError("preference vector must not be empty")
-        if not all(_is_integral(n) for n in self.budgets):
-            raise ValidationError("budgets must be integers")
-        if any(n < 0 for n in self.budgets):
-            raise ValidationError("negative budget")
-        object.__setattr__(self, "budgets", tuple(int(n) for n in self.budgets))
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.budgets)
-
-    @property
-    def total(self) -> int:
-        return sum(self.budgets)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.budgets, dtype=np.int64)
 
 
 @dataclass
@@ -191,11 +168,10 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     """
     check_seed(seed)
     rows = _as_rows(taus)
-    budgets = pref.budgets if isinstance(pref, PreferenceVector) else np.asarray(pref)
+    budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
     if np.ndim(budgets) != 1 or len(budgets) != rows.count:
-        raise ValidationError(
-            f"preference vector has {np.size(budgets)} budgets for {rows.count} tasks"
-        )
+        count = np.size(budgets)
+        raise ValidationError(f"preference vector has {count} budgets for {rows.count} tasks")
     pref = PreferenceVector(tuple(budgets))
     if pref.total != rows.dim:
         raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
@@ -278,16 +254,6 @@ def read_assignment(source) -> Assignment:
     except KeyError as missing:
         raise ValidationError(f"assignment file lacks record {missing}") from None
     return Assignment(owner, provenance, num_tasks)
-
-
-def _is_integral(value) -> bool:
-    """Whether ``value`` is an integer: an integral number, not a boolean."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _integers(values, dtype: type) -> np.ndarray:

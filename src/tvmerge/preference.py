@@ -1,4 +1,9 @@
-"""Construction and validation of per-task element budgets.
+"""Per-task element budgets: their rule, their checks and their file format.
+
+Budgets are a non-empty list of non-negative integers (not booleans), one
+per task, summing to the element count d; whether they fit a given set of
+task vectors is checked by ``tunable_merge``. Scores are non-empty, finite,
+non-negative numbers (not booleans or strings) with a positive sum.
 
 Budgets are allocated proportionally to nonnegative scores with a floor
 plus remainder rule: task t gets ``floor(score_t / total * d)`` elements
@@ -13,18 +18,41 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, ValidationError
-from .merging import PreferenceVector, _is_integral
 
 #: Alpha values above this are clamped before the geometric weights are formed.
 ALPHA_CAP = 1e6
 
 Scores = Union["SimilarityVector", Sequence[float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class PreferenceVector:
+    """Per-task element budgets; must sum to the model's element count."""
+
+    budgets: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if violations := _budget_violations(self.budgets):
+            raise ValidationError("; ".join(violations))
+        object.__setattr__(self, "budgets", tuple(int(n) for n in self.budgets))
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self.budgets)
+
+    @property
+    def total(self) -> int:
+        return sum(self.budgets)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.budgets, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -35,12 +63,22 @@ class SimilarityVector:
     metric: str = ""
 
     def __post_init__(self) -> None:
+        scores = tuple(self.scores)
+        if not all(isinstance(s, Real) and not isinstance(s, bool) for s in scores):
+            raise ValidationError("similarity scores must be numbers")
         try:
-            scores = tuple(float(s) for s in self.scores)
-        except (TypeError, ValueError):
-            raise ValidationError("similarity scores must be numbers") from None
+            scores = tuple(float(s) for s in scores)
+        except OverflowError:  # an integer too large for a float
+            raise ValidationError("similarity scores must be finite") from None
+        if not scores:
+            raise ValidationError("similarity scores must not be empty")
+        if not all(math.isfinite(s) for s in scores):
+            raise ValidationError("similarity scores must be finite")
+        if any(s < 0 for s in scores):
+            raise ValidationError("negative score")
+        if sum(scores) <= 0:
+            raise DegenerateInputError("all-zero similarities")
         object.__setattr__(self, "scores", scores)
-        _check_scores(self.scores)
 
     @property
     def num_tasks(self) -> int:
@@ -66,13 +104,11 @@ class AlphaSchedule:
 
 def preference_from_similarities(scores: Scores, dim: int) -> PreferenceVector:
     """Budgets proportional to scores via the floor plus remainder rule."""
-    values = list(scores.scores) if isinstance(scores, SimilarityVector) else [
-        float(s) for s in scores
-    ]
-    _check_scores(values)
+    if not isinstance(scores, SimilarityVector):
+        scores = SimilarityVector(tuple(scores))
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    return PreferenceVector(tuple(_floor_remainder_allocation(values, dim)))
+    return PreferenceVector(tuple(_floor_remainder_allocation(scores.scores, dim)))
 
 
 def preference_from_alpha(schedule: AlphaSchedule) -> PreferenceVector:
@@ -89,25 +125,13 @@ def preference_from_alpha(schedule: AlphaSchedule) -> PreferenceVector:
     return PreferenceVector(tuple(_floor_remainder_allocation(ratios.tolist(), dim)))
 
 
-def validate_preference(
-    pref: PreferenceVector | Sequence[int], dim: int
-) -> list[str]:
+def validate_preference(pref: PreferenceVector | Sequence[int], dim: int) -> list[str]:
     """Return human-readable violations; an empty list means the vector is valid."""
     budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
-    if not isinstance(budgets, (list, tuple, np.ndarray)):
-        return [f"budgets must be a list, got {type(budgets).__name__}"]
-    if not len(budgets):
-        return ["preference vector must not be empty"]
-    violations = []
-    for index, n in enumerate(budgets, start=1):
-        if not _is_integral(n):
-            violations.append(f"non-integer budget {n} for task {index}")
-        elif n < 0:
-            violations.append(f"negative budget {n} for task {index}")
+    violations = _budget_violations(budgets)
     if not _is_integral(dim):
         violations.append(f"non-integer element count d {dim!r}")
-    total = sum(int(n) for n in budgets if _is_integral(n))
-    if not violations and total != dim:
+    if not violations and (total := sum(int(n) for n in budgets)) != dim:
         violations.append(f"sum {total} != {dim}")
     return violations
 
@@ -125,18 +149,54 @@ def read_json(source: Union[str, Path]):
         raise ConfigError(f"{source}: not valid UTF-8 JSON: {exc}") from None
 
 
+def read_json_object(source: Union[str, Path], what: str) -> dict:
+    """Parse a JSON file that must hold an object; ``what`` names it in the error."""
+    payload = read_json(source)
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return payload
+
+
 def load_preference(source: Union[str, Path]) -> PreferenceVector:
     """Read a budgets file and verify it against its own element count."""
-    payload = read_json(source)
-    try:
-        budgets = payload["budgets"]
-        dim = payload["d"]
-    except (KeyError, TypeError):
-        raise ValidationError("preference file must contain 'budgets' and 'd'") from None
-    violations = validate_preference(budgets, dim)
+    budgets, violations = _read_budgets(source)
     if violations:
         raise ValidationError("; ".join(violations))
-    return PreferenceVector(tuple(int(n) for n in budgets))
+    return PreferenceVector(tuple(budgets))
+
+
+def _read_budgets(source: Union[str, Path], dim: int | None = None) -> tuple[object, list[str]]:
+    """A budgets file's budgets and their violations against ``dim`` (default: its ``d``)."""
+    payload = read_json_object(source, "preference file")
+    if not {"budgets", "d"} <= payload.keys():
+        raise ValidationError("preference file must contain 'budgets' and 'd'")
+    budgets = payload["budgets"]
+    return budgets, validate_preference(budgets, payload["d"] if dim is None else dim)
+
+
+def _budget_violations(budgets) -> list[str]:
+    """Violations of the budget rule: a non-empty list of non-negative integers, not booleans."""
+    if not isinstance(budgets, (list, tuple, np.ndarray)):
+        return [f"budgets must be a list, got {type(budgets).__name__}"]
+    if not len(budgets):
+        return ["preference vector must not be empty"]
+    violations = []
+    for index, n in enumerate(budgets, start=1):
+        if not _is_integral(n):
+            violations.append(f"non-integer budget {n} for task {index}")
+        elif n < 0:
+            violations.append(f"negative budget {n} for task {index}")
+    return violations
+
+
+def _is_integral(value) -> bool:
+    """Whether ``value`` is an integer: an integral number, not a boolean."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _floor_remainder_allocation(scores: Sequence[float], dim: int) -> list[int]:
@@ -145,14 +205,3 @@ def _floor_remainder_allocation(scores: Sequence[float], dim: int) -> list[int]:
     floors = [int(s / total * dim) for s in exact]
     remainder = dim - sum(floors)
     return [n + 1 if index < remainder else n for index, n in enumerate(floors)]
-
-
-def _check_scores(scores: Sequence[float]) -> None:
-    if not len(scores):
-        raise ValidationError("similarity scores must not be empty")
-    if any(not math.isfinite(s) for s in scores):
-        raise ValidationError("similarity scores must be finite")
-    if any(s < 0 for s in scores):
-        raise ValidationError("negative score")
-    if sum(scores) <= 0:
-        raise DegenerateInputError("all-zero similarities")

@@ -39,6 +39,15 @@ def write_embeddings(path, matrix):
     encode_container(ParameterSet({"emb": np.asarray(matrix, dtype=np.float32)}), path)
 
 
+def tunable_merge_exit(tmp_path, flag, path):
+    """Exit code of a seeded tunable merge of two 4-element task vectors, budgets from ``flag path``."""
+    paths = [tmp_path / "t1.tvc", tmp_path / "t2.tvc"]
+    for tau in paths:
+        write_container(tau, [1.0, -2.0, 3.0, 4.0])
+    argv = ["merge", "--method", "tunable", "--seed", "1", flag, str(path), "--out", str(tmp_path / "m.tvc")]
+    return main([*argv, *map(str, paths)])
+
+
 class TestTaskvec:
     def test_success(self, tmp_path):
         write_container(tmp_path / "theta.tvc", [3.0, 5.0])
@@ -674,6 +683,8 @@ class TestPrefvec:
             ("--validate", [4, 3]),
             ("--validate", {"budgets": ["a"], "d": 1}),
             ("--sim-file", {"scores": ["x"]}),
+            ("--sim-file", {"scores": [10**400, 1]}),
+            ("--sim-file", {"scores": [True, "1.5"]}),
         ],
     )
     def test_wrongly_typed_json_exits_2(self, tmp_path, capsys, flag, payload):
@@ -682,6 +693,22 @@ class TestPrefvec:
         assert main(["prefvec", flag, str(path), "--dim", "1"]) == 2
         err = capsys.readouterr().err
         assert err.strip() and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ([10**400, 1], "similarity scores must be finite"),
+            ([True, "1.5"], "similarity scores must be numbers"),
+        ],
+        ids=["400-digit", "boolean-and-string"],
+    )
+    def test_score_faults_exit_2_in_prefvec_and_merge(self, tmp_path, capsys, scores, message):
+        sim = tmp_path / "sims.json"
+        sim.write_text(json.dumps({"scores": scores}))
+        assert main(["prefvec", "--sim-file", str(sim), "--dim", "4"]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert tunable_merge_exit(tmp_path, "--sim-file", sim) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 JSON_VALUES = st.recursive(
@@ -697,6 +724,15 @@ REJECTED_PREF_FILES = {
     "string d": ({"budgets": [2, 2], "d": "4"}, "non-integer element count d '4'"),
     "boolean budget": ({"budgets": [True, 3], "d": 4}, "non-integer budget True for task 1"),
     "boolean d": ({"budgets": [0, 1], "d": True}, "non-integer element count d True"),
+    "null budgets": ({"budgets": None, "d": 4}, "budgets must be a list, got NoneType"),
+    "null d": ({"budgets": [2, 2], "d": None}, "non-integer element count d None"),
+}
+
+# Budget files that both commands reject as a whole, with the same line.
+MALFORMED_PREF_FILES = {
+    "list": ([1, 2], "preference file must be a JSON object"),
+    "string": ("x", "preference file must be a JSON object"),
+    "no-d": ({"budgets": [1, 2]}, "preference file must contain 'budgets' and 'd'"),
 }
 
 
@@ -708,22 +744,30 @@ class TestPrefvecValidateAgreesWithMerge:
         path.write_text(json.dumps(payload))
         assert main(["prefvec", "--validate", str(path)]) == 2
         assert capsys.readouterr().err == f"{message}\n"
-        paths = [tmp_path / "t1.tvc", tmp_path / "t2.tvc"]
-        for tau in paths:
-            write_container(tau, [1.0, -2.0, 3.0, 4.0])
-        argv = ["merge", "--method", "tunable", "--seed", "1", "--pref-file", str(path), "--out", str(tmp_path / "m.tvc")]
-        assert main([*argv, *map(str, paths)]) == 2
+        assert tunable_merge_exit(tmp_path, "--pref-file", path) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("case", MALFORMED_PREF_FILES)
+    def test_malformed_file_prints_the_same_line_in_both(self, tmp_path, capsys, case):
+        payload, message = MALFORMED_PREF_FILES[case]
+        path = tmp_path / "pref.json"
+        path.write_text(json.dumps(payload))
+        assert main(["prefvec", "--validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert tunable_merge_exit(tmp_path, "--pref-file", path) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_validate_exits_0_exactly_when_the_file_loads(self, data):
         small = st.integers(-1, 6) | st.booleans() | st.sampled_from([1.0, 2.5, math.inf, math.nan])
-        budgets = data.draw(st.lists(small, max_size=4) | JSON_VALUES)
-        dim = data.draw(st.integers(0, 20) | JSON_VALUES)
+        budgets = st.lists(small, max_size=4) | JSON_VALUES
+        dim = st.integers(0, 20) | JSON_VALUES
+        keyed = st.dictionaries(st.sampled_from(["budgets", "d", "x"]), JSON_VALUES, max_size=3)
+        payload = data.draw(st.fixed_dictionaries({"budgets": budgets, "d": dim}) | keyed | JSON_VALUES)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "pref.json"
-            path.write_text(json.dumps({"budgets": budgets, "d": dim}))
+            path.write_text(json.dumps(payload))
             try:
                 load_preference(path)
                 loads = True

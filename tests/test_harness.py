@@ -243,11 +243,20 @@ class TestPipeline:
         )
         assert report.summary["runs"][0]["budgets"] == [4, 4, 4]
 
-    def test_file_preference_wrong_dim(self, tmp_path):
+    @pytest.mark.parametrize(
+        "budgets, message",
+        [
+            ([6, 6], "preference vector has 2 budgets for 3 tasks"),
+            ([4, 4, 5], "budget sum 13 != element count 12"),
+        ],
+        ids=["tasks", "d"],
+    )
+    def test_file_preference_wrong_dim(self, tmp_path, budgets, message):
         pref_path = tmp_path / "pref.json"
-        pref_path.write_text(json.dumps({"budgets": [6, 6], "d": 12}))
-        with pytest.raises(ValidationError):
+        pref_path.write_text(json.dumps({"budgets": budgets, "d": sum(budgets)}))
+        with pytest.raises(ValidationError) as excinfo:
             run_pipeline(self.base_config(preference={"source": "file", "path": str(pref_path)}))
+        assert str(excinfo.value) == message
 
     def test_label_similarity_prefers_matching_task(self):
         report = run_pipeline(

@@ -141,8 +141,8 @@ class TestTunable:
             tunable_merge(np.zeros((2, 4)), [-1, 5])
 
     def test_non_integer_budgets_rejected(self):
-        for budgets in ([2.5, 1.5], np.array([2.5, 1.5]), [np.inf, -np.inf], [np.nan, 4.0]):
-            with pytest.raises(ValidationError, match="budgets must be integers"):
+        for budgets in ([2.5, 1.5], np.array([2.5, 1.5]), [np.inf, -np.inf], [np.nan, 4.0], [True, 3]):
+            with pytest.raises(ValidationError, match="non-integer budget .* for task 1"):
                 tunable_merge(np.zeros((2, 4)), budgets)
         _, assignment = tunable_merge(np.ones((2, 4)), [1.0, 3.0])
         assert assignment_census(assignment).tolist() == [1, 3]

@@ -66,6 +66,20 @@ class TestFromSimilarities:
         with pytest.raises(ValidationError, match="negative"):
             preference_from_similarities([1.0, -0.5], 5)
 
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            (["a"], "similarity scores must be numbers"),
+            ([True, 1.5], "similarity scores must be numbers"),
+            ([10**400, 1], "similarity scores must be finite"),
+        ],
+        ids=["string", "boolean", "400-digit"],
+    )
+    def test_scores_that_are_not_finite_numbers_rejected(self, scores, message):
+        with pytest.raises(ValidationError) as excinfo:
+            preference_from_similarities(scores, 4)
+        assert str(excinfo.value) == message
+
     def test_accepts_similarity_vector(self):
         sims = SimilarityVector((1.0, 3.0), metric="label")
         assert preference_from_similarities(sims, 4).budgets == (1, 3)
@@ -129,7 +143,7 @@ class TestValidateAndIO:
 
     @pytest.mark.parametrize("budgets", [(float("nan"), 1), (float("inf"), 1), (None,), (True, 1), (2.5, 1.5)])
     def test_preference_vector_type_rejects_non_integers(self, budgets):
-        with pytest.raises(ValidationError, match="budgets must be integers"):
+        with pytest.raises(ValidationError, match="non-integer budget .* for task 1"):
             PreferenceVector(budgets)
 
     def test_json_roundtrip(self, tmp_path):
