@@ -3,9 +3,10 @@
 Tasks are linear least-squares problems whose optima touch only a known
 support of the parameter vector, so "fine-tuning" has a closed form and
 merging behavior can be checked exactly. The full pipeline mirrors the
-deployment flow: generate tasks, fit them sequentially, form per-task
-deltas, build budgets (from a file, a geometric schedule, or dataset
-similarity against a mixed target environment), merge, and evaluate.
+deployment flow: generate tasks, fit them sequentially (one Householder
+QR of each task's augmented design ``[X | y]``), form per-task deltas,
+build budgets (from a file, a geometric schedule, or dataset similarity
+against a mixed target environment), merge, and evaluate.
 
 All harness math runs in float64 on raw vectors; the container codec is
 only involved when models are exchanged through the CLI.
@@ -115,6 +116,11 @@ def generate_task_suite(
         raise ValidationError(f"unknown support mode {support_mode!r}")
     if classes_per_task < 1:
         raise ValidationError("classes_per_task must be >= 1")
+    if num_tasks * classes_per_task - 1 > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"classes_per_task {classes_per_task} is too large: labels up to "
+            "num_tasks * classes_per_task - 1 must fit in int64"
+        )
     if not np.isfinite(noise_sigma) or noise_sigma < 0:
         raise ValidationError("noise_sigma must be finite and >= 0")
     if not np.isfinite(cluster_separation):
@@ -153,18 +159,28 @@ def sequential_finetune_analog(
     support coordinates with its restricted least-squares optimum, so
     later tasks overwrite shared coordinates and everything else drifts
     along unchanged.
+
+    The optimum comes from one Householder QR of the augmented matrix
+    ``[X | y]``: its triangle R carries both ``R_X`` and ``Q^T y``, so
+    ``R_X @ solution = (Q^T y)[:width]`` is solved without forming
+    ``X^T X`` and the condition number is not squared. A design whose
+    pivots ``|r_ii|`` fall to ``lstsq``'s default ``rcond`` relative to
+    the largest, or whose R is not finite, is singular.
     """
     theta = np.asarray(theta_0, dtype=np.float64).copy()
     out = []
     for task in tasks:
         restricted = task.design[:, task.support]
-        solution, _, rank, _ = np.linalg.lstsq(restricted, task.targets, rcond=None)
-        if rank < task.support.size:
+        width = task.support.size
+        r = np.linalg.qr(np.column_stack([restricted, task.targets]), mode="r")
+        pivots = np.abs(np.diagonal(r)[:width])
+        rcond = np.finfo(np.float64).eps * max(restricted.shape)
+        if not np.isfinite(r).all() or pivots.min() <= rcond * pivots.max():
             raise ValidationError(
                 f"task {task.task_id}: singular restricted normal equations"
             )
         theta = theta.copy()
-        theta[task.support] = solution
+        theta[task.support] = np.linalg.solve(r[:width, :width], r[:width, width])
         out.append(theta)
     return out
 
@@ -236,20 +252,31 @@ def evaluate(
 
     The environment loss weights each member task's loss by its evaluation
     sample count, so a single-member environment reduces to that task's loss.
+    A loss that overflows to a non-finite value raises ValidationError
+    naming its task, since a report cannot hold it as JSON.
     """
     vec = np.asarray(theta, dtype=np.float64)
     losses = {}
-    for task in tasks:
-        residual = task.design @ vec - task.targets
-        losses[task.task_id] = float(residual @ residual / task.num_samples)
-    env_loss = None
-    if env is not None:
-        weights = np.array([env.eval_rows[m].size for m in env.member_ids], dtype=np.float64)
-        member_losses = np.array([losses[m] for m in env.member_ids])
-        if weights.sum() <= 0:
-            raise ValidationError("environment has no evaluation samples")
-        env_loss = float(weights @ member_losses / weights.sum())
+    # Overflow shows as a non-finite loss, which _finite_loss rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for task in tasks:
+            residual = task.design @ vec - task.targets
+            losses[task.task_id] = _finite_loss(f"task {task.task_id}", residual @ residual / task.num_samples)
+        env_loss = None
+        if env is not None:
+            weights = np.array([env.eval_rows[m].size for m in env.member_ids], dtype=np.float64)
+            member_losses = np.array([losses[m] for m in env.member_ids])
+            if weights.sum() <= 0:
+                raise ValidationError("environment has no evaluation samples")
+            env_loss = _finite_loss("environment", weights @ member_losses / weights.sum())
     return EvalResult(losses, env_loss)
+
+
+def _finite_loss(name: str, loss) -> float:
+    loss = float(loss)
+    if not np.isfinite(loss):
+        raise ValidationError(f"{name}: loss {loss} is not finite")
+    return loss
 
 
 def task_embeddings(task: SyntheticTask) -> EmbeddingSet:

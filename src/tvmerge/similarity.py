@@ -13,6 +13,7 @@ well-defined.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -21,6 +22,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .preference import SimilarityVector
+
+log = logging.getLogger("tvmerge")
 
 METRICS = ("ot", "label", "cos", "mmd")
 
@@ -213,9 +216,16 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
 
 
 def ot_similarity(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -> float:
-    """``exp(-gamma * transport cost)``, clamped to the smallest positive normal."""
+    """``exp(-gamma * transport cost)``, clamped to the smallest positive normal.
+
+    Logs the solver's iterations and convergence at debug level, and a
+    solve that stopped at ``cfg.max_iters`` unconverged at warning level.
+    """
     cfg = cfg or OTConfig()
     result = sinkhorn_ot(x, y, cfg)
+    log.debug("sinkhorn: %d iterations, converged %s, cost %.6g", result.iterations, result.converged, result.cost)
+    if not result.converged:
+        log.warning("sinkhorn did not converge within max_iters %d (tol %g)", cfg.max_iters, cfg.tol)
     return _exp_transform(cfg.gamma, result.cost)
 
 
@@ -319,7 +329,10 @@ def _broadcast_meta(meta_input, num_tasks: int) -> list:
 
 def _exp_transform(gamma: float, distance: float) -> float:
     value = math.exp(-gamma * distance) if -gamma * distance > -745.0 else 0.0
-    return max(value, _TINY)
+    if value < _TINY:
+        log.debug("score exp(-%g * %.6g) = %g clamped to %g", gamma, distance, value, _TINY)
+        return _TINY
+    return value
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:

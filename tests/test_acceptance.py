@@ -201,6 +201,29 @@ def test_09_steering_tradeoff():
         assert any(b > a for a, b in zip(last, last[1:]))
 
 
+def test_09_steering_tradeoff_in_the_mean_over_seeds():
+    # Criterion 9 holds at seed 7 but not at every seed (2, 4, 6, 8 and 11 of
+    # 1-12 break it); the trade-off it describes holds for the mean over seeds.
+    with criterion(9, "alpha sweep steers the mean first and last task losses over seeds 1-12"):
+        first, last = [], []
+        for seed in range(1, 13):
+            report = run_pipeline(
+                {
+                    "seed": seed,
+                    "suite": {"num_tasks": 4, "dim": 32, "support_mode": "disjoint", "samples_per_task": 48},
+                    "merge": {"method": "tunable", "lambda_merge": 1.0},
+                    "preference": {"source": "alpha", "alpha": [0.0, 0.5, 1.0, 2.0, 4.0]},
+                }
+            )
+            first.append([run["task_losses"]["1"] for run in report.summary["runs"]])
+            last.append([run["task_losses"]["4"] for run in report.summary["runs"]])
+        first_mean = np.mean(first, axis=0)
+        last_mean = np.mean(last, axis=0)
+        assert all(b <= a + 1e-15 for a, b in zip(first_mean, first_mean[1:]))
+        assert all(b >= a - 1e-15 for a, b in zip(last_mean, last_mean[1:]))
+        assert first_mean[0] > 1.0 and last_mean[-1] > 1.0
+
+
 def test_10_similarity_driven_pipeline():
     with criterion(10, "meta from one task maximizes its budget and bounds its loss"):
         target_task = 2

@@ -962,6 +962,47 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("validation error: out of memory: Unable to allocate")
 
+    @staticmethod
+    def alpha_config(tmp_path, **suite):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12, **suite},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "alpha", "alpha": 0.5},
+            "report": {"json": str(tmp_path / "r.json")},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    # Two tasks: the largest label is 2 * classes_per_task - 1, so 2**62 is the last value that fits.
+    @pytest.mark.parametrize("classes", [2**62 + 1, 10**30], ids=["int64-plus-one", "1e30"])
+    def test_labels_beyond_int64_exit_2_naming_the_field(self, tmp_path, capsys, monkeypatch, classes):
+        def fail(*args, **kwargs):
+            raise AssertionError("task fitted for an unrepresentable label")
+
+        monkeypatch.setattr("tvmerge.harness.sequential_finetune_analog", fail)
+        assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, classes_per_task=classes))]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: classes_per_task {classes} is too large: "
+            "labels up to num_tasks * classes_per_task - 1 must fit in int64\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_largest_int64_label_runs(self, tmp_path):
+        assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, classes_per_task=2**62))]) == 0
+
+    def test_non_finite_loss_exits_2_naming_the_task(self, tmp_path, capsys):
+        # Noise of 1e200 keeps the targets finite, but its square overflows.
+        assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, noise_sigma=1e200))]) == 2
+        assert capsys.readouterr().err == "validation error: task 1: loss inf is not finite\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("separation", [1e308, -1e308])
+    def test_overflowing_design_is_singular(self, tmp_path, capsys, separation):
+        assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, cluster_separation=separation))]) == 2
+        assert capsys.readouterr().err == "validation error: task 1: singular restricted normal equations\n"
+
     def test_unknown_method_exits_6_before_fitting(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("suite generated for an unknown merge method")

@@ -118,6 +118,35 @@ class TestFinetuneAnalog:
         with pytest.raises(ValidationError, match="singular"):
             sequential_finetune_analog([task], np.zeros(4))
 
+    # The QR fit and lstsq's SVD both have forward error of order cond * eps;
+    # the tolerance allows the support width as a constant factor.
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_fit_agrees_with_lstsq_at_condition_number(self, cond):
+        samples, width = 40, 12
+        for seed in range(5):
+            rng = np.random.default_rng([seed, int(np.log10(cond))])
+            left, _ = np.linalg.qr(rng.normal(size=(samples, width)))
+            right, _ = np.linalg.qr(rng.normal(size=(width, width)))
+            design = (left * np.logspace(0, -np.log10(cond), width)) @ right.T
+            targets = design @ rng.normal(size=width) + rng.normal(size=samples)
+            task = SyntheticTask(1, design, targets, np.arange(width), np.zeros(samples, dtype=int))
+            (fit,) = sequential_finetune_analog([task], np.zeros(width))
+            expected = np.linalg.lstsq(design, targets, rcond=None)[0]
+            tolerance = width * cond * np.finfo(np.float64).eps * np.linalg.norm(expected)
+            assert np.linalg.norm(fit - expected) <= tolerance
+
+    def test_fit_agrees_with_lstsq_on_square_designs(self):
+        # samples_per_task equal to the width: no residual, and the worst conditioned suite designs.
+        for seed in range(10):
+            tasks, theta_0 = generate_task_suite(4, 64, "disjoint", 16, seed=seed)
+            fitted = sequential_finetune_analog(tasks, theta_0)[-1]
+            for task in tasks:
+                restricted = task.design[:, task.support]
+                expected = np.linalg.lstsq(restricted, task.targets, rcond=None)[0]
+                cond = np.linalg.cond(restricted)
+                tolerance = task.support.size * cond * np.finfo(np.float64).eps * np.linalg.norm(expected)
+                assert np.linalg.norm(fitted[task.support] - expected) <= tolerance
+
 
 class TestMixing:
     def test_even_split(self):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -126,6 +127,39 @@ class TestOTSimilarity:
         value = ot_similarity(x, y, OTConfig(gamma=100.0))
         assert value == np.finfo(np.float64).tiny
         assert value > 0.0
+
+    def test_unconverged_solve_logs_a_warning(self, caplog):
+        rng = np.random.default_rng(5)
+        x = EmbeddingSet(rng.normal(size=(5, 2)))
+        y = EmbeddingSet(rng.normal(size=(5, 2)))
+        with caplog.at_level(logging.DEBUG, logger="tvmerge"):
+            ot_similarity(x, y, OTConfig(epsilon=1e-3, max_iters=1))
+        records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert [(name, level) for name, level, _ in records] == [
+            ("tvmerge", logging.DEBUG),
+            ("tvmerge", logging.WARNING),
+        ]
+        assert records[0][2].startswith("sinkhorn: 1 iterations, converged False, cost ")
+        assert records[1][2] == "sinkhorn did not converge within max_iters 1 (tol 1e-09)"
+
+    def test_clamped_score_logs_at_debug(self, caplog):
+        x = EmbeddingSet(np.array([[0.0]]))
+        y = EmbeddingSet(np.array([[100.0]]))
+        with caplog.at_level(logging.DEBUG, logger="tvmerge"):
+            ot_similarity(x, y, OTConfig(gamma=100.0))
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "sinkhorn: 1 iterations, converged True, cost 10000"),
+            (logging.DEBUG, "score exp(-100 * 10000) = 0 clamped to 2.22507e-308"),
+        ]
+
+    def test_converged_unclamped_solve_logs_one_debug_line(self, caplog):
+        x = EmbeddingSet(np.array([[0.0]]))
+        y = EmbeddingSet(np.array([[0.1]]))
+        with caplog.at_level(logging.DEBUG, logger="tvmerge"):
+            ot_similarity(x, y)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "sinkhorn: 1 iterations, converged True, cost 0.01")
+        ]
 
 
 class TestLabelSimilarity:
