@@ -141,7 +141,11 @@ def generate_task_suite(
         restricted = center[None, :] + rng.normal(size=(samples_per_task, width))
         targets = restricted @ truth
         if noise_sigma > 0:
-            targets = targets + noise_sigma * rng.normal(size=samples_per_task)
+            with np.errstate(over="ignore"):
+                noise = noise_sigma * rng.normal(size=samples_per_task)
+            if not np.isfinite(noise).all():
+                raise ValidationError(f"noise_sigma {noise_sigma} is too large: the target noise overflows")
+            targets = targets + noise
         design = np.zeros((samples_per_task, dim))
         design[:, support] = restricted
         first_class = (task_id - 1) * classes_per_task

@@ -2,9 +2,15 @@
 
 The feature-based metric is entropic optimal transport between two point
 clouds with squared Euclidean ground cost and uniform marginals, solved by
-log-domain Sinkhorn iterations. Costs are normalized by the mean cost
-entry before iterating, so the regularization strength is scale-free;
-the returned transport cost is on the original scale.
+Sinkhorn iterations in kernel space: two matrix-vector products per
+iteration on a kernel into which the log-domain potentials are absorbed,
+with a log-domain update whenever a scaling grows too large or too small.
+Costs are normalized by the mean cost entry before iterating, so the
+regularization strength is scale-free; the returned transport cost is on
+the original scale.
+
+Pairwise distances sum over the columns a set uses, so embeddings that
+are zero outside a task's support cost only their support's width.
 
 Distances turn into similarities through ``exp(-gamma * distance)``,
 clamped away from zero so downstream proportional allocation stays
@@ -133,11 +139,35 @@ class SinkhornResult(NamedTuple):
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x and of y."""
-    sq_x = np.einsum("ij,ij->i", x, x)
-    sq_y = np.einsum("ij,ij->i", y, y)
-    out = sq_x[:, None] + sq_y[None, :] - 2.0 * (x @ y.T)
+    """Squared Euclidean distances between the rows of x and of y.
+
+    A column that is zero in every row of a set adds nothing to that set's
+    norms, nor to the cross term, so each norm sums over the columns its
+    set uses and the cross term over the columns both sets use. Sets
+    without an all-zero column take the plain dense formula.
+    """
+    used_x = x.any(axis=0)
+    if y is x:
+        # One compressed array, so that ``x @ x.T`` still takes the symmetric product.
+        x = _columns(x, used_x)
+        sq_x = sq_y = _sq_norms(x)
+        cross = x @ x.T
+    else:
+        used_y = y.any(axis=0)
+        shared = used_x & used_y
+        sq_x = _sq_norms(_columns(x, used_x))
+        sq_y = _sq_norms(_columns(y, used_y))
+        cross = _columns(x, shared) @ _columns(y, shared).T
+    out = sq_x[:, None] + sq_y[None, :] - 2.0 * cross
     return np.maximum(out, 0.0)
+
+
+def _columns(m: np.ndarray, used: np.ndarray) -> np.ndarray:
+    return m if used.all() else m[:, used]
+
+
+def _sq_norms(m: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", m, m)
 
 
 # Warm-start schedule for small regularization: stages shrink the working
@@ -147,15 +177,30 @@ _STAGE_START = 1.0
 _STAGE_DECAY = 0.25
 _STAGE_ITERS = 60
 _STAGE_TOL = 1e-4
+# Kernel-space scalings outside this range are absorbed into the potentials.
+_SCALING_MIN = 1e-30
+_SCALING_MAX = 1e30
 
 
 def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -> SinkhornResult:
     """Entropic transport cost between two embedding sets.
 
     Returns the plan's transport cost without the entropy term, together
-    with a convergence flag: iterations stop once both marginal L1
-    violations drop below ``cfg.tol`` or ``cfg.max_iters`` is reached.
-    ``iterations`` counts update pairs across all warm-start stages.
+    with a convergence flag: iterations stop once the row-marginal L1
+    violation drops below ``cfg.tol`` or ``cfg.max_iters`` is reached,
+    and the final plan must meet both marginals within ``cfg.tol``.
+    ``iterations`` counts update pairs across all warm-start stages. An
+    unconverged solve reads its cost from the plan after one more column
+    update, whose columns carry the target weights.
+
+    Each stage's first update, and the first after an absorption, runs in
+    the log domain and then builds the absorbed kernel
+    ``gibbs = exp(kernel + row_pot + col_pot)``. Later updates are the
+    matrix-vector products ``u = a / (gibbs @ v)`` and
+    ``v = b / (gibbs.T @ u)``, and the plan is ``gibbs * u v^T``. Once a
+    scaling leaves ``[_SCALING_MIN, _SCALING_MAX]``, ``log u`` and
+    ``log v`` are folded into the potentials (Schmitzer 2019,
+    arXiv:1610.06519).
     """
     cfg = cfg or OTConfig()
     if x.dim != y.dim:
@@ -166,7 +211,6 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
         return SinkhornResult(0.0, True, 0)
 
     n_x, n_y = cost.shape
-    normed = cost / scale
     log_a = np.full(n_x, -math.log(n_x))
     log_b = np.full(n_y, -math.log(n_y))
     weight_a = np.exp(log_a)
@@ -182,37 +226,74 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
     row_cost_pot = np.zeros(n_x)
     col_cost_pot = np.zeros(n_y)
     total_iters = 0
-    # One (n_x, n_y) buffer for the stage kernel and one for both logsumexps.
-    kernel = np.empty_like(normed)
-    work = np.empty_like(normed)
+    # ``kernel`` is -cost / (scale * eps). ``gibbs`` is the absorbed kernel
+    # while ``scaled`` holds, and the log-domain updates' work buffer otherwise.
+    kernel = np.empty_like(cost)
+    gibbs = np.empty_like(cost)
     for level, eps in enumerate(levels):
         final = level == len(levels) - 1
-        np.divide(np.negative(normed, out=kernel), eps, out=kernel)
+        np.divide(np.divide(cost, -scale, out=kernel), eps, out=kernel)
         row_pot = row_cost_pot / eps
         col_pot = col_cost_pot / eps
+        u = np.ones(n_x)
+        v = np.ones(n_y)
+        # The carried potentials do not fit this stage's kernel, so the
+        # first update runs in the log domain; after it the plan's columns
+        # sum to b and exp(kernel + row_pot + col_pot) cannot overflow.
+        scaled = False
         budget = cfg.max_iters - total_iters
         if not final:
             budget = min(budget, _STAGE_ITERS)
         stage_tol = cfg.tol if final else max(cfg.tol, _STAGE_TOL)
         for _ in range(budget):
-            # Row sums of the current plan factor through the next update's
-            # logsumexp, so the marginal check costs nothing extra. Column
-            # sums are exact by construction after every column update.
-            col_lse = _logsumexp(np.add(kernel, col_pot[None, :], out=work), axis=1)
-            if np.abs(np.exp(row_pot + col_lse) - weight_a).sum() <= stage_tol:
+            # Row sums of the current plan factor through the next row
+            # update, so the marginal check costs nothing extra. Column sums
+            # are exact by construction after every column update.
+            if scaled:
+                k_v = gibbs @ v
+                row_sums = u * k_v
+            else:
+                col_lse = _logsumexp(np.add(kernel, col_pot[None, :], out=gibbs), axis=1)
+                row_sums = np.exp(row_pot + col_lse)
+            if np.abs(row_sums - weight_a).sum() <= stage_tol:
                 break
-            row_pot = log_a - col_lse
-            col_pot = log_b - _logsumexp(np.add(kernel, row_pot[:, None], out=work), axis=0)
             total_iters += 1
-        row_cost_pot = row_pot * eps
-        col_cost_pot = col_pot * eps
+            if scaled:
+                u = weight_a / k_v
+                v = weight_b / (gibbs.T @ u)
+                if _out_of_range(u) or _out_of_range(v):
+                    row_pot, col_pot = row_pot + np.log(u), col_pot + np.log(v)
+                    u, v = np.ones(n_x), np.ones(n_y)
+                    scaled = False
+                continue
+            row_pot = log_a - col_lse
+            col_pot = log_b - _logsumexp(np.add(kernel, row_pot[:, None], out=gibbs), axis=0)
+            _gibbs(kernel, row_pot, col_pot, out=gibbs)
+            scaled = True
+        row_cost_pot = (row_pot + np.log(u)) * eps
+        col_cost_pot = (col_pot + np.log(v)) * eps
 
-    plan = np.add(kernel, row_pot[:, None], out=work)
-    np.exp(np.add(plan, col_pot[None, :], out=plan), out=plan)
+    if not scaled:
+        _gibbs(kernel, row_pot, col_pot, out=gibbs)
+    plan = np.multiply(np.multiply(gibbs, u[:, None], out=gibbs), v[None, :], out=gibbs)
     row_gap = np.abs(plan.sum(axis=1) - weight_a).sum()
     col_gap = np.abs(plan.sum(axis=0) - weight_b).sum()
     converged = bool(row_gap <= cfg.tol and col_gap <= cfg.tol)
+    if not converged:
+        row_pot = row_pot + np.log(u)
+        col_pot = log_b - _logsumexp(np.add(kernel, row_pot[:, None], out=gibbs), axis=0)
+        plan = _gibbs(kernel, row_pot, col_pot, out=gibbs)
     return SinkhornResult(float(np.multiply(plan, cost, out=plan).sum()), converged, total_iters)
+
+
+def _gibbs(kernel: np.ndarray, row_pot: np.ndarray, col_pot: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(kernel + row_pot + col_pot)`` into ``out``."""
+    np.add(kernel, row_pot[:, None], out=out)
+    return np.exp(np.add(out, col_pot[None, :], out=out), out=out)
+
+
+def _out_of_range(scaling: np.ndarray) -> bool:
+    return bool(scaling.min() < _SCALING_MIN or scaling.max() > _SCALING_MAX)
 
 
 def ot_similarity(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -> float:
@@ -251,14 +332,24 @@ def cosine_mean_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
 
 
 def median_heuristic_bandwidth(x: EmbeddingSet, y: EmbeddingSet) -> float:
-    """Median pairwise distance over the pooled samples (1.0 when all coincide)."""
-    pooled = np.vstack([x.vectors, y.vectors])
-    dists = np.sqrt(pairwise_sq_dists(pooled, pooled))
-    upper = dists[np.triu_indices(pooled.shape[0], k=1)]
-    if upper.size == 0:
-        return 1.0
-    median = float(np.median(upper))
+    """Median pairwise distance over the pooled samples (1.0 when all coincide).
+
+    The pooled pairs are the pairs within x, the pairs within y and every
+    (x, y) pair, so the median is read off those three blocks without
+    forming the pooled matrix.
+    """
+    sq_dists = np.concatenate([
+        _upper_triangle(pairwise_sq_dists(x.vectors, x.vectors)),
+        _upper_triangle(pairwise_sq_dists(y.vectors, y.vectors)),
+        pairwise_sq_dists(x.vectors, y.vectors).ravel(),
+    ])
+    median = float(np.median(np.sqrt(sq_dists, out=sq_dists)))
     return median if median > 0.0 else 1.0
+
+
+def _upper_triangle(square: np.ndarray) -> np.ndarray:
+    """The entries above the diagonal, row by row."""
+    return square[np.triu(np.ones(square.shape, dtype=bool), k=1)]
 
 
 def mmd_rbf(x: EmbeddingSet, y: EmbeddingSet, bandwidth: float | None = None) -> float:

@@ -998,6 +998,17 @@ class TestPipeline:
         assert capsys.readouterr().err == "validation error: task 1: loss inf is not finite\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_noise_exits_2_naming_noise_sigma(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("task fitted on overflowed targets")
+
+        monkeypatch.setattr("tvmerge.harness.sequential_finetune_analog", fail)
+        assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, noise_sigma=1e308))]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: noise_sigma 1e+308 is too large: the target noise overflows\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("separation", [1e308, -1e308])
     def test_overflowing_design_is_singular(self, tmp_path, capsys, separation):
         assert main(["pipeline", "--config", str(self.alpha_config(tmp_path, cluster_separation=separation))]) == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tvmerge.similarity as similarity
 from tvmerge import (
     DegenerateInputError,
     EmbeddingSet,
@@ -20,6 +21,7 @@ from tvmerge import (
     similarity_vector,
     sinkhorn_ot,
 )
+from reference_sinkhorn import dense_sq_dists, reference_sinkhorn
 
 
 def exact_ot_by_enumeration(x, y):
@@ -106,6 +108,111 @@ class TestSinkhorn:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dims differ"):
             sinkhorn_ot(EmbeddingSet(np.zeros((2, 2))), EmbeddingSet(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 5])
+    def test_unconverged_cost_reads_a_plan_with_target_columns(self, max_iters):
+        # The later warm-start stages get no iterations, so the potentials are stale.
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(5, 2))
+        y = rng.normal(size=(5, 2)) + 100.0
+        cost = pairwise_sq_dists(x, y)
+        converged = sinkhorn_ot(EmbeddingSet(x), EmbeddingSet(y), OTConfig(epsilon=1e-3))
+        res = sinkhorn_ot(EmbeddingSet(x), EmbeddingSet(y), OTConfig(epsilon=1e-3, max_iters=max_iters))
+        assert converged.converged and not res.converged
+        assert res.iterations == max_iters
+        assert cost.min() <= res.cost <= cost.max()
+        assert res.cost == pytest.approx(converged.cost, rel=1e-3)
+        assert res.cost == pytest.approx(reference_sinkhorn(x, y, 1e-3, max_iters)[0], rel=1e-12)
+
+
+class TestSinkhornMatchesLogDomainOracle:
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2, 0.05, 0.3])
+    @pytest.mark.parametrize("coord_scale", [1e-3, 1.0, 1e3])
+    def test_random_sets(self, epsilon, coord_scale):
+        rng = np.random.default_rng([17, round(epsilon * 1000), round(coord_scale * 1000)])
+        for _ in range(5):
+            d = int(rng.integers(1, 6))
+            x = coord_scale * rng.normal(size=(int(rng.integers(1, 40)), d))
+            y = coord_scale * (rng.normal(size=(int(rng.integers(1, 40)), d)) + rng.uniform(0.0, 2.0))
+            res = sinkhorn_ot(EmbeddingSet(x), EmbeddingSet(y), OTConfig(epsilon=epsilon, tol=1e-9))
+            cost, converged, iterations = reference_sinkhorn(x, y, epsilon, tol=1e-9)
+            assert (res.iterations, res.converged) == (iterations, converged)
+            assert res.cost == pytest.approx(cost, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["outlier-first", "outlier-second"])
+    def test_far_outlier_needs_log_domain_steps(self, swap):
+        # One point at (1e3, 1e3) puts kernel entries near -8e4: without the
+        # log-domain steps the kernel underflows, the scalings divide by
+        # zero and the cost is NaN.
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(800, 2))
+        x[0] = (1e3, 1e3)
+        y = rng.normal(size=(50, 2))
+        if swap:
+            x, y = y, x
+        res = sinkhorn_ot(EmbeddingSet(x), EmbeddingSet(y))
+        cost, converged, iterations = reference_sinkhorn(x, y)
+        assert res.converged and converged
+        assert res.iterations == iterations
+        # exp() of arguments near 8e4 carries about 2e-11 relative rounding on either side.
+        assert res.cost == pytest.approx(cost, rel=1e-10, abs=0.0)
+
+    def test_absorbed_scalings_keep_agreement(self, monkeypatch):
+        # At epsilon 1e-5 the kernel-space scalings leave [1e-30, 1e30] and
+        # are folded into the potentials; the solve must not notice.
+        absorbed = []
+        check = similarity._out_of_range
+
+        def out_of_range(scaling):
+            absorbed.append(check(scaling))
+            return absorbed[-1]
+
+        monkeypatch.setattr(similarity, "_out_of_range", out_of_range)
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(int(rng.integers(5, 30)), 2))
+        y = rng.normal(size=(int(rng.integers(5, 30)), 2)) + rng.uniform(0.0, 3.0)
+        x[0] *= 30.0
+        res = sinkhorn_ot(EmbeddingSet(x), EmbeddingSet(y), OTConfig(epsilon=1e-5, max_iters=5000))
+        cost, converged, iterations = reference_sinkhorn(x, y, 1e-5, max_iters=5000)
+        assert any(absorbed)
+        assert (res.iterations, res.converged) == (iterations, converged) == (3822, True)
+        # Kernel entries reach about -1e6 here, so exp() rounds both solvers by about 1e-10.
+        assert res.cost == pytest.approx(cost, rel=1e-10, abs=0.0)
+
+
+
+class TestPairwiseSqDists:
+    @staticmethod
+    def sparse_columns(rng, rows, used):
+        m = np.zeros((rows, 40))
+        m[:, used] = rng.normal(size=(rows, len(used)))
+        return m
+
+    def test_all_zero_columns_match_dense_formula(self):
+        rng = np.random.default_rng(31)
+        x = self.sparse_columns(rng, 30, [0, 3, 4, 5, 17, 30])
+        y = self.sparse_columns(rng, 20, [4, 5, 6, 17, 18, 39])
+        apart = self.sparse_columns(rng, 10, [1, 2, 7])
+        for a, b in [(x, x), (y, y), (x, y), (y, x), (x, apart), (x, x.copy())]:
+            np.testing.assert_allclose(pairwise_sq_dists(a, b), dense_sq_dists(a, b), rtol=1e-12, atol=1e-12)
+
+    def test_dense_sets_take_the_dense_formula_bitwise(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(25, 13))
+        y = rng.normal(size=(18, 13))
+        assert np.array_equal(pairwise_sq_dists(x, x), dense_sq_dists(x, x))
+        assert np.array_equal(pairwise_sq_dists(x, y), dense_sq_dists(x, y))
+        # One dense set against a sparse one keeps the dense set's norms.
+        sparse = y.copy()
+        sparse[:, 4:9] = 0.0
+        np.testing.assert_allclose(pairwise_sq_dists(x, sparse), dense_sq_dists(x, sparse), rtol=1e-12, atol=1e-12)
+
+    def test_self_distances_are_symmetric_with_compressed_columns(self):
+        # At this size a general product of two copies is not bitwise symmetric.
+        x = np.zeros((100, 300))
+        x[:, 20:284] = np.random.default_rng(33).normal(size=(100, 264))
+        dists = pairwise_sq_dists(x, x)
+        assert np.array_equal(dists, dists.T)
 
 
 class TestOTSimilarity:
@@ -256,6 +363,20 @@ class TestMMD:
         assert median_heuristic_bandwidth(x, y) == pytest.approx(1.0)
         same = EmbeddingSet(np.array([[5.0], [5.0]]))
         assert median_heuristic_bandwidth(same, same) == 1.0
+
+    @pytest.mark.parametrize("shape_y", [(1, 6), (7, 6), (8, 6)], ids=["single", "odd", "even"])
+    def test_median_heuristic_matches_pooled_matrix(self, shape_y):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(9, 6))
+        x[:, 1] = 0.0
+        # A wider y, so that a block read wrongly moves the median.
+        y = 3.0 * rng.normal(size=shape_y) + 0.5
+        y[:, 4] = 0.0
+        pooled = np.vstack([x, y])
+        dists = np.sqrt(dense_sq_dists(pooled, pooled))
+        expected = float(np.median(dists[np.triu_indices(pooled.shape[0], k=1)]))
+        got = median_heuristic_bandwidth(EmbeddingSet(x), EmbeddingSet(y))
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestSimilarityVector:
