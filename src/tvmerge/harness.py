@@ -35,6 +35,7 @@ from .merging import (
 from .preference import (
     AlphaSchedule,
     PreferenceVector,
+    largest_remainder_counts,
     load_preference,
     preference_from_alpha,
     preference_from_similarities,
@@ -199,10 +200,10 @@ def mix_target_environment(
 ) -> TargetEnvironment:
     """Sample a target environment mixing the member tasks at given ratios.
 
-    Per-task sample counts follow largest-remainder rounding of the mixing
-    ratio; the meta split takes ``meta_fraction`` of the samples, allocated
-    across members by the same rounding so it stays stratified. Meta and
-    evaluation rows are disjoint.
+    Per-task sample counts split the samples by the mixing ratio with the
+    budgets' rule, ``largest_remainder_counts``; the meta split takes
+    ``meta_fraction`` of them, split by the same rule over those counts so
+    it stays stratified. Meta and evaluation rows are disjoint.
     """
     members = [int(t) for t in member_ids]
     by_id = {task.task_id: task for task in tasks}
@@ -214,8 +215,8 @@ def mix_target_environment(
     ratios = np.asarray(mix, dtype=np.float64)
     if ratios.size != len(members):
         raise ValidationError("mix length must match member count")
-    if np.any(ratios < 0):
-        raise ValidationError("mixing ratios must be nonnegative")
+    if not np.isfinite(ratios).all() or np.any(ratios < 0):
+        raise ValidationError("mixing ratios must be finite and nonnegative")
     if abs(float(ratios.sum()) - 1.0) > 1e-9:
         raise ValidationError(f"mixing ratios sum to {ratios.sum()}, expected 1")
     if total_samples < len(members):
@@ -225,7 +226,7 @@ def mix_target_environment(
 
     counts = largest_remainder_counts(ratios, total_samples)
     meta_total = int(round(meta_fraction * total_samples))
-    meta_counts = largest_remainder_counts(counts.astype(np.float64), meta_total)
+    meta_counts = largest_remainder_counts(counts, meta_total)
 
     meta_rows: dict[int, np.ndarray] = {}
     eval_rows: dict[int, np.ndarray] = {}
@@ -312,24 +313,6 @@ def environment_meta_labels(
     if not labels:
         raise ValidationError("environment meta split is empty")
     return LabelHistogram.from_labels(labels)
-
-
-def largest_remainder_counts(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to ``total``, proportional to ``weights``.
-
-    Floors first, then hands the leftover units to the largest fractional
-    parts (ties broken by index order).
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.sum() <= 0:
-        raise ValidationError("weights must have a positive sum")
-    shares = weights / weights.sum() * total
-    floors = np.floor(shares).astype(np.int64)
-    leftover = total - int(floors.sum())
-    if leftover > 0:
-        order = np.argsort(-(shares - floors), kind="stable")
-        floors[order[:leftover]] += 1
-    return floors
 
 
 # ---------------------------------------------------------------------------

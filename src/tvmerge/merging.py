@@ -14,7 +14,7 @@ Budgets follow the rule of :mod:`tvmerge.preference`; :func:`tunable_merge`
 checks only that they fit: one per task, summing to the element count.
 
 Randomized selection is driven by counter-based keyed streams: a Philox
-generator keyed by (seed, round, task), so results are reproducible and
+generator keyed by (seed, purpose, task), so results are reproducible and
 independent of scheduling or invocation order. The seed is the only input
 to those streams.
 """
@@ -35,6 +35,9 @@ MERGE_METHODS = ("magmax", "tunable", "average", "randmix")
 
 #: Provenance code for elements assigned by the final random fill.
 RESIDUAL_RANDOM = 0
+
+#: Selection-stream purposes: randmix owners, claim thinning, residual fill.
+RANDMIX_KEY, CLAIM_KEY, FILL_KEY = 0, 1, 3
 
 TaskVectors = Union["Rows", np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
@@ -93,12 +96,12 @@ def check_seed(seed: int) -> None:
         raise ValidationError("seed must fit in 64 unsigned bits")
 
 
-def selection_stream(seed: int, round_index: int, task: int) -> np.random.Generator:
-    """Deterministic generator keyed by (seed, round, task)."""
+def selection_stream(seed: int, purpose: int, task: int) -> np.random.Generator:
+    """Deterministic generator keyed by (seed, purpose, task)."""
     check_seed(seed)
     key = np.empty(2, dtype=np.uint64)
     key[0] = np.uint64(seed)
-    key[1] = np.uint64(((round_index & 0xFFFFFFFF) << 32) | (task & 0xFFFFFFFF))
+    key[1] = np.uint64(((purpose & 0xFFFFFFFF) << 32) | (task & 0xFFFFFFFF))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -207,7 +210,7 @@ def average_merge(taus: TaskVectors) -> np.ndarray:
 def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
     rows = _as_rows(taus)
-    stream = selection_stream(seed, 0, 0)
+    stream = selection_stream(seed, RANDMIX_KEY, 0)
     owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
     assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
     return _gather(rows, owner, range(rows.count)), assignment
@@ -343,7 +346,7 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
         claim = _flatnonzero(candidates, index)
         del candidates  # freed before the next task's bits are unpacked
         if claim.size > need:
-            selection_stream(seed, 1, task).shuffle(claim)
+            selection_stream(seed, CLAIM_KEY, task).shuffle(claim)
             claim = claim[:need]
         owner[claim] = task
         unassigned[claim] = False
@@ -354,8 +357,7 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     del packed
 
     leftovers = _flatnonzero(unassigned, index)
-    # Round 3 was the fill's key under the former default of two rounds, so outputs keep their bytes.
-    selection_stream(seed, 3, 0).shuffle(leftovers)
+    selection_stream(seed, FILL_KEY, 0).shuffle(leftovers)
     start = 0
     for task, count in enumerate(deficits.tolist(), 1):
         owner[leftovers[start : start + count]] = task

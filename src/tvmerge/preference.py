@@ -5,11 +5,10 @@ per task, summing to the element count d; whether they fit a given set of
 task vectors is checked by ``tunable_merge``. Scores are non-empty, finite,
 non-negative numbers (not booleans or strings) with a positive sum.
 
-Budgets are allocated proportionally to nonnegative scores with a floor
-plus remainder rule: task t gets ``floor(score_t / total * d)`` elements
-and the first R tasks (in index order) absorb one leftover unit each.
-The floor arithmetic runs on exact rationals so the budgets always sum
-to d regardless of score scale.
+Budgets, and a target environment's sample counts, follow one rule,
+:func:`largest_remainder_counts`: Hamilton's method on exact rationals.
+Task t gets ``floor(score_t / total * d)`` elements and the leftover units
+go to the largest remainders, ties to the lower index; budgets sum to d.
 """
 
 from __future__ import annotations
@@ -103,12 +102,12 @@ class AlphaSchedule:
 
 
 def preference_from_similarities(scores: Scores, dim: int) -> PreferenceVector:
-    """Budgets proportional to scores via the floor plus remainder rule."""
+    """Budgets proportional to scores by :func:`largest_remainder_counts`."""
     if not isinstance(scores, SimilarityVector):
         scores = SimilarityVector(tuple(scores))
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    return PreferenceVector(tuple(_floor_remainder_allocation(scores.scores, dim)))
+    return PreferenceVector(tuple(largest_remainder_counts(scores.scores, dim)))
 
 
 def preference_from_alpha(schedule: AlphaSchedule) -> PreferenceVector:
@@ -118,11 +117,31 @@ def preference_from_alpha(schedule: AlphaSchedule) -> PreferenceVector:
         return PreferenceVector((0,) * (tasks - 1) + (dim,))
     alpha = min(schedule.alpha, ALPHA_CAP)
     # Weights are formed in log space so large alpha ** (T - t) cannot overflow.
-    exponents = np.arange(tasks - 1, -1, -1, dtype=np.float64)
-    log_w = exponents * math.log(alpha)
-    ratios = np.exp(log_w - log_w.max())
-    ratios /= ratios.sum()
-    return PreferenceVector(tuple(_floor_remainder_allocation(ratios.tolist(), dim)))
+    log_w = np.arange(tasks - 1, -1, -1, dtype=np.float64) * math.log(alpha)
+    return PreferenceVector(tuple(largest_remainder_counts(np.exp(log_w - log_w.max()), dim)))
+
+
+def largest_remainder_counts(weights, total: int) -> np.ndarray:
+    """Counts summing to ``total`` in proportion to ``weights``: the package's one apportionment rule.
+
+    Each count is the floor of its exact rational share ``w / sum(w) * total``;
+    the leftover units go to the largest remainders, ties to the lower index.
+    Counts are int64, or Python ints in an object array past int64.
+    """
+    array = np.asarray(weights, dtype=np.float64)
+    if array.ndim != 1 or not np.isfinite(array).all() or (array < 0).any() or not array.any():
+        raise ValidationError("weights must be 1-D, finite and non-negative, with a positive sum")
+    if not _is_integral(total) or total < 0:
+        raise ValidationError(f"total must be an integer >= 0, got {total!r}")
+    total = int(total)
+    exact = [Fraction(w) for w in array.tolist()]
+    scale = sum(exact)
+    shares = [w * total / scale for w in exact]
+    counts = [math.floor(share) for share in shares]
+    by_remainder = sorted(range(len(shares)), key=lambda i: (counts[i] - shares[i], i))
+    for index in by_remainder[: total - sum(counts)]:
+        counts[index] += 1
+    return np.array(counts, dtype=np.int64 if total <= np.iinfo(np.int64).max else object)
 
 
 def validate_preference(pref: PreferenceVector | Sequence[int], dim: int) -> list[str]:
@@ -198,10 +217,3 @@ def _is_integral(value) -> bool:
     except (TypeError, ValueError, OverflowError):
         return False
 
-
-def _floor_remainder_allocation(scores: Sequence[float], dim: int) -> list[int]:
-    exact = [Fraction(s) for s in scores]
-    total = sum(exact)
-    floors = [int(s / total * dim) for s in exact]
-    remainder = dim - sum(floors)
-    return [n + 1 if index < remainder else n for index, n in enumerate(floors)]

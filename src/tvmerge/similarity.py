@@ -361,6 +361,8 @@ def mmd_rbf(x: EmbeddingSet, y: EmbeddingSet, bandwidth: float | None = None) ->
     if bandwidth <= 0:
         raise ValidationError("bandwidth must be positive")
     denom = 2.0 * bandwidth * bandwidth
+    if denom == 0.0:
+        raise DegenerateInputError(f"bandwidth {bandwidth:g} is too small: 2 * bandwidth**2 underflows to 0")
     k_xx = np.exp(-pairwise_sq_dists(x.vectors, x.vectors) / denom).mean()
     k_yy = np.exp(-pairwise_sq_dists(y.vectors, y.vectors) / denom).mean()
     k_xy = np.exp(-pairwise_sq_dists(x.vectors, y.vectors) / denom).mean()

@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmerge import (
     AlphaSchedule,
@@ -9,6 +12,7 @@ from tvmerge import (
     PreferenceVector,
     SimilarityVector,
     ValidationError,
+    largest_remainder_counts,
     load_preference,
     preference_from_alpha,
     preference_from_similarities,
@@ -83,6 +87,82 @@ class TestFromSimilarities:
     def test_accepts_similarity_vector(self):
         sims = SimilarityVector((1.0, 3.0), metric="label")
         assert preference_from_similarities(sims, 4).budgets == (1, 3)
+
+
+# Weights from the subnormal floor to 1e308, plus small integers so ties are common.
+WEIGHTS = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e308),
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308]),
+        st.integers(0, 4).map(float),
+    ),
+    min_size=1,
+    max_size=8,
+).filter(any)
+
+
+class TestLargestRemainderCounts:
+    @settings(deadline=None)
+    @given(weights=WEIGHTS, total=st.integers(0, 10**30), power=st.integers(-64, 64))
+    def test_exact_largest_remainders(self, weights, total, power):
+        counts = largest_remainder_counts(weights, total)
+        assert counts.dtype == (np.int64 if total < 2**63 else object)
+        counts = [int(c) for c in counts]
+        exact = [Fraction(w) for w in weights]
+        shares = [w * total / sum(exact) for w in exact]
+        floors = [math.floor(share) for share in shares]
+        assert sum(counts) == total
+        assert all(c - f in (0, 1) for c, f in zip(counts, floors))
+        # Every index given a leftover unit outranks every index not given
+        # one: a larger remainder, or an equal remainder and a lower index.
+        rank = [(share - f, -i) for i, (share, f) in enumerate(zip(shares, floors))]
+        given_unit = [r for r, c, f in zip(rank, counts, floors) if c > f]
+        passed_over = [r for r, c, f in zip(rank, counts, floors) if c == f]
+        if given_unit and passed_over:
+            assert min(given_unit) > max(passed_over)
+        try:
+            scaled = [math.ldexp(w, power) for w in weights]
+        except OverflowError:
+            return
+        # Scaling is exact unless it rounds a weight into the subnormals.
+        if all(math.ldexp(v, -power) == w for v, w in zip(scaled, weights)):
+            assert [int(c) for c in largest_remainder_counts(scaled, total)] == counts
+
+    @pytest.mark.parametrize(
+        "weights, total, expected",
+        [
+            ([0.1, 0.2, 0.7], 2**60 + 1, [115292150460684707, 230584300921369415, 807045053224792855]),
+            ([1, 2], 10**20, [33333333333333333333, 66666666666666666667]),
+            ([1e308] * 3, 10, [4, 3, 3]),
+        ],
+        ids=["2^60+1", "1e20", "1e308"],
+    )
+    def test_sums_exactly_where_floats_fail(self, weights, total, expected):
+        counts = largest_remainder_counts(weights, total)
+        assert counts.tolist() == expected
+        assert sum(counts.tolist()) == total
+
+    def test_leftovers_go_to_the_largest_remainders(self):
+        assert largest_remainder_counts([0.5, 0.3, 0.2], 2000).tolist() == [1000, 600, 400]
+        assert preference_from_similarities([0.5, 0.3, 0.2], 2000).budgets == (1000, 600, 400)
+        assert preference_from_alpha(AlphaSchedule(0.5, 4, 97)).budgets == (6, 13, 26, 52)
+
+    def test_invalid_inputs_rejected(self):
+        for weights, total in [
+            ([1.0, -1.0, 1.0], 5),
+            ([[1.0, 2.0]], 5),
+            (1.0, 5),
+            ([float("nan"), 1.0], 5),
+            ([float("inf"), 1.0], 5),
+            ([0.0, 0.0], 5),
+            ([], 5),
+            ([1.0], -1),
+            ([1.0], 2.5),
+            ([1.0], True),
+            ([1.0], None),
+        ]:
+            with pytest.raises(ValidationError):
+                largest_remainder_counts(weights, total)
 
 
 class TestFromAlpha:
