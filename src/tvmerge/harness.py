@@ -8,8 +8,11 @@ QR of each task's augmented design ``[X | y]``), form per-task deltas,
 build budgets (from a file, a geometric schedule, or dataset similarity
 against a mixed target environment), merge, and evaluate.
 
-All harness math runs in float64 on raw vectors; the container codec is
-only involved when models are exchanged through the CLI.
+All harness math runs in float64 in support coordinates: each task holds
+its design only on its support columns, so the fit, the evaluation and the
+similarity embeddings cost the support's width, not the full dimension.
+Parameter vectors stay dense. The container codec is only involved when
+models are exchanged through the CLI.
 """
 
 from __future__ import annotations
@@ -54,17 +57,23 @@ _ENV_SALT = 2
 
 @dataclass
 class SyntheticTask:
-    """One linear regression task touching a fixed support of the parameters."""
+    """One linear regression task touching a fixed support of the parameters.
+
+    The design is held in support coordinates: column j of ``restricted``
+    multiplies parameter ``support[j]``, and the design is zero on every
+    other of the ``dim`` parameters.
+    """
 
     task_id: int
-    design: np.ndarray  # (m, d); nonzero only on the support columns
+    restricted: np.ndarray  # (m, width) design on the support columns
     targets: np.ndarray  # (m,)
-    support: np.ndarray  # sorted 0-based flat indices
+    support: np.ndarray  # (width,) sorted 0-based flat indices
     labels: np.ndarray  # (m,) integer class ids
+    dim: int  # length of the parameter vector
 
     @property
     def num_samples(self) -> int:
-        return self.design.shape[0]
+        return self.restricted.shape[0]
 
 
 @dataclass
@@ -147,11 +156,9 @@ def generate_task_suite(
             if not np.isfinite(noise).all():
                 raise ValidationError(f"noise_sigma {noise_sigma} is too large: the target noise overflows")
             targets = targets + noise
-        design = np.zeros((samples_per_task, dim))
-        design[:, support] = restricted
         first_class = (task_id - 1) * classes_per_task
         labels = first_class + np.arange(samples_per_task) % classes_per_task
-        tasks.append(SyntheticTask(task_id, design, targets, support, labels))
+        tasks.append(SyntheticTask(task_id, restricted, targets, support, labels, dim))
     return tasks, np.zeros(dim)
 
 
@@ -175,7 +182,7 @@ def sequential_finetune_analog(
     theta = np.asarray(theta_0, dtype=np.float64).copy()
     out = []
     for task in tasks:
-        restricted = task.design[:, task.support]
+        restricted = task.restricted
         width = task.support.size
         r = np.linalg.qr(np.column_stack([restricted, task.targets]), mode="r")
         pivots = np.abs(np.diagonal(r)[:width])
@@ -265,7 +272,7 @@ def evaluate(
     # Overflow shows as a non-finite loss, which _finite_loss rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         for task in tasks:
-            residual = task.design @ vec - task.targets
+            residual = task.restricted @ vec[task.support] - task.targets
             losses[task.task_id] = _finite_loss(f"task {task.task_id}", residual @ residual / task.num_samples)
         env_loss = None
         if env is not None:
@@ -285,22 +292,28 @@ def _finite_loss(name: str, loss) -> float:
 
 
 def task_embeddings(task: SyntheticTask) -> EmbeddingSet:
-    """Row-normalized design rows standing in for encoder features."""
-    return EmbeddingSet(_normalize_rows(task.design), source=f"task-{task.task_id}")
+    """Row-normalized design rows standing in for encoder features, on the task's support."""
+    return EmbeddingSet(
+        _normalize_rows(task.restricted), source=f"task-{task.task_id}", columns=task.support, dim=task.dim
+    )
 
 
 def environment_meta_embeddings(
     env: TargetEnvironment, tasks: Sequence[SyntheticTask]
 ) -> EmbeddingSet:
+    """The members' row-normalized meta rows, stacked in member order on the union of their supports."""
     by_id = {task.task_id: task for task in tasks}
-    blocks = [
-        _normalize_rows(by_id[m].design[env.meta_rows[m]])
-        for m in env.member_ids
-        if env.meta_rows[m].size
-    ]
-    if not blocks:
+    members = [by_id[m] for m in env.member_ids if env.meta_rows[m].size]
+    if not members:
         raise ValidationError("environment meta split is empty")
-    return EmbeddingSet(np.vstack(blocks), source="meta")
+    columns = np.unique(np.concatenate([task.support for task in members]))
+    vectors = np.zeros((sum(env.meta_rows[task.task_id].size for task in members), columns.size))
+    start = 0
+    for task in members:
+        block = _normalize_rows(task.restricted[env.meta_rows[task.task_id]])
+        vectors[start : start + len(block), np.searchsorted(columns, task.support)] = block
+        start += len(block)
+    return EmbeddingSet(vectors, source="meta", columns=columns, dim=members[0].dim)
 
 
 def environment_meta_labels(

@@ -9,8 +9,12 @@ Costs are normalized by the mean cost entry before iterating, so the
 regularization strength is scale-free; the returned transport cost is on
 the original scale.
 
-Pairwise distances sum over the columns a set uses, so embeddings that
-are zero outside a task's support cost only their support's width.
+An embedding set stores only the columns it uses, as sorted indices into
+its dimension: a caller may give them (the pipeline harness gives each
+task's support), and a dense matrix keeps its columns that are nonzero in
+some row. Pairwise distances align two sets by those columns, so
+embeddings that are zero outside a task's support cost only their
+support's width.
 
 Distances turn into similarities through ``exp(-gamma * distance)``,
 clamped away from zero so downstream proportional allocation stays
@@ -69,26 +73,61 @@ def _finite_positive(value) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """An (N, D) matrix of row-wise sample embeddings."""
+    """Row-wise sample embeddings in ``dim`` dimensions, held on the columns they use.
+
+    ``vectors`` is (N, W): its column j is embedding dimension
+    ``columns[j]``, and every dimension outside ``columns`` is zero in
+    every row. ``columns`` is sorted, without duplicates, within
+    ``[0, dim)`` and W long. Given without ``columns``, ``vectors`` is the
+    full (N, D) matrix; the set then keeps only its columns that are
+    nonzero in some row, found once here.
+    """
 
     vectors: np.ndarray
     source: str = ""
+    columns: np.ndarray | None = None
+    dim: int | None = None
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        if arr.ndim != 2 or arr.shape[0] < 1 or (self.columns is None and arr.shape[1] < 1):
             raise ValidationError("embeddings must form a non-empty 2-D matrix")
         if not np.isfinite(arr).all():
             raise ValidationError("embeddings must be finite")
+        if self.columns is None:
+            if self.dim is not None and self.dim != arr.shape[1]:
+                raise ValidationError(f"dim {self.dim} differs from the embedding width {arr.shape[1]}")
+            dim = arr.shape[1]
+            used = arr.any(axis=0)
+            columns = np.flatnonzero(used)
+            if columns.size < dim:
+                # Left in the Fortran order this gather gives: BLAS rounds by
+                # operand layout, and dense ``sim`` scores are pinned to it.
+                arr = arr[:, used]
+        else:
+            dim, columns = _checked_columns(self.columns, self.dim, arr.shape[1])
         object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def num_samples(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+
+def _checked_columns(columns, dim, width: int) -> tuple[int, np.ndarray]:
+    """``dim`` and ``columns`` as an int and an index array; ValidationError if they do not fit."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValidationError(f"embeddings given with columns need an integer dim >= 1, got {dim!r}")
+    cols = np.asarray(columns)
+    if cols.ndim != 1 or (cols.size and not np.issubdtype(cols.dtype, np.integer)):
+        raise ValidationError("embedding columns must be a 1-D sequence of integers")
+    if cols.size != width:
+        raise ValidationError(f"{cols.size} embedding columns for vectors {width} wide")
+    cols = cols.astype(np.intp)
+    if cols.size and (cols[0] < 0 or cols[-1] >= dim or np.any(cols[1:] <= cols[:-1])):
+        raise ValidationError(f"embedding columns must be sorted, distinct and within [0, {dim})")
+    return int(dim), cols
 
 
 class LabelHistogram:
@@ -138,32 +177,42 @@ class SinkhornResult(NamedTuple):
     iterations: int
 
 
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(
+    x: Union[EmbeddingSet, np.ndarray], y: Union[EmbeddingSet, np.ndarray]
+) -> np.ndarray:
     """Squared Euclidean distances between the rows of x and of y.
 
-    A column that is zero in every row of a set adds nothing to that set's
-    norms, nor to the cross term, so each norm sums over the columns its
-    set uses and the cross term over the columns both sets use. Sets
+    A dimension outside a set's columns is zero in every row, so it adds
+    nothing to that set's norms, nor to the cross term: each norm sums
+    over its set's columns and the cross term over the columns both sets
+    hold, aligned by index. A plain array is read as a dense set, so sets
     without an all-zero column take the plain dense formula.
     """
-    used_x = x.any(axis=0)
+    same = y is x
+    x = _as_set(x)
+    y = x if same else _as_set(y)
+    if x.dim != y.dim:
+        raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
     if y is x:
-        # One compressed array, so that ``x @ x.T`` still takes the symmetric product.
-        x = _columns(x, used_x)
-        sq_x = sq_y = _sq_norms(x)
-        cross = x @ x.T
+        # One array on both sides, so that ``m @ m.T`` takes the symmetric product.
+        sq_x = sq_y = _sq_norms(x.vectors)
+        cross = x.vectors @ x.vectors.T
     else:
-        used_y = y.any(axis=0)
-        shared = used_x & used_y
-        sq_x = _sq_norms(_columns(x, used_x))
-        sq_y = _sq_norms(_columns(y, used_y))
-        cross = _columns(x, shared) @ _columns(y, shared).T
+        sq_x = _sq_norms(x.vectors)
+        sq_y = _sq_norms(y.vectors)
+        cross = _on_columns(x, y.columns) @ _on_columns(y, x.columns).T
     out = sq_x[:, None] + sq_y[None, :] - 2.0 * cross
     return np.maximum(out, 0.0)
 
 
-def _columns(m: np.ndarray, used: np.ndarray) -> np.ndarray:
-    return m if used.all() else m[:, used]
+def _as_set(m: Union[EmbeddingSet, np.ndarray]) -> EmbeddingSet:
+    return m if isinstance(m, EmbeddingSet) else EmbeddingSet(m)
+
+
+def _on_columns(emb: EmbeddingSet, others: np.ndarray) -> np.ndarray:
+    """``emb.vectors`` restricted to the columns it shares with ``others``, in column order."""
+    kept = np.isin(emb.columns, others, assume_unique=True)
+    return emb.vectors if kept.all() else emb.vectors[:, kept]
 
 
 def _sq_norms(m: np.ndarray) -> np.ndarray:
@@ -203,9 +252,7 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
     arXiv:1610.06519).
     """
     cfg = cfg or OTConfig()
-    if x.dim != y.dim:
-        raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
-    cost = pairwise_sq_dists(x.vectors, y.vectors)
+    cost = pairwise_sq_dists(x, y)
     scale = float(cost.mean())
     if scale == 0.0:
         return SinkhornResult(0.0, True, 0)
@@ -321,14 +368,25 @@ def cosine_mean_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
     """One minus the cosine of the two mean embedding vectors; range [0, 2]."""
     if x.dim != y.dim:
         raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
-    mean_x = x.vectors.mean(axis=0)
-    mean_y = y.vectors.mean(axis=0)
+    mean_x = _mean_row(x)
+    mean_y = _mean_row(y)
     norm_x = np.linalg.norm(mean_x)
     norm_y = np.linalg.norm(mean_y)
     if norm_x == 0.0 or norm_y == 0.0:
         raise DegenerateInputError("zero-norm mean")
     cosine = float(mean_x @ mean_y / (norm_x * norm_y))
     return min(max(1.0 - cosine, 0.0), 2.0)
+
+
+def _mean_row(emb: EmbeddingSet) -> np.ndarray:
+    """The mean embedding, scattered back to all ``dim`` dimensions.
+
+    The mean is taken over a C-ordered copy, which sums each column row by
+    row, as the mean over the full dense matrix does.
+    """
+    full = np.zeros(emb.dim)
+    full[emb.columns] = np.ascontiguousarray(emb.vectors).mean(axis=0)
+    return full
 
 
 def median_heuristic_bandwidth(x: EmbeddingSet, y: EmbeddingSet) -> float:
@@ -339,9 +397,9 @@ def median_heuristic_bandwidth(x: EmbeddingSet, y: EmbeddingSet) -> float:
     forming the pooled matrix.
     """
     sq_dists = np.concatenate([
-        _upper_triangle(pairwise_sq_dists(x.vectors, x.vectors)),
-        _upper_triangle(pairwise_sq_dists(y.vectors, y.vectors)),
-        pairwise_sq_dists(x.vectors, y.vectors).ravel(),
+        _upper_triangle(pairwise_sq_dists(x, x)),
+        _upper_triangle(pairwise_sq_dists(y, y)),
+        pairwise_sq_dists(x, y).ravel(),
     ])
     median = float(np.median(np.sqrt(sq_dists, out=sq_dists)))
     return median if median > 0.0 else 1.0
@@ -363,9 +421,9 @@ def mmd_rbf(x: EmbeddingSet, y: EmbeddingSet, bandwidth: float | None = None) ->
     denom = 2.0 * bandwidth * bandwidth
     if denom == 0.0:
         raise DegenerateInputError(f"bandwidth {bandwidth:g} is too small: 2 * bandwidth**2 underflows to 0")
-    k_xx = np.exp(-pairwise_sq_dists(x.vectors, x.vectors) / denom).mean()
-    k_yy = np.exp(-pairwise_sq_dists(y.vectors, y.vectors) / denom).mean()
-    k_xy = np.exp(-pairwise_sq_dists(x.vectors, y.vectors) / denom).mean()
+    k_xx = np.exp(-pairwise_sq_dists(x, x) / denom).mean()
+    k_yy = np.exp(-pairwise_sq_dists(y, y) / denom).mean()
+    k_xy = np.exp(-pairwise_sq_dists(x, y) / denom).mean()
     mmd_sq = max(float(k_xx + k_yy - 2.0 * k_xy), 0.0)
     return math.sqrt(mmd_sq)
 

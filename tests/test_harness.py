@@ -17,10 +17,14 @@ from tvmerge import (
     generate_task_suite,
     largest_remainder_counts,
     mix_target_environment,
+    pairwise_sq_dists,
     run_pipeline,
     sequential_finetune_analog,
     tunable_merge,
 )
+from tvmerge.harness import environment_meta_embeddings, task_embeddings
+from reference_pipeline import dense_embeddings, dense_fit, dense_overlapping_suite, dense_pipeline
+from reference_sinkhorn import dense_sq_dists
 
 
 def incremental_deltas(thetas, theta_0):
@@ -52,17 +56,19 @@ class TestSuiteGeneration:
         a, _ = generate_task_suite(3, 12, "disjoint", 16, seed=5)
         b, _ = generate_task_suite(3, 12, "disjoint", 16, seed=5)
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.design, tb.design)
+            assert np.array_equal(ta.restricted, tb.restricted)
             assert np.array_equal(ta.targets, tb.targets)
             assert np.array_equal(ta.labels, tb.labels)
         c, _ = generate_task_suite(3, 12, "disjoint", 16, seed=6)
-        assert not np.array_equal(a[0].design, c[0].design)
+        assert not np.array_equal(a[0].restricted, c[0].restricted)
 
     def test_design_zero_off_support(self):
+        # The design is held only on its support: one column per support index.
         tasks, _ = generate_task_suite(3, 12, "disjoint", 16, seed=1)
         for task in tasks:
-            off = np.setdiff1d(np.arange(12), task.support)
-            assert np.all(task.design[:, off] == 0.0)
+            assert task.dim == 12
+            assert task.restricted.shape == (16, task.support.size)
+            assert np.all(task.restricted != 0.0)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError, match="samples_per_task"):
@@ -84,8 +90,7 @@ class TestFinetuneAnalog:
         thetas = sequential_finetune_analog(tasks, theta_0)
         for task in tasks:
             # the final model still carries every earlier task's optimum
-            restricted = task.design[:, task.support]
-            residual = restricted @ thetas[-1][task.support] - task.targets
+            residual = task.restricted @ thetas[-1][task.support] - task.targets
             assert np.abs(residual).max() < 1e-9
 
     def test_single_task_optimum(self):
@@ -112,9 +117,8 @@ class TestFinetuneAnalog:
             assert np.isin(nonzero, allowed).all()
 
     def test_singular_normal_equations(self):
-        design = np.zeros((4, 4))
-        design[:, [0, 1]] = np.ones((4, 2))  # duplicate columns, rank 1
-        task = SyntheticTask(1, design, np.ones(4), np.array([0, 1]), np.zeros(4, dtype=int))
+        restricted = np.ones((4, 2))  # duplicate columns, rank 1
+        task = SyntheticTask(1, restricted, np.ones(4), np.array([0, 1]), np.zeros(4, dtype=int), dim=4)
         with pytest.raises(ValidationError, match="singular"):
             sequential_finetune_analog([task], np.zeros(4))
 
@@ -129,7 +133,7 @@ class TestFinetuneAnalog:
             right, _ = np.linalg.qr(rng.normal(size=(width, width)))
             design = (left * np.logspace(0, -np.log10(cond), width)) @ right.T
             targets = design @ rng.normal(size=width) + rng.normal(size=samples)
-            task = SyntheticTask(1, design, targets, np.arange(width), np.zeros(samples, dtype=int))
+            task = SyntheticTask(1, design, targets, np.arange(width), np.zeros(samples, dtype=int), dim=width)
             (fit,) = sequential_finetune_analog([task], np.zeros(width))
             expected = np.linalg.lstsq(design, targets, rcond=None)[0]
             tolerance = width * cond * np.finfo(np.float64).eps * np.linalg.norm(expected)
@@ -141,9 +145,8 @@ class TestFinetuneAnalog:
             tasks, theta_0 = generate_task_suite(4, 64, "disjoint", 16, seed=seed)
             fitted = sequential_finetune_analog(tasks, theta_0)[-1]
             for task in tasks:
-                restricted = task.design[:, task.support]
-                expected = np.linalg.lstsq(restricted, task.targets, rcond=None)[0]
-                cond = np.linalg.cond(restricted)
+                expected = np.linalg.lstsq(task.restricted, task.targets, rcond=None)[0]
+                cond = np.linalg.cond(task.restricted)
                 tolerance = task.support.size * cond * np.finfo(np.float64).eps * np.linalg.norm(expected)
                 assert np.linalg.norm(fitted[task.support] - expected) <= tolerance
 
@@ -429,3 +432,76 @@ class TestPipelineConfigParse:
         except (ConfigError, ValidationError):
             return
         assert isinstance(config, PipelineConfig)
+
+
+# A small overlapping suite: supports 17 wide, consecutive ones sharing 3 columns.
+ORACLE_SUITE = {"num_tasks": 4, "dim": 59, "overlap": 3, "samples": 40, "classes": 2, "noise_sigma": 0.1, "separation": 3.0}
+ORACLE_ENV = {"member_ids": [1, 3], "mix": [0.6, 0.4], "total_samples": 60, "meta_fraction": 0.2}
+ORACLE_SEEDS = range(1, 13)
+
+
+def oracle_harness_suite(seed):
+    suite = ORACLE_SUITE
+    return generate_task_suite(
+        suite["num_tasks"], suite["dim"], "overlapping", suite["samples"], seed=seed, overlap=suite["overlap"],
+        classes_per_task=suite["classes"], noise_sigma=suite["noise_sigma"], cluster_separation=suite["separation"],
+    )
+
+
+class TestSupportCoordinatesMatchDenseDesigns:
+    """The harness in support coordinates against ``reference_pipeline``'s dense (n, d) designs."""
+
+    def test_suite_and_fit_are_the_dense_ones_bitwise(self):
+        for seed in ORACLE_SEEDS:
+            tasks, theta_0 = oracle_harness_suite(seed)
+            dense = dense_overlapping_suite(seed=seed, **ORACLE_SUITE)
+            for task, reference in zip(tasks, dense):
+                assert task.support.size == 17
+                assert np.array_equal(task.support, reference.support)
+                assert np.array_equal(task.restricted, reference.design[:, reference.support])
+                assert np.array_equal(task.targets, reference.targets)
+            fits = sequential_finetune_analog(tasks, theta_0)
+            for fit, expected in zip(fits, dense_fit(dense, ORACLE_SUITE["dim"])):
+                assert np.array_equal(fit, expected)
+
+    def test_distances_match_the_dense_formula(self):
+        for seed in ORACLE_SEEDS:
+            tasks, _ = oracle_harness_suite(seed)
+            env = mix_target_environment(tasks, seed=seed, **ORACLE_ENV)
+            dense_tasks, dense_meta = dense_embeddings(dense_overlapping_suite(seed=seed, **ORACLE_SUITE), env)
+            meta = environment_meta_embeddings(env, tasks)
+            assert meta.columns.tolist() == np.union1d(tasks[0].support, tasks[2].support).tolist()
+            pairs = [(meta, meta, dense_meta, dense_meta)]
+            for task, dense in zip(tasks, dense_tasks):
+                emb = task_embeddings(task)
+                pairs += [(emb, meta, dense, dense_meta), (meta, emb, dense_meta, dense), (emb, emb, dense, dense)]
+            for x, y, dense_x, dense_y in pairs:
+                expected = dense_sq_dists(dense_x, dense_y)
+                np.testing.assert_allclose(pairwise_sq_dists(x, y), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("metric", ["ot", "mmd", "cos", "label"])
+    def test_pipeline_matches_dense_designs(self, metric):
+        suite = ORACLE_SUITE
+        for seed in ORACLE_SEEDS:
+            config = {
+                "seed": seed,
+                "suite": {
+                    "num_tasks": suite["num_tasks"], "dim": suite["dim"], "support_mode": "overlapping",
+                    "overlap": suite["overlap"], "samples_per_task": suite["samples"],
+                    "classes_per_task": suite["classes"], "noise_sigma": suite["noise_sigma"],
+                    "cluster_separation": suite["separation"],
+                },
+                "merge": {"method": "tunable", "lambda_merge": 1.0},
+                "preference": {"source": "similarity", "metric": metric},
+                "environment": {
+                    "members": ORACLE_ENV["member_ids"], "mix": ORACLE_ENV["mix"],
+                    "total_samples": ORACLE_ENV["total_samples"], "meta_fraction": ORACLE_ENV["meta_fraction"],
+                },
+            }
+            (run,) = run_pipeline(config).summary["runs"]
+            expected = dense_pipeline(suite, ORACLE_ENV, metric, seed)
+            assert run["budgets"] == expected["budgets"], seed
+            assert run["census"] == expected["census"], seed
+            for task, loss in expected["task_losses"].items():
+                assert run["task_losses"][str(task)] == pytest.approx(loss, rel=1e-12, abs=0.0)
+            assert run["env_loss"] == pytest.approx(expected["env_loss"], rel=1e-12, abs=0.0)

@@ -57,6 +57,54 @@ class TestEmbeddingSet:
         emb = EmbeddingSet(np.zeros((4, 7)), source="x")
         assert emb.num_samples == 4 and emb.dim == 7
 
+    def test_dense_input_keeps_its_used_columns(self):
+        dense = np.zeros((3, 6))
+        dense[:, [1, 4]] = [[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]]
+        emb = EmbeddingSet(dense)
+        assert emb.dim == 6
+        assert emb.columns.tolist() == [1, 4]
+        assert np.array_equal(emb.vectors, dense[:, [1, 4]])
+
+    def test_given_columns_are_kept(self):
+        emb = EmbeddingSet(np.ones((2, 3)), columns=[0, 2, 5], dim=6)
+        assert emb.dim == 6 and emb.columns.tolist() == [0, 2, 5]
+        assert emb.vectors.shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([0, 3, 2], "sorted"),
+            ([0, 2, 2], "distinct"),
+            ([-1, 2, 3], r"within \[0, 6\)"),
+            ([0, 2, 6], r"within \[0, 6\)"),
+            ([0, 2], "2 embedding columns for vectors 3 wide"),
+            ([0, 1, 2, 3], "4 embedding columns for vectors 3 wide"),
+            ([0.0, 1.0, 2.0], "integers"),
+            ([[0, 1, 2]], "integers"),
+        ],
+    )
+    def test_given_columns_are_validated(self, columns, message):
+        with pytest.raises(ValidationError, match=message):
+            EmbeddingSet(np.ones((2, 3)), columns=columns, dim=6)
+
+    @pytest.mark.parametrize("dim", [None, 0, 2.0, True])
+    def test_given_columns_need_an_integer_dim(self, dim):
+        with pytest.raises(ValidationError, match="integer dim"):
+            EmbeddingSet(np.ones((2, 3)), columns=[0, 1, 2], dim=dim)
+
+    def test_dense_dim_must_match_width(self):
+        with pytest.raises(ValidationError, match="dim 5 differs"):
+            EmbeddingSet(np.ones((2, 3)), dim=5)
+
+    def test_column_sets_with_different_dims_are_rejected(self):
+        x = EmbeddingSet(np.ones((2, 2)), columns=[0, 1], dim=4)
+        y = EmbeddingSet(np.ones((3, 2)), columns=[0, 1], dim=5)
+        with pytest.raises(ValidationError, match="dims differ: 4 vs 5"):
+            pairwise_sq_dists(x, y)
+        for distance in (sinkhorn_ot, mmd_rbf, cosine_mean_distance):
+            with pytest.raises(ValidationError, match="dims differ"):
+                distance(x, y)
+
 
 class TestSinkhorn:
     def test_single_atom_forced_plan(self):
@@ -206,6 +254,38 @@ class TestPairwiseSqDists:
         sparse = y.copy()
         sparse[:, 4:9] = 0.0
         np.testing.assert_allclose(pairwise_sq_dists(x, sparse), dense_sq_dists(x, sparse), rtol=1e-12, atol=1e-12)
+
+    def test_column_sets_score_as_their_dense_scatter(self):
+        rng = np.random.default_rng(34)
+        x = EmbeddingSet(rng.normal(size=(12, 5)), columns=[0, 3, 4, 9, 17], dim=40)
+        y = EmbeddingSet(rng.normal(size=(9, 4)), columns=[3, 9, 10, 39], dim=40)
+
+        def full_width(emb):
+            dense = np.zeros((emb.num_samples, emb.dim))
+            dense[:, emb.columns] = emb.vectors
+            return dense
+
+        dense_x, dense_y = EmbeddingSet(full_width(x)), EmbeddingSet(full_width(y))
+        assert np.array_equal(dense_x.columns, x.columns) and np.array_equal(dense_x.vectors, x.vectors)
+        for a, b in [(x, x), (x, y), (y, x), (y, y)]:
+            expected = dense_sq_dists(full_width(a), full_width(b))
+            np.testing.assert_allclose(pairwise_sq_dists(a, b), expected, rtol=1e-12, atol=1e-12)
+        for metric in ("ot", "mmd", "cos"):
+            scores = similarity_vector([x, y], y, metric).scores
+            dense_scores = similarity_vector([dense_x, dense_y], dense_y, metric).scores
+            assert scores == pytest.approx(dense_scores, rel=1e-9)
+
+    def test_dense_sets_with_zero_columns_keep_the_gathered_layout_bitwise(self):
+        # Two dense sets that use different columns: each stores its own columns.
+        rng = np.random.default_rng(35)
+        x = self.sparse_columns(rng, 30, [0, 3, 4, 5, 17, 30])
+        y = self.sparse_columns(rng, 20, [4, 5, 6, 17, 18, 39])
+        shared = [4, 5, 17]
+        sq_x = np.einsum("ij,ij->i", x[:, [0, 3, 4, 5, 17, 30]], x[:, [0, 3, 4, 5, 17, 30]])
+        sq_y = np.einsum("ij,ij->i", y[:, [4, 5, 6, 17, 18, 39]], y[:, [4, 5, 6, 17, 18, 39]])
+        mask = np.isin(np.arange(40), shared)
+        expected = np.maximum(sq_x[:, None] + sq_y[None, :] - 2.0 * (x[:, mask] @ y[:, mask].T), 0.0)
+        assert np.array_equal(pairwise_sq_dists(EmbeddingSet(x), EmbeddingSet(y)), expected)
 
     def test_self_distances_are_symmetric_with_compressed_columns(self):
         # At this size a general product of two copies is not bitwise symmetric.
