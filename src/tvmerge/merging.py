@@ -6,9 +6,15 @@ vectors are read one row at a time from a :class:`Rows` source, each row
 as a stream of blocks of ``_BLOCK`` elements, so neither a (T, d) matrix
 nor a d-sized row buffer is built. A strategy keeps a few d-sized vectors
 of state (plus T*d/8 bytes of packed bits for ``tunable``); every other
-temporary holds at most one block. Rows are selected with
-arithmetic on their bit patterns, not with masked copies. Task ids are
-1-based throughout; flat indices are 0-based numpy indices.
+temporary holds at most one block, besides the int32 indices of one
+task's claim candidates in ``tunable`` (and up to one int64 per candidate
+while numpy draws the subset a cut claim keeps). ``magmax`` and
+``tunable`` keep their owner map in the narrowest unsigned dtype that
+holds T (uint8 up to 255 tasks); ``randmix`` keeps int32, the dtype its
+draw is defined in.
+Rows are selected with arithmetic on their bit patterns, not with masked
+copies. Task ids are 1-based throughout; flat indices are 0-based numpy
+indices.
 
 Budgets follow the rule of :mod:`tvmerge.preference`; :func:`tunable_merge`
 checks only that they fit: one per task, summing to the element count.
@@ -69,7 +75,9 @@ class Assignment:
     owner claimed the element by magnitude, or :data:`RESIDUAL_RANDOM` where
     the final random fill placed it. Maps that cast safely to intp keep
     their dtype, so the u16 maps of a side-file are not copied; other maps
-    become int32 and uint8.
+    become int32 and uint8. ``magmax`` and ``tunable`` build ``owner`` in
+    the narrowest unsigned dtype that holds T (uint8 up to 255 tasks, else
+    uint16 up to 65535); ``randmix`` builds it as int32.
     """
 
     owner: np.ndarray
@@ -135,10 +143,10 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     """
     rows = _as_rows(taus)
     merged = _copy_row(rows, 0)
-    owner = np.ones(rows.dim, dtype=np.int32)
+    owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
     size = min(_BLOCK, rows.dim)
     record, magnitude = np.empty(size, merged.dtype), np.empty(size, merged.dtype)
-    setters, ids = np.empty(size, dtype=bool), np.empty(size, dtype=np.int32)
+    setters, ids = np.empty(size, dtype=bool), np.empty(size, dtype=owner.dtype)
     for task in range(1, rows.count):
         for block, row in _pieces(rows, task):
             n = block.stop - block.start
@@ -147,7 +155,7 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
             np.greater_equal(magnitude[:n], record[:n], out=setters[:n])
             _select(merged[block], row, setters[:n], record[:n])
             # Later tasks have larger ids, so the last record-setter wins.
-            np.multiply(setters[:n], np.int32(task + 1), out=ids[:n])
+            np.multiply(setters[:n], owner.dtype.type(task + 1), out=ids[:n])
             np.maximum(owner[block], ids[:n], out=owner[block])
     return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
@@ -158,12 +166,14 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     One sweep scans tasks from last to first. A task claims the
     still-unassigned elements where it is a record-setter, i.e. its
     magnitude is the largest among tasks 1..t (later task wins ties); when
-    the claim overshoots its budget, the kept subset is chosen by shuffling
-    the candidates (sorted by flat index) with the stream keyed (seed, 1,
-    task) and taking the prefix. Claimed elements have provenance 1. The
-    leftover elements are then shuffled once with key (seed, 3, 0) and
-    dealt to tasks with unmet budgets in ascending task order, with
-    provenance :data:`RESIDUAL_RANDOM`.
+    the claim overshoots its budget, it keeps the candidates (sorted by flat
+    index) at the positions ``choice(size, budget, replace=False,
+    shuffle=False)`` draws from the stream keyed (seed, 1, task): a uniform
+    subset of exactly the budget. Claimed elements have provenance 1. Then
+    the unmet budgets, as a list of task ids in ascending order (task t
+    repeated once per element it still lacks), are shuffled once with key
+    (seed, 3, 0) and written onto the leftover elements in flat-index
+    order, with provenance :data:`RESIDUAL_RANDOM`.
 
     The rows are read twice: once for the record-setter bits, kept packed
     (T*d/8 bytes), and once, last row first, to copy the elements each task
@@ -259,6 +269,11 @@ def read_assignment(source) -> Assignment:
     return Assignment(owner, provenance, num_tasks)
 
 
+def _owner_dtype(num_tasks: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds task ids 1..``num_tasks``: uint8 up to 255 tasks."""
+    return np.min_scalar_type(num_tasks)
+
+
 def _integers(values, dtype: type) -> np.ndarray:
     """``values`` as an array, as is if it casts safely to intp (as bincount needs), else as ``dtype``."""
     array = np.asarray(values)
@@ -332,10 +347,9 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     """
     packed = _record_setter_bits(rows)
     dim = rows.dim
-    # Candidates are shuffled as int32 where they fit; the order is the
-    # same as for int64, and the index arrays are half the size.
+    # Candidate indices are int32 where they fit: half the size of int64.
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    owner = np.zeros(dim, dtype=np.int32)
+    owner = np.zeros(dim, dtype=_owner_dtype(rows.count))
     unassigned = np.ones(dim, dtype=bool)
     for task in range(rows.count, 0, -1):
         need = int(deficits[task - 1])
@@ -346,22 +360,21 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
         claim = _flatnonzero(candidates, index)
         del candidates  # freed before the next task's bits are unpacked
         if claim.size > need:
-            selection_stream(seed, CLAIM_KEY, task).shuffle(claim)
-            claim = claim[:need]
+            # A uniform subset of `need` positions: one draw per kept
+            # candidate, not a shuffle of every candidate.
+            stream = selection_stream(seed, CLAIM_KEY, task)
+            claim = claim[stream.choice(claim.size, need, replace=False, shuffle=False)]
         owner[claim] = task
         unassigned[claim] = False
         deficits[task - 1] -= claim.size
-        # A kept prefix is a view that holds every candidate; free it before
-        # the next task's candidates are counted.
-        del claim
+        del claim  # freed before the next task's candidates are counted
     del packed
 
-    leftovers = _flatnonzero(unassigned, index)
-    selection_stream(seed, FILL_KEY, 0).shuffle(leftovers)
-    start = 0
-    for task, count in enumerate(deficits.tolist(), 1):
-        owner[leftovers[start : start + count]] = task
-        start += count
+    # The unmet budgets as a shuffled list of task ids, one per leftover,
+    # written onto the leftovers in flat-index order.
+    labels = np.repeat(np.arange(1, rows.count + 1, dtype=owner.dtype), deficits)
+    selection_stream(seed, FILL_KEY, 0).shuffle(labels)
+    owner[unassigned] = labels
     return owner, np.logical_not(unassigned, out=unassigned)
 
 
