@@ -6,9 +6,10 @@ vectors are read one row at a time from a :class:`Rows` source, each row
 as a stream of blocks of ``_BLOCK`` elements, so neither a (T, d) matrix
 nor a d-sized row buffer is built. A strategy keeps a few d-sized vectors
 of state (plus T*d/8 bytes of packed bits for ``tunable``); every other
-temporary holds at most one block, besides the int32 indices of one
-task's claim candidates in ``tunable`` (and up to one int64 per candidate
-while numpy draws the subset a cut claim keeps). ``magmax`` and
+temporary holds at most one block, besides, in ``tunable``, the int32
+indices of the candidates of a claim that is cut (and up to one int64 per
+candidate while numpy draws the subset it keeps) and one task id per
+element left to the residual fill. ``magmax`` and
 ``tunable`` keep their owner map in the narrowest unsigned dtype that
 holds T (uint8 up to 255 tasks); ``randmix`` keeps int32, the dtype its
 draw is defined in.
@@ -28,6 +29,8 @@ to those streams.
 from __future__ import annotations
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -44,6 +47,12 @@ RESIDUAL_RANDOM = 0
 
 #: Selection-stream purposes: randmix owners, claim thinning, residual fill.
 RANDMIX_KEY, CLAIM_KEY, FILL_KEY = 0, 1, 3
+
+#: Standard deviations (and elements) of slack below each deficit in the
+#: residual fill's slot table, so that a redraw has odds of about 1e-9.
+_FILL_SLACK = 6
+
+log = logging.getLogger(__name__)
 
 TaskVectors = Union["Rows", np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
@@ -170,10 +179,15 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     index) at the positions ``choice(size, budget, replace=False,
     shuffle=False)`` draws from the stream keyed (seed, 1, task): a uniform
     subset of exactly the budget. Claimed elements have provenance 1. Then
-    the unmet budgets, as a list of task ids in ascending order (task t
-    repeated once per element it still lacks), are shuffled once with key
-    (seed, 3, 0) and written onto the leftover elements in flat-index
-    order, with provenance :data:`RESIDUAL_RANDOM`.
+    the residual fill gives task t one leftover element per element it
+    still lacks, with provenance :data:`RESIDUAL_RANDOM`, in a uniformly
+    random arrangement drawn from the stream keyed (seed, 3, 0): each
+    leftover, in flat-index order, draws a slot of a 2**16-slot table in
+    which every task holds a share a little under its deficit (a whole
+    draw is repeated if a task still overshoots), and the leftovers that
+    drew a blank slot take the rest of the unmet budgets, as a list of task
+    ids in ascending order shuffled by the same stream. When no task's
+    deficit earns a slot, that shuffled list is the whole fill.
 
     The rows are read twice: once for the record-setter bits, kept packed
     (T*d/8 bytes), and once, last row first, to copy the elements each task
@@ -351,31 +365,93 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     owner = np.zeros(dim, dtype=_owner_dtype(rows.count))
     unassigned = np.ones(dim, dtype=bool)
+    ids = np.empty(min(_BLOCK, dim), dtype=owner.dtype)
     for task in range(rows.count, 0, -1):
         need = int(deficits[task - 1])
         if need == 0:
             continue
         candidates = np.unpackbits(packed[task - 1], count=dim).view(bool)
         np.logical_and(candidates, unassigned, out=candidates)
-        claim = _flatnonzero(candidates, index)
-        del candidates  # freed before the next task's bits are unpacked
-        if claim.size > need:
+        size = int(np.count_nonzero(candidates))
+        if size > need:
+            claim = _flatnonzero(candidates, index)
+            del candidates  # freed before the draw
             # A uniform subset of `need` positions: one draw per kept
             # candidate, not a shuffle of every candidate.
             stream = selection_stream(seed, CLAIM_KEY, task)
             claim = claim[stream.choice(claim.size, need, replace=False, shuffle=False)]
-        owner[claim] = task
-        unassigned[claim] = False
-        deficits[task - 1] -= claim.size
-        del claim  # freed before the next task's candidates are counted
+            owner[claim] = task
+            unassigned[claim] = False
+            del claim  # freed before the next task's candidates are unpacked
+        else:
+            # An uncut claim is written through its mask. It lies inside
+            # `unassigned`, where `owner` is still 0.
+            np.logical_xor(unassigned, candidates, out=unassigned)
+            bits, task_id = candidates.view(np.uint8), owner.dtype.type(task)
+            for block in _blocks(dim):
+                part = ids[: block.stop - block.start]
+                np.multiply(bits[block], task_id, out=part)
+                np.bitwise_or(owner[block], part, out=owner[block])
+            del candidates, bits  # freed before the next task's bits are unpacked
+        kept = min(size, need)
+        deficits[task - 1] -= kept
+        log.debug("claim: task %d, %d candidates, need %d, kept %d", task, size, need, kept)
     del packed
 
-    # The unmet budgets as a shuffled list of task ids, one per leftover,
-    # written onto the leftovers in flat-index order.
-    labels = np.repeat(np.arange(1, rows.count + 1, dtype=owner.dtype), deficits)
-    selection_stream(seed, FILL_KEY, 0).shuffle(labels)
-    owner[unassigned] = labels
+    _write_where(owner, unassigned, _residual_labels(deficits, owner.dtype, seed))
     return owner, np.logical_not(unassigned, out=unassigned)
+
+
+def _residual_labels(deficits: np.ndarray, dtype: np.dtype, seed: int) -> np.ndarray:
+    """One task id per leftover element, in a uniformly random arrangement.
+
+    Task t appears ``deficits[t - 1]`` times. Of a table of 2**16 slots,
+    task t gets ``(max(c - 6*isqrt(c) - 6, 0) << 16) // total`` (c its
+    deficit, total the leftover count, 6 the slack :data:`_FILL_SLACK`)
+    and the other slots are blank. Each leftover draws a slot with a
+    uint16 from the stream keyed (seed, 3, 0); if any task's count
+    overshoots its deficit, every label is drawn again. Then the blanks,
+    in flat order, take the rest of each deficit as one list of task ids
+    in ascending order, shuffled by the same stream. The draws are i.i.d.
+    and the blanks' list is shuffled uniformly, so every arrangement with
+    these counts is equally likely. When no task earns a slot, nothing is
+    drawn and the labels are that shuffled list alone.
+    """
+    total = int(deficits.sum())
+    ids = np.arange(1, deficits.size + 1, dtype=dtype)
+    # Python integers, which do not overflow. With nothing left every
+    # numerator is 0, and 1 stands in for the total.
+    slots = [
+        (max(c - _FILL_SLACK * math.isqrt(c) - _FILL_SLACK, 0) << 16) // max(total, 1)
+        for c in deficits.tolist()
+    ]
+    stream = selection_stream(seed, FILL_KEY, 0)
+    labels = np.zeros(total, dtype)
+    redraws = 0
+    if any(slots):
+        table = np.zeros(1 << 16, dtype)
+        table[: sum(slots)] = np.repeat(ids, slots)
+        # A uint16 draw of an even size uses whole 32-bit words, so even
+        # chunks give the same labels as one call over every leftover.
+        chunk = _BLOCK + _BLOCK % 2
+        while True:
+            drawn = np.zeros(deficits.size + 1, dtype=np.int64)
+            for start in range(0, total, chunk):
+                part = labels[start : start + chunk]
+                np.take(table, stream.integers(0, 1 << 16, size=part.size, dtype=np.uint16), out=part, mode="clip")
+                drawn += np.bincount(part, minlength=deficits.size + 1)
+            if np.all(drawn[1:] <= deficits):
+                break
+            redraws += 1
+        deficits = deficits - drawn[1:]
+    blanks = np.repeat(ids, deficits)
+    stream.shuffle(blanks)
+    log.debug(
+        "fill: %d leftovers, %d tasks slotted, %d blanks, %d redraws",
+        total, sum(s > 0 for s in slots), blanks.size, redraws,
+    )
+    _write_where(labels, labels == 0, blanks)
+    return labels
 
 
 def _record_setter_bits(rows: Rows) -> np.ndarray:
@@ -415,6 +491,15 @@ def _flatnonzero(mask: np.ndarray, dtype: type) -> np.ndarray:
         np.add(part, block.start, out=found[filled : filled + part.size])
         filled += part.size
     return found
+
+
+def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
+    """``target[mask] = values``, with the positions found one block of ``mask`` at a time."""
+    filled = 0
+    for block in _blocks(mask.size):
+        where = np.flatnonzero(mask[block])
+        target[block][where] = values[filled : filled + where.size]
+        filled += where.size
 
 
 def _gather(rows: Rows, owner: np.ndarray, order: Iterable[int]) -> np.ndarray:

@@ -31,7 +31,7 @@ from tvmerge import (
 )
 from tvmerge.cli import main
 
-from reference_merge import reference_tunable_merge
+from reference_merge import fill_slots, reference_tunable_merge
 
 
 @contextmanager
@@ -88,16 +88,21 @@ def test_03_alpha_zero_corner():
 
 
 def test_04_reference_transliteration_corpus():
-    with criterion(4, "200 seeded small instances match the set-based reference exactly"):
+    with criterion(4, "200 seeded small instances and 3 large fills match the set-based reference exactly"):
         rng = np.random.default_rng(424242)
-        for case in range(200):
-            num_tasks = int(rng.integers(1, 4))
-            dim = int(rng.integers(1, 13))
+        for case in range(203):
+            large = case >= 200
+            num_tasks = int(rng.integers(1, 4)) + large
+            dim = int(rng.integers(5000, 20001) if large else rng.integers(1, 13))
             if case % 2:
                 taus = rng.integers(-2, 3, size=(num_tasks, dim)).astype(float)
             else:
                 taus = rng.standard_normal((num_tasks, dim))
-            budgets = rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
+            weights = rng.dirichlet(np.ones(num_tasks)) if large else np.ones(num_tasks) / num_tasks
+            if large:
+                # Task 1 sets most records, so later tasks leave a fill that earns table slots.
+                taus[0] *= 4
+            budgets = rng.multinomial(dim, weights)
             merged, assignment = tunable_merge(taus, budgets, seed=case)
             ref_merged, ref_owner, ref_prov = reference_tunable_merge(
                 [row.tolist() for row in taus], budgets.tolist(), case
@@ -105,6 +110,10 @@ def test_04_reference_transliteration_corpus():
             assert merged.tolist() == ref_merged
             assert assignment.owner.tolist() == ref_owner
             assert assignment.provenance.tolist() == ref_prov
+            if large:
+                residual = np.array(ref_prov) == 0
+                deficits = np.bincount(np.array(ref_owner)[residual], minlength=num_tasks + 1)[1:]
+                assert any(fill_slots(deficits.tolist()))
 
 
 def test_05_alpha_schedule_hand_values():

@@ -36,7 +36,7 @@ MERGE_CASES = [
     for method in MERGE_ARGS
     for rounds in (1, 5)
     for inputs in ("finite", "inf")
-]
+] + ["merge-tunable-large-fill"]
 
 # Pipeline configs: each entry overrides sections of PIPELINE_BASE.
 PIPELINE_BASE = {
@@ -119,6 +119,26 @@ def write_inputs(directory: Path, with_inf: bool) -> list[str]:
                 values[rng.random(size=dims) < 0.1] = np.inf
                 values[rng.random(size=dims) < 0.1] = -np.inf
             tensors.append((name, values))
+        path = directory / f"tau{task}.tvc"
+        encode_container(ParameterSet(tensors), path)
+        paths.append(str(path))
+    return paths
+
+
+def write_large_fill_inputs(directory: Path) -> list[str]:
+    """Three task vectors of 20,000 float32 elements in two tensors.
+
+    Task 1 is four times as large as the others, so it sets most records:
+    tasks 2 and 3 fall short of their alpha-0.5 budgets by thousands of
+    elements, and the residual fill of both earns slots in its draw table.
+    """
+    rng = np.random.default_rng(1907)
+    paths = []
+    for task, scale in enumerate((4.0, 1.0, 1.0)):
+        tensors = [
+            (name, (scale * rng.standard_normal(dims)).astype(np.float32))
+            for name, dims in (("w", (96, 200)), ("b", (800,)))
+        ]
         path = directory / f"tau{task}.tvc"
         encode_container(ParameterSet(tensors), path)
         paths.append(str(path))
@@ -219,13 +239,15 @@ def run_case(case: str, directory: Path) -> dict:
         )
         files = {"csv": csv_out, "json": json_out}
     elif case.startswith("merge-"):
-        _, method, rounds, inputs = case.split("-")
-        paths = write_inputs(directory, with_inf=inputs == "inf")
         out = directory / "merged.tvc"
-        code = main(
-            ["merge", "--method", method, *MERGE_ARGS[method], "--seed", "11",
-             "--rounds", rounds.removeprefix("rounds"), "--out", str(out), *paths]
-        )
+        if case == "merge-tunable-large-fill":
+            argv = ["--method", "tunable", "--alpha", "0.5", "--seed", "11", *write_large_fill_inputs(directory)]
+        else:
+            _, method, rounds, inputs = case.split("-")
+            paths = write_inputs(directory, with_inf=inputs == "inf")
+            argv = ["--method", method, *MERGE_ARGS[method], "--seed", "11",
+                    "--rounds", rounds.removeprefix("rounds"), *paths]
+        code = main(["merge", "--out", str(out), *argv])
         files = {
             "container": out,
             "census": Path(f"{out}.census.json"),

@@ -1,8 +1,13 @@
 import io
+import itertools
+import logging
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvmerge import (
     MERGE_METHODS,
@@ -25,11 +30,22 @@ from tvmerge import (
 )
 from tvmerge import container, merging
 
-from reference_merge import argmax_later_wins, reference_tunable_merge
+from reference_merge import argmax_later_wins, fill_slots, reference_tunable_merge
 
 
 def random_budgets(rng, num_tasks, dim):
     return rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
+
+
+def skewed_case(rng, num_tasks, dim):
+    """Normal task vectors with task 1 four times as large, and Dirichlet budgets.
+
+    Task 1 sets most records, so later tasks fall short of their budgets
+    and the residual fill is large enough to earn table slots.
+    """
+    scales = np.array([4.0] + [1.0] * (num_tasks - 1))
+    taus = rng.standard_normal((num_tasks, dim)) * scales[:, None]
+    return taus, rng.multinomial(dim, rng.dirichlet(np.ones(num_tasks)))
 
 
 def block_buffer_rows(num_tasks, dim, dtype, fill):
@@ -289,6 +305,119 @@ class TestSelectionDraw:
             assert within_five_sigma(kept[task], offered[task], need / size), task
         for task, share in fill.items():
             assert within_five_sigma(filled[task], leftover, share), task
+
+
+class TestResidualFill:
+    # Tasks 2 and 3 are zero, so they never set a record and task 1 has no
+    # budget: the fill places all four elements, two for each of tasks 2 and 3.
+    TWO_AND_TWO = (np.array([[5.0] * 4, [0.0] * 4, [0.0] * 4]), [0, 2, 2])
+
+    def test_slotted_fills_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(1907)
+        cases = [
+            (seed, *skewed_case(rng, int(rng.integers(2, 5)), int(rng.integers(5000, 20001))))
+            for seed in range(4)
+        ]
+        for block in (merging._BLOCK, 5):
+            monkeypatch.setattr(merging, "_BLOCK", block)
+            for seed, taus, budgets in cases:
+                merged, assignment = tunable_merge(taus, budgets, seed=seed)
+                ref_merged, ref_owner, ref_prov = reference_tunable_merge(
+                    [row.tolist() for row in taus], budgets.tolist(), seed
+                )
+                filled = assignment.owner[assignment.provenance == RESIDUAL_RANDOM]
+                assert any(fill_slots(np.bincount(filled, minlength=len(budgets) + 1)[1:].tolist()))
+                assert merged.tobytes() == np.array(ref_merged).tobytes()
+                assert assignment.owner.tolist() == ref_owner
+                assert assignment.provenance.tolist() == ref_prov
+
+    def test_no_slack_gives_every_arrangement_of_two_and_two_alike(self, monkeypatch):
+        monkeypatch.setattr(merging, "_FILL_SLACK", 0)
+        taus, budgets = self.TWO_AND_TWO
+        trials = 6000
+        arrangements = {order: 0 for order in set(itertools.permutations([2, 2, 3, 3]))}
+        for seed in range(trials):
+            _, assignment = tunable_merge(taus, budgets, seed=seed)
+            arrangements[tuple(assignment.owner.tolist())] += 1
+        assert len(arrangements) == 6
+        p = 1 / 6
+        for order, hits in arrangements.items():
+            assert abs(hits - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)), order
+
+    def test_no_slack_redraws_deterministically(self, monkeypatch, caplog):
+        monkeypatch.setattr(merging, "_FILL_SLACK", 0)
+        caplog.set_level(logging.DEBUG, logger="tvmerge")
+        taus, budgets = self.TWO_AND_TWO
+        redrawn = []
+        for seed in range(20):
+            caplog.clear()
+            _, assignment = tunable_merge(taus, budgets, seed=seed)
+            *_, fill = [r.getMessage() for r in caplog.records if r.name == "tvmerge.merging"]
+            assert fill.startswith("fill: 4 leftovers, 2 tasks slotted, 0 blanks")
+            redraws = int(re.search(r"(\d+) redraws", fill).group(1))
+            again = tunable_merge(taus, budgets, seed=seed)[1]
+            assert again.owner.tobytes() == assignment.owner.tobytes()
+            _, ref_owner, _ = reference_tunable_merge([row.tolist() for row in taus], budgets, seed, slack=0)
+            assert assignment.owner.tolist() == ref_owner
+            redrawn.append(redraws)
+        # A draw gives each task exactly two labels with odds 6/16.
+        assert sum(r > 0 for r in redrawn) >= 5 and max(redrawn) >= 2
+
+    def test_positions_are_uniform_on_a_slotted_fill(self):
+        # 400 leftovers for tasks 2 and 3 (deficits 250 and 150): both earn
+        # slots and about 43% of the table is blank.
+        dim, trials = 400, 1500
+        taus = np.zeros((3, dim))
+        taus[0] = 5.0
+        budgets = [0, 250, 150]
+        slots = fill_slots(budgets)
+        assert slots[1] and slots[2] and sum(slots) < 2**16
+        hits = np.zeros(dim)
+        for seed in range(trials):
+            _, assignment = tunable_merge(taus, budgets, seed=seed)
+            hits += assignment.owner == 2
+        p = 250 / 400
+        assert np.all(np.abs(hits - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_tasks=st.integers(1, 5),
+        dim=st.integers(1, 3000),
+        integer_valued=st.booleans(),
+    )
+    def test_census_is_exact_and_claims_follow_the_sweep(self, seed, num_tasks, dim, integer_valued):
+        rng = np.random.default_rng(seed)
+        taus, budgets = skewed_case(rng, num_tasks, dim)
+        if integer_valued:
+            taus = np.round(taus)
+        _, assignment = tunable_merge(taus, budgets, seed=seed)
+        assert assignment_census(assignment).tolist() == budgets.tolist()
+        _, ref_owner, ref_prov = reference_tunable_merge([row.tolist() for row in taus], budgets.tolist(), seed)
+        claimed = np.array(ref_prov) == 1
+        assert assignment.provenance.tolist() == ref_prov
+        assert assignment.owner[claimed].tolist() == np.array(ref_owner)[claimed].tolist()
+
+    def test_debug_log_reports_claims_and_fill(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="tvmerge")
+        taus = np.array([[5.0, 5.0, 5.0, 5.0], [1.0, 0.0, 0.0, 0.0]])
+        want_merged, want = tunable_merge(taus, [1, 3], seed=1)
+        assert [r.getMessage() for r in caplog.records if r.name == "tvmerge.merging"] == [
+            "claim: task 2, 0 candidates, need 3, kept 0",
+            "claim: task 1, 4 candidates, need 1, kept 1",
+            "fill: 3 leftovers, 0 tasks slotted, 3 blanks, 0 redraws",
+        ]
+        caplog.clear()
+        slotted = np.zeros((3, 400))
+        slotted[0] = 5.0
+        tunable_merge(slotted, [0, 250, 150], seed=1)
+        *claims, fill = [r.getMessage() for r in caplog.records if r.name == "tvmerge.merging"]
+        assert claims == ["claim: task 3, 0 candidates, need 150, kept 0", "claim: task 2, 0 candidates, need 250, kept 0"]
+        assert re.fullmatch(r"fill: 400 leftovers, 2 tasks slotted, \d+ blanks, 0 redraws", fill)
+        # Logging does not touch the draws.
+        caplog.set_level(logging.WARNING, logger="tvmerge")
+        merged, quiet = tunable_merge(taus, [1, 3], seed=1)
+        assert merged.tobytes() == want_merged.tobytes() and quiet.owner.tobytes() == want.owner.tobytes()
 
 
 class TestAverageAndRandomMix:
