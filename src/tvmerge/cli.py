@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .container import (
+    DTYPE_F32,
     LayoutReader,
-    ParameterSet,
-    TensorSpec,
     _reject_nan,
+    _write_records,
     apply_task_vector,
     compute_task_vector,
     decode_container,
@@ -165,7 +165,7 @@ def cmd_merge(args) -> int:
     if args.rounds is not None:
         log.warning("--rounds is ignored; the seed alone keys the merge")
 
-    specs, rows = _task_rows(args.taus)
+    layout, rows = _task_rows(args.taus)
     log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
     pref = None
     if args.pref_file is not None:
@@ -176,10 +176,11 @@ def cmd_merge(args) -> int:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
     merged, assignment = merge(args.method, rows, pref, args.seed or 0)
 
-    if args.method == "average":
-        # The inputs hold no NaN, so a NaN here is the mean of +inf and -inf.
-        _reject_nan(specs, merged, "the average of +inf and -inf is NaN")
-    encode_container(ParameterSet._of(specs, merged), args.out)
+    # The inputs hold no NaN, so only an average can make one: the mean of +inf and -inf.
+    problem = "the average of +inf and -inf is NaN" if args.method == "average" else "NaN payload rejected"
+    _reject_nan(layout.specs, merged, problem)
+    # Written with the header bytes read from the first input: none is encoded.
+    _write_records(layout.records(merged), len(layout.specs), DTYPE_F32, args.out)
     if assignment is not None:
         census = assignment_census(assignment)
         log.debug("census: %s", " ".join(str(c) for c in census))
@@ -268,7 +269,7 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _task_rows(paths: list[str]) -> tuple[tuple[TensorSpec, ...], Rows]:
+def _task_rows(paths: list[str]) -> tuple[LayoutReader, Rows]:
     """The first file's layout, and the task vectors of all files as a row source.
 
     The layout comes from the first file's headers alone. Every file, the
@@ -278,7 +279,7 @@ def _task_rows(paths: list[str]) -> tuple[tuple[TensorSpec, ...], Rows]:
     raises, or a shape mismatch naming its path.
     """
     reader = LayoutReader(paths[0])
-    return reader.specs, Rows(len(paths), reader.num_elements, lambda task: reader.blocks(paths[task]))
+    return reader, Rows(len(paths), reader.num_elements, lambda task: reader.blocks(paths[task]))
 
 
 def _write_census(census: np.ndarray, out: str | None) -> None:

@@ -23,26 +23,32 @@ decode; selection by absolute magnitude is undefined with NaN present.
 
 Every TVC1 file, whether a container, a merge input or an assignment
 side-file, is read by one :class:`LayoutReader`. It takes a path or a
-seekable binary stream and parses the headers first, seeking over the
-payloads, so every declared length is checked against the stream's size
-before anything is allocated for it. It then streams files that must hold
-that layout, comparing each record's header bytes with the first file's and
-reading the payloads with ``readinto`` a block at a time; a file that does
-not match is explained from its headers alone. :func:`decode_container`
-and :func:`tvmerge.merging.read_assignment` read the first file itself as
-one block, so each payload goes straight into its slice of one vector.
+seekable binary stream and parses the headers first, from windows of
+``_WINDOW`` bytes that it seeks between over large payloads, so every
+declared length is checked against the stream's size before anything is
+allocated for it. It then streams files that must hold that layout: each
+file is read in steps of at most ``_IOV_MAX`` buffers (its header bytes
+into a staging copy, its payloads straight into a block buffer), one
+``os.readv`` per step for a path, and each step's header bytes are
+compared with the first file's in one comparison. A file that does not
+match is explained from its headers alone. :func:`decode_container` and
+:func:`tvmerge.merging.read_assignment` read the first file itself as one
+block, so each payload goes straight into its slice of one vector.
+Writers take each record's header bytes with its payload, so a merge
+writes the header bytes it read rather than encoding them again.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +66,25 @@ _NUMPY_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U16: np.dtype("<u2")}
 #: so that none of them grows with the size of a vector.
 _BLOCK = 2**16
 
+#: Buffers per ``os.readv`` call: Linux's ``IOV_MAX``.
+_IOV_MAX = 1024
+
+#: Longest record header: name length, a 65535-byte name, dtype code, ndim and 255 dims.
+_MAX_HEADER = 2 + 0xFFFF + 2 + 8 * 0xFF
+
+#: Bytes per window of the header parse; a window holds at least one whole header.
+_WINDOW = 2**17
+
+#: Bytes a writer gathers before it writes, so that many small records make few
+#: writes; a block of payload is larger, and goes out without a copy.
+_WRITE_BUFFER = 2**16
+
+_PREFIX_SIZE = len(MAGIC) + 1 + 4
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+#: The dims of a record header, by ndim.
+_DIMS = tuple(struct.Struct(f"<{ndim}Q") for ndim in range(0x100))
+
 Source = Union[str, Path, BinaryIO]
 TensorInput = Union[Mapping[str, np.ndarray], Iterable[tuple[str, np.ndarray]]]
 
@@ -72,16 +97,18 @@ class TensorSpec:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
+        name, dims = self.name, self.dims
+        if not name:
             raise ValidationError("tensor name must be non-empty")
-        if len(self.name.encode("utf-8")) > 0xFFFF:
+        # An ASCII name is as long in UTF-8, so only other names are encoded.
+        if (len(name) if name.isascii() else len(name.encode("utf-8"))) > 0xFFFF:
             raise ValidationError("tensor name longer than 65535 bytes")
-        if not self.dims:
-            raise ValidationError(f"tensor {self.name!r}: dims must be non-empty")
-        if len(self.dims) > 0xFF:
-            raise ValidationError(f"tensor {self.name!r}: too many dimensions")
-        if any(d < 1 for d in self.dims):
-            raise ValidationError(f"tensor {self.name!r}: dims must be positive")
+        if not dims:
+            raise ValidationError(f"tensor {name!r}: dims must be non-empty")
+        if len(dims) > 0xFF:
+            raise ValidationError(f"tensor {name!r}: too many dimensions")
+        if min(dims) < 1:
+            raise ValidationError(f"tensor {name!r}: dims must be positive")
 
     @property
     def num_elements(self) -> int:
@@ -197,7 +224,8 @@ def apply_task_vector(
 def encode_container(pset: ParameterSet, destination: Source) -> None:
     """Write ``pset`` as a TVC1 stream; decode gives back identical bits."""
     _reject_nan(pset.specs, pset.flat())
-    _write_records([(name, DTYPE_F32, arr) for name, arr in pset.items()], destination)
+    records = ((_record_header(name, DTYPE_F32, arr.shape), arr) for name, arr in pset.items())
+    _write_records(records, len(pset), DTYPE_F32, destination)
 
 
 def decode_container(source: Source) -> ParameterSet:
@@ -215,42 +243,63 @@ class LayoutReader:
     This is the one reader of TVC1 payloads. The first file's headers are
     parsed once, and are checked as :func:`decode_container` checks them,
     with the same errors; its payloads are not read. Its records must carry
-    ``dtype_code`` (float32 unless given). The cut of every payload at
-    boundaries of ``block`` elements (``_BLOCK`` unless given) is worked out
-    once, so each stream costs one comparison with the first file's header
-    bytes and one ``readinto`` per record (one more for each block boundary
-    the record crosses); a reader with one block cuts at use instead. Blocks
-    are read into one buffer that the reader owns, so a reader streams one
-    source at a time.
+    ``dtype_code`` (float32 unless given). The reader keeps the first file's
+    header bytes end to end, and reads another file of the layout in steps
+    worked out once. A step is at most ``_IOV_MAX`` buffers in file order,
+    slices of a header stage (room for one copy of the header bytes) and of
+    a block of ``block`` elements (``_BLOCK`` unless given), with their
+    byte count. Each step is one ``os.readv`` for a path or another
+    unbuffered file, or ``readinto`` calls that fill the same buffers for
+    any other stream, and then one comparison of the header bytes it read
+    with the first file's; a block's records fit in one step unless they
+    need more than ``_IOV_MAX`` buffers. A reader with one block works out
+    its steps as it reads, so it holds the buffers of one step at a time.
+    Blocks are read into one buffer that the reader owns, so a reader
+    streams one source at a time.
     """
 
     def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
         with _opened(source, "rb") as stream:
-            self.specs, self._headers = _read_headers(stream, dtype_code)
+            self.specs, self._headers, self._header_sizes = _read_headers(stream, dtype_code)
         self._dtype_code = dtype_code
-        self._prefix = _container_header(len(self.specs))
-        self.num_elements = sum(spec.num_elements for spec in self.specs)
+        self._stage = bytearray(len(self._headers))
+        self._counts = [spec.num_elements for spec in self.specs]
+        self.num_elements = sum(self._counts)
         size = min(_BLOCK if block is None else block, self.num_elements)
         self._buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
         # A one-block reader, as a whole-vector read makes to stream its file
-        # once, cuts its pieces at use rather than keep a slice per record.
+        # once, works out its steps as it reads rather than hold them all.
         self._steps = None if size == self.num_elements else list(self._plan())
 
-    def _plan(self) -> Iterator[tuple[bytes | None, memoryview, np.ndarray | None]]:
-        """One step per piece of a payload in one block: the record's header bytes (None
-        after its first piece), the buffer slice the piece fills, the block it completes or None."""
+    def _plan(self) -> Iterator[tuple[list[memoryview], int, slice, np.ndarray | None]]:
+        """Steps that read a file of this layout: the buffers a step fills in file order,
+        their byte count, the slice of the stage they fill, and the block the step
+        completes or None."""
         buffer, size = self._buffer, self._buffer.size
         raw, itemsize = memoryview(buffer).cast("B"), buffer.itemsize
-        pos = 0
-        for spec, header in zip(self.specs, self._headers):
-            stop = pos + spec.num_elements
+        stage = memoryview(self._stage)
+        buffers: list[memoryview] = []
+        nbytes = checked = head = pos = 0
+        staged = _PREFIX_SIZE  # the first record's header slice starts with the prefix
+        for header, count in zip(self._header_sizes, self._counts):
+            staged += header
+            buffers.append(stage[head:staged])
+            nbytes += staged - head
+            head = staged
+            if len(buffers) == _IOV_MAX:
+                yield buffers, nbytes, slice(checked, staged), None
+                buffers, nbytes, checked = [], 0, staged
+            stop = pos + count
             while pos < stop:
                 offset = pos % size
                 end = offset + min(stop - pos, size - offset)
                 pos += end - offset
+                buffers.append(raw[offset * itemsize : end * itemsize])
+                nbytes += (end - offset) * itemsize
                 done = end == size or pos == self.num_elements
-                yield header, raw[offset * itemsize : end * itemsize], buffer[:end] if done else None
-                header = None
+                if done or len(buffers) == _IOV_MAX:
+                    yield buffers, nbytes, slice(checked, staged), buffer[:end] if done else None
+                    buffers, nbytes, checked = [], 0, staged
 
     def blocks(self, source: Source) -> Iterator[np.ndarray]:
         """Yield the vector in ``source`` as consecutive blocks of the reader's block length.
@@ -275,13 +324,10 @@ class LayoutReader:
                 name = source if isinstance(source, (str, Path)) else "stream"
                 return ShapeMismatchError(f"shape mismatch: {name} has a different layout")
 
-            if stream.read(len(self._prefix)) != self._prefix:
-                raise mismatch()
+            readv, stage, headers = _vector_reader(stream), self._stage, self._headers
             start = 0
-            for header, piece, block in self._plan() if self._steps is None else self._steps:
-                if header is not None and stream.read(len(header)) != header:
-                    raise mismatch()
-                if stream.readinto(piece) != len(piece):
+            for buffers, nbytes, staged, block in self._plan() if self._steps is None else self._steps:
+                if not _fill(readv, buffers, nbytes) or stage[staged] != headers[staged]:
                     raise mismatch()
                 if block is None:
                     continue
@@ -292,6 +338,16 @@ class LayoutReader:
                 _reject_nan(self.specs, block, start=start)
                 yield block
                 start += block.size
+
+    def records(self, flat: np.ndarray) -> Iterator[tuple[memoryview, np.ndarray]]:
+        """``flat`` as the records of this layout, for :func:`_write_records`: each
+        record's header bytes as the first file holds them, and its payload (a view)."""
+        headers = memoryview(self._headers)
+        head, start = _PREFIX_SIZE, 0
+        for header, count in zip(self._header_sizes, self._counts):
+            yield headers[head : head + header], flat[start : start + count]
+            head += header
+            start += count
 
 
 def _reject_nan(
@@ -320,7 +376,7 @@ def _reject_nan(
 
 def _container_header(count: int) -> bytes:
     """Magic, version and tensor count: the bytes before the first record."""
-    return MAGIC + bytes([VERSION]) + struct.pack("<I", count)
+    return MAGIC + bytes([VERSION]) + _U32.pack(count)
 
 
 def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
@@ -330,88 +386,122 @@ def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
     return struct.pack(f"<H{len(name_bytes)}sBB{ndim}Q", len(name_bytes), name_bytes, code, ndim, *dims)
 
 
-def _write_records(records: Sequence[tuple[str, int, np.ndarray]], destination: Source) -> None:
-    if not records:
-        raise CodecError("empty container")
-    with _opened(destination, "wb") as stream:
-        stream.write(_container_header(len(records)))
-        for name, code, arr in records:
-            stream.write(_record_header(name, code, arr.shape))
-            # Converted one block at a time, so a payload is never copied whole.
-            flat = arr.reshape(-1)
-            for start in range(0, flat.size, _BLOCK):
-                stream.write(
-                    np.ascontiguousarray(flat[start : start + _BLOCK], dtype=_NUMPY_DTYPES[code])
-                )
+def _write_records(
+    records: Iterable[tuple[bytes | memoryview, np.ndarray]], count: int, code: int, destination: Source
+) -> None:
+    """Write a TVC1 stream of ``count`` records of ``code``, each given as its header bytes and its payload.
 
-
-def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, ...], list[bytes]]:
-    """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
-
-    Returns the records' specs, and their header bytes as read (name length
-    through dims). Payloads are sought over, not read; each declared length
-    is checked against the bytes left in the stream first. The stream must
-    be seekable.
+    Headers and the payloads already in the wire dtype go out from their own
+    memory in one ``writelines``; any other payload is converted one block
+    at a time, so it is never copied whole.
     """
-    pos = stream.tell()
-    end = stream.seek(0, io.SEEK_END)
-    stream.seek(pos)
-
-    def advance(size: int, what: str) -> None:
-        nonlocal pos
-        if size > end - pos:
-            raise CodecError(f"unexpected end of stream while reading {what}")
-        pos += size
-
-    def take(size: int, what: str) -> bytes:
-        advance(size, what)
-        return stream.read(size)
-
-    magic = take(4, "magic")
-    if magic != MAGIC:
-        raise CodecError(f"bad magic {magic!r}")
-    version = take(1, "version")[0]
-    if version != VERSION:
-        raise CodecError(f"unsupported version {version}")
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
     if count == 0:
         raise CodecError("empty container")
-    records: list[tuple[str, tuple[int, ...], bytes]] = []
+    wire = _NUMPY_DTYPES[code]
+
+    def chunks() -> Iterator[bytes | memoryview | np.ndarray]:
+        yield _container_header(count)
+        for header, payload in records:
+            yield header
+            if payload.dtype == wire and payload.flags.c_contiguous:
+                yield payload
+                continue
+            flat = payload.reshape(-1)
+            for start in range(0, flat.size, _BLOCK):
+                yield np.ascontiguousarray(flat[start : start + _BLOCK], dtype=wire)
+
+    with _opened(destination, "wb") as stream:
+        stream.writelines(chunks())
+
+
+def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, ...], bytearray, list[int]]:
+    """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
+
+    Returns the records' specs, their header bytes as read (the prefix of
+    magic, version and tensor count, then each record's name length through
+    dims, end to end), and the size of each record's header. The stream is
+    read in windows of ``_WINDOW`` bytes; a window is refilled from the next
+    header on when it may not hold that header whole, so payloads it does
+    not hold are sought over, not read. Each declared length is checked
+    against the bytes left in the stream first. The stream must be seekable.
+    """
+    base = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(base)
+    # `window` holds the stream's bytes from `base` on; `at` is an offset in it.
+    window = stream.read(min(_WINDOW, end - base))
+
+    def short(what: str) -> CodecError:
+        return CodecError(f"unexpected end of stream while reading {what}")
+
+    if len(window) < 4:
+        raise short("magic")
+    if window[:4] != MAGIC:
+        raise CodecError(f"bad magic {window[:4]!r}")
+    if len(window) < 5:
+        raise short("version")
+    if window[4] != VERSION:
+        raise CodecError(f"unsupported version {window[4]}")
+    if len(window) < _PREFIX_SIZE:
+        raise short("tensor count")
+    (count,) = _U32.unpack_from(window, 5)
+    if count == 0:
+        raise CodecError("empty container")
+    itemsize = _NUMPY_DTYPES[dtype_code].itemsize
+    headers, sizes = bytearray(window[:_PREFIX_SIZE]), []
+    names: list[str] = []
+    shapes: list[tuple[int, ...]] = []
     seen: set[str] = set()
+    at = _PREFIX_SIZE
     for _ in range(count):
-        length = take(2, "name length")
-        raw_name = take(struct.unpack("<H", length)[0], "name")
+        if len(window) - at < _MAX_HEADER and base + len(window) < end:
+            base += at
+            stream.seek(base)
+            window, at = stream.read(min(_WINDOW, end - base)), 0
+        if len(window) - at < 2:
+            raise short("name length")
+        code_at = at + 2 + _U16.unpack_from(window, at)[0]
+        if code_at > len(window):
+            raise short("name")
         try:
-            name = str(raw_name, "utf-8")
+            name = str(window[at + 2 : code_at], "utf-8")
         except UnicodeDecodeError:
             raise CodecError("tensor name is not valid UTF-8") from None
         if name in seen:
             raise CodecError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        code_ndim = take(2, "dtype/ndim")
-        code, ndim = code_ndim
+        if code_at + 2 > len(window):
+            raise short("dtype/ndim")
+        code, ndim = window[code_at], window[code_at + 1]
         if code != dtype_code:
             raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
         if ndim == 0:
             raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
-        raw_dims = take(8 * ndim, "dims")
-        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        stop = code_at + 2 + 8 * ndim
+        if stop > len(window):
+            raise short("dims")
+        dims = _DIMS[ndim].unpack_from(window, code_at + 2)
         if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
-        advance(math.prod(dims) * _NUMPY_DTYPES[code].itemsize, f"payload of {name!r}")
-        records.append((name, dims, length + raw_name + code_ndim + raw_dims))
-        stream.seek(pos)
-    if pos != end:
+        payload = math.prod(dims) * itemsize
+        if payload > end - base - stop:
+            raise short(f"payload of {name!r}")
+        headers += window[at:stop]
+        sizes.append(stop - at)
+        names.append(name)
+        shapes.append(dims)
+        at = stop + payload
+    if base + at != end:
         raise CodecError("trailing data after last record")
-    return tuple(TensorSpec(name, dims) for name, dims, _ in records), [header for *_, header in records]
+    return tuple(map(TensorSpec, names, shapes)), headers, sizes
 
 
 def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...], np.ndarray]:
     """The layout of a TVC1 stream of ``dtype_code`` records, and its payloads as one vector.
 
     A :class:`LayoutReader` whose one block is the whole vector reads the
-    stream from where its headers start, so each payload is read once, with
-    ``readinto``, straight into its slice of the vector.
+    stream from where its headers start, so each payload is read once
+    straight into its slice of the vector.
     """
     with _opened(source, "rb") as stream:
         origin = stream.tell()
@@ -421,11 +511,54 @@ def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...]
     return reader.specs, flat
 
 
+def _vector_reader(stream: BinaryIO) -> Callable[[list[memoryview]], int]:
+    """A ``readv`` of ``stream``: it fills buffers in order and returns the bytes read, 0 at the end.
+
+    An unbuffered file is read with ``os.readv`` where the platform has it;
+    any other stream with ``readinto`` into each buffer in turn, up to the
+    first that comes back short.
+    """
+    if isinstance(stream, io.FileIO) and hasattr(os, "readv"):
+        fd = stream.fileno()
+        return lambda buffers: os.readv(fd, buffers)
+
+    def readv(buffers: list[memoryview]) -> int:
+        total = 0
+        for buffer in buffers:
+            count = stream.readinto(buffer) or 0
+            total += count
+            if count < len(buffer):
+                break
+        return total
+
+    return readv
+
+
+def _fill(readv: Callable[[list[memoryview]], int], buffers: list[memoryview], nbytes: int) -> bool:
+    """Fill ``buffers``, ``nbytes`` in all, with ``readv``; False if the stream ends first.
+
+    A short count is resumed where it stopped: a call may move less than
+    asked, as Linux moves at most 0x7ffff000 bytes per call.
+    """
+    while True:
+        count = readv(buffers)
+        if count == nbytes:
+            return True
+        if not count:
+            return False
+        nbytes -= count
+        full = 0
+        while count >= len(buffers[full]):
+            count -= len(buffers[full])
+            full += 1
+        buffers = [buffers[full][count:], *buffers[full + 1 :]]
+
+
 @contextmanager
 def _opened(target: Source, mode: str) -> Iterator[BinaryIO]:
-    """``target`` as a stream: a path is opened and closed again, a stream is left open."""
+    """``target`` as a stream: a path is opened (unbuffered to read) and closed again, a stream is left open."""
     if isinstance(target, (str, Path)):
-        with open(target, mode) as stream:
+        with open(target, mode, buffering=0 if "r" in mode else _WRITE_BUFFER) as stream:
             yield stream
     else:
         yield target

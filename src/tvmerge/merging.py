@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .container import _BLOCK, DTYPE_U16, _read_whole, _write_records
+from .container import _BLOCK, DTYPE_U16, _read_whole, _record_header, _write_records
 from .errors import ShapeMismatchError, ValidationError
 from .preference import PreferenceVector
 
@@ -187,7 +187,8 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     draw is repeated if a task still overshoots), and the leftovers that
     drew a blank slot take the rest of the unmet budgets, as a list of task
     ids in ascending order shuffled by the same stream. When no task's
-    deficit earns a slot, that shuffled list is the whole fill.
+    deficit earns a slot, that shuffled list is the whole fill; when at
+    most one task is short, nothing is drawn.
 
     The rows are read twice: once for the record-setter bits, kept packed
     (T*d/8 bytes), and once, last row first, to copy the elements each task
@@ -257,12 +258,15 @@ def write_assignment(destination, assignment: Assignment) -> None:
     """Persist owner and provenance maps as u16 records in a TVC1 side-file."""
     if assignment.num_tasks > 0xFFFF:
         raise ValidationError("owner map limited to 65535 tasks")
+    records = (
+        ("owner", assignment.owner),
+        ("provenance", assignment.provenance),
+        ("num_tasks", np.asarray([assignment.num_tasks], dtype=np.uint16)),
+    )
     _write_records(
-        [
-            ("owner", DTYPE_U16, assignment.owner),
-            ("provenance", DTYPE_U16, assignment.provenance),
-            ("num_tasks", DTYPE_U16, np.asarray([assignment.num_tasks], dtype=np.uint16)),
-        ],
+        [(_record_header(name, DTYPE_U16, array.shape), array) for name, array in records],
+        len(records),
+        DTYPE_U16,
         destination,
     )
 
@@ -415,10 +419,15 @@ def _residual_labels(deficits: np.ndarray, dtype: np.dtype, seed: int) -> np.nda
     in ascending order, shuffled by the same stream. The draws are i.i.d.
     and the blanks' list is shuffled uniformly, so every arrangement with
     these counts is equally likely. When no task earns a slot, nothing is
-    drawn and the labels are that shuffled list alone.
+    drawn and the labels are that shuffled list alone. When at most one
+    task is short, its arrangement is the only one, and the stream is not
+    drawn from at all.
     """
     total = int(deficits.sum())
     ids = np.arange(1, deficits.size + 1, dtype=dtype)
+    if np.count_nonzero(deficits) <= 1:
+        log.debug("fill: %d leftovers, 0 tasks slotted, %d blanks, 0 redraws", total, total)
+        return np.repeat(ids, deficits)
     # Python integers, which do not overflow. With nothing left every
     # numerator is 0, and 1 stands in for the total.
     slots = [

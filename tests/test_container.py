@@ -1,6 +1,9 @@
 import io
+import itertools
+import os
 import struct
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from tvmerge import (
     decode_container,
     encode_container,
 )
-from tvmerge import container
-from tvmerge.container import LayoutReader
-from tvmerge.merging import Assignment, read_assignment, write_assignment
+from tvmerge import container, merging
+from tvmerge.cli import main
+from tvmerge.container import DTYPE_U16, LayoutReader
+from tvmerge.merging import Assignment, merge, read_assignment, write_assignment
+from tvmerge.preference import AlphaSchedule, preference_from_alpha
 
 
 def encoded(pset):
@@ -33,6 +38,33 @@ def roundtrip(pset):
     encode_container(pset, buffer)
     buffer.seek(0)
     return decode_container(buffer)
+
+
+# The ways a file reaches the reader: a stream read with readinto, a path
+# read with os.readv, and a path whose os.readv moves at most 7 bytes a call.
+READ_PATHS = ("stream", "path", "path, 7-byte readv")
+
+
+@contextmanager
+def read_path(kind, directory, monkeypatch):
+    """A maker of sources that hold given bytes and are read through ``kind``."""
+    names = itertools.count()
+
+    def path(raw):
+        file = directory / f"{kind[:4]}{next(names)}.tvc"
+        file.write_bytes(raw)
+        return str(file)
+
+    with monkeypatch.context() as patch:
+        if kind == "path, 7-byte readv":
+            readv = os.readv
+            patch.setattr(os, "readv", lambda fd, buffers: readv(fd, [buffers[0][:7]]))
+        yield io.BytesIO if kind == "stream" else path
+
+
+def named(source):
+    """How a layout mismatch names ``source``."""
+    return source if isinstance(source, str) else "stream"
 
 
 class TestParameterSet:
@@ -208,13 +240,48 @@ class TestCodec:
         ],
         ids=["short magic", "bad magic", "bad version", "truncated", "trailing", "length 2^61"],
     )
-    def test_read_layout_raises_what_decode_raises(self, raw):
+    def test_read_layout_raises_what_decode_raises(self, tmp_path, monkeypatch, raw):
         """A layout read from the headers alone (a LayoutReader's first file) fails as a decode does."""
-        with pytest.raises(CodecError) as decoded:
-            decode_container(io.BytesIO(raw))
-        with pytest.raises(CodecError) as headers_only:
-            LayoutReader(io.BytesIO(raw))
-        assert str(headers_only.value) == str(decoded.value)
+        messages = set()
+        for kind in READ_PATHS:
+            with read_path(kind, tmp_path, monkeypatch) as source:
+                with pytest.raises(CodecError) as decoded:
+                    decode_container(source(raw))
+                with pytest.raises(CodecError) as headers_only:
+                    LayoutReader(source(raw))
+            assert str(headers_only.value) == str(decoded.value)
+            messages.add(str(decoded.value))
+        assert len(messages) == 1
+
+    # Peak traced allocation of decode_container on a container of 20,000
+    # one-element tensors (Python 3.11, numpy 2.4.6), measured from a BytesIO
+    # when each record was read with its own read and readinto calls. A
+    # one-block reader that worked out all its steps up front exceeds the bound.
+    MANY_RECORDS_PEAK = 8_576_000
+
+    def test_many_record_decode_peaks_no_higher_than_before(self, tmp_path):
+        pset = ParameterSet([(f"t{i}", [float(i)]) for i in range(20_000)])
+        raw = encoded(pset)
+        path = tmp_path / "many.tvc"
+        path.write_bytes(raw)
+        for source in (lambda: path, lambda: io.BytesIO(raw)):
+            tracemalloc.start()
+            try:
+                decoded = decode_container(source())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert decoded.bitwise_equal(pset)
+            assert peak < 1.1 * self.MANY_RECORDS_PEAK
+
+    def test_headers_across_parse_windows(self):
+        # The third of these 60,000-byte names starts before byte 2**17 of the
+        # stream, where the header parse's first window ends, and ends after it.
+        pset = ParameterSet([(letter * 60_000, [float(i)]) for i, letter in enumerate("abcde")])
+        raw = encoded(pset)
+        assert roundtrip(pset).bitwise_equal(pset)
+        with pytest.raises(CodecError, match="unexpected end of stream while reading name"):
+            decode_container(io.BytesIO(raw[: 4 * 60_016 + 9 + 100]))
 
     def test_read_layout_starts_at_the_stream_position(self):
         stream = io.BytesIO(b"junk" + encoded(ParameterSet({"w": np.zeros((2, 3)), "b": np.zeros(2)})))
@@ -225,18 +292,24 @@ class TestCodec:
 
 
 LAYOUT = ParameterSet({"w": np.ones(6), "b": np.ones(2)})
-OTHER_LAYOUT = "shape mismatch: stream has a different layout"
+OTHER_LAYOUT = "shape mismatch: {name} has a different layout"
+# 3,000 records of 1 and 2 elements: 4,500 elements, and more than
+# container._IOV_MAX buffers in a block of 4,001 elements or of all of them.
+MANY = ParameterSet([(f"t{i}", np.full(1 + i % 2, i, dtype=np.float32)) for i in range(3000)])
 
 
 class TestLayoutReader:
     @pytest.mark.parametrize("block", [2, 5, 2**16])
-    def test_stream_blocks_match_decode(self, monkeypatch, block):
+    def test_stream_blocks_match_decode(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(container, "_BLOCK", block)
         pset = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf])])
         raw = encoded(pset)
-        blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw)).blocks(io.BytesIO(raw))]
-        assert [part.size for part in blocks] == [block] * (8 // block) + [8 % block] * (8 % block > 0)
-        assert np.concatenate(blocks).view(np.uint32).tolist() == pset.flat().view(np.uint32).tolist()
+        for kind in READ_PATHS:
+            with read_path(kind, tmp_path, monkeypatch) as source:
+                blocks = [part.copy() for part in LayoutReader(source(raw)).blocks(source(raw))]
+                assert decode_container(source(raw)).bitwise_equal(pset)
+            assert [part.size for part in blocks] == [block] * (8 // block) + [8 % block] * (8 % block > 0)
+            assert np.concatenate(blocks).view(np.uint32).tolist() == pset.flat().view(np.uint32).tolist()
 
     @pytest.mark.parametrize(
         "raw, error, message",
@@ -249,55 +322,88 @@ class TestLayoutReader:
         ],
         ids=["renamed", "reshaped", "truncated", "trailing", "empty"],
     )
-    def test_other_stream_raises_shape_mismatch(self, raw, error, message):
+    def test_other_stream_raises_shape_mismatch(self, tmp_path, monkeypatch, raw, error, message):
         """Another layout raises a shape mismatch; malformed headers raise what their decode raises."""
-        reader = LayoutReader(io.BytesIO(encoded(LAYOUT)))
-        with pytest.raises(error) as streamed:
-            list(reader.blocks(io.BytesIO(raw)))
-        assert type(streamed.value) is error and str(streamed.value) == message
-        if error is CodecError:
-            with pytest.raises(CodecError) as decoded:
-                decode_container(io.BytesIO(raw))
-            assert str(decoded.value) == message
+        for kind in READ_PATHS:
+            with read_path(kind, tmp_path, monkeypatch) as source:
+                reader = LayoutReader(source(encoded(LAYOUT)))
+                later = source(raw)
+                with pytest.raises(error) as streamed:
+                    list(reader.blocks(later))
+                assert type(streamed.value) is error and str(streamed.value) == message.format(name=named(later))
+                if error is CodecError:
+                    with pytest.raises(CodecError) as decoded:
+                        decode_container(source(raw))
+                    assert str(decoded.value) == message
 
     @pytest.mark.parametrize(
         "raw, message",
         [
             (encoded(LAYOUT)[:-1], "unexpected end of stream while reading payload of 'b'"),
-            (encoded(ParameterSet({"w": np.ones(8)})), OTHER_LAYOUT),
+            (encoded(ParameterSet({"w": np.ones(8)})), OTHER_LAYOUT.format(name="stream")),
         ],
         ids=["truncated", "other layout"],
     )
-    def test_mismatch_is_explained_from_the_stream_position(self, raw, message):
-        stream = io.BytesIO(b"junk" + raw)
-        stream.seek(4)
-        with pytest.raises(ValidationError) as streamed:
-            list(LayoutReader(io.BytesIO(encoded(LAYOUT))).blocks(stream))
-        assert str(streamed.value) == message
+    def test_mismatch_is_explained_from_the_stream_position(self, tmp_path, raw, message):
+        """From a BytesIO, and from an unbuffered file (read with os.readv), that start at byte 4."""
+        path = tmp_path / "at4.tvc"
+        path.write_bytes(b"junk" + raw)
+        for stream in (io.BytesIO(b"junk" + raw), open(path, "rb", buffering=0)):
+            with stream:
+                stream.seek(4)
+                with pytest.raises(ValidationError) as streamed:
+                    list(LayoutReader(io.BytesIO(encoded(LAYOUT))).blocks(stream))
+            assert str(streamed.value) == message
 
-    def test_reads_use_the_header_bytes_they_read(self, monkeypatch):
-        """No read path encodes a header: decode, side-files and streams compare the bytes read."""
+    def test_reads_use_the_header_bytes_they_read(self, tmp_path, monkeypatch):
+        """No read path encodes a header: decode, side-files and streams compare the bytes read,
+        and a merge writes its container with the header bytes it read from its first input."""
         first = ParameterSet([("w", np.arange(6.0).reshape(2, 3)), ("b", [-0.0, np.inf]), ("c", [7.0])])
         later = first.with_flat(-first.flat())
+        third = first.with_flat(np.linspace(-4, 4, 9))
         assignment = Assignment(np.array([2, 1, 2, 1]), np.array([1, 0, 1, 1]), 2)
         side_file = io.BytesIO()
         write_assignment(side_file, assignment)
         raw_first, raw_later = encoded(first), encoded(later)
+        paths = []
+        for task, pset in enumerate([first, third, first.with_flat(2 * first.flat())]):
+            paths.append(str(tmp_path / f"t{task}.tvc"))
+            encode_container(pset, paths[-1])
+        side_file_header = merging._record_header
 
         def encode_header(*args):
             raise AssertionError("a header was encoded on a read path")
 
-        monkeypatch.setattr(container, "_record_header", encode_header)
-        monkeypatch.setattr(container, "_BLOCK", 4)
-        assert decode_container(io.BytesIO(raw_first)).bitwise_equal(first)
-        side_file.seek(0)
-        loaded = read_assignment(side_file)
-        assert loaded.owner.tolist() == [2, 1, 2, 1] and loaded.provenance.tolist() == [1, 0, 1, 1]
-        assert loaded.num_tasks == 2
-        blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw_first)).blocks(io.BytesIO(raw_later))]
-        assert np.concatenate(blocks).view(np.uint32).tolist() == later.flat().view(np.uint32).tolist()
+        def encode_side_file_header(name, code, dims):
+            assert code == DTYPE_U16, "merge encoded a container header"
+            return side_file_header(name, code, dims)
 
-    def test_nan_names_the_first_tensor_of_its_block(self, monkeypatch):
+        args = {"magmax": [], "tunable": ["--alpha", "0.5", "--seed", "3"], "average": [], "randmix": ["--seed", "3"]}
+        with monkeypatch.context() as patch:
+            patch.setattr(container, "_record_header", encode_header)
+            patch.setattr(merging, "_record_header", encode_side_file_header)
+            patch.setattr(container, "_BLOCK", 4)
+            patch.setattr(merging, "_BLOCK", 4)
+            assert decode_container(io.BytesIO(raw_first)).bitwise_equal(first)
+            side_file.seek(0)
+            loaded = read_assignment(side_file)
+            assert loaded.owner.tolist() == [2, 1, 2, 1] and loaded.provenance.tolist() == [1, 0, 1, 1]
+            assert loaded.num_tasks == 2
+            blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw_first)).blocks(io.BytesIO(raw_later))]
+            assert np.concatenate(blocks).view(np.uint32).tolist() == later.flat().view(np.uint32).tolist()
+            for method, flags in args.items():
+                assert main(["merge", "--method", method, *flags, "--out", str(tmp_path / f"{method}.tvc"), *paths]) == 0
+
+        decoded = [decode_container(path) for path in paths]
+        taus = np.stack([pset.flat() for pset in decoded])
+        pref = preference_from_alpha(AlphaSchedule(0.5, 3, taus.shape[1]))
+        for method in args:
+            merged, _ = merge(method, taus, pref if method == "tunable" else None, 3)
+            want = io.BytesIO()
+            encode_container(decoded[0].with_flat(merged), want)
+            assert (tmp_path / f"{method}.tvc").read_bytes() == want.getvalue()
+
+    def test_nan_names_the_first_tensor_of_its_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(container, "_BLOCK", 4)
         pset = ParameterSet([("a", np.ones(3)), ("b", np.ones(3)), ("c", np.ones(3))])
         raw = bytearray(encoded(pset))
@@ -305,8 +411,44 @@ class TestLayoutReader:
         b_payload = c_payload - len(container._record_header("c", 0, (3,))) - 12
         # Elements 5 and 7 of the layout, in the second block [4, 8).
         raw[b_payload + 8 : b_payload + 12] = raw[c_payload + 4 : c_payload + 8] = struct.pack("<f", np.nan)
-        with pytest.raises(CodecError, match="tensor 'b': NaN"):
-            list(LayoutReader(io.BytesIO(encoded(pset))).blocks(io.BytesIO(bytes(raw))))
+        for kind in READ_PATHS:
+            with read_path(kind, tmp_path, monkeypatch) as source:
+                with pytest.raises(CodecError, match="tensor 'b': NaN"):
+                    list(LayoutReader(source(encoded(pset))).blocks(source(bytes(raw))))
+
+    @pytest.mark.parametrize("block", [4001, None], ids=["two blocks", "one block"])
+    def test_a_block_of_many_records_takes_several_steps(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(container, "_BLOCK", block)
+        raw = encoded(MANY)
+        tail = len(raw) - 8  # t2999's payload, two elements
+        faults = {
+            "renamed": (raw.replace(b"t2998", b"u2998"), OTHER_LAYOUT),
+            "NaN": (raw[:tail] + struct.pack("<2f", 1.0, np.nan), "tensor 't2999': NaN payload rejected"),
+            "truncated": (raw[:-1], "unexpected end of stream while reading payload of 't2999'"),
+        }
+        for kind in READ_PATHS:
+            with read_path(kind, tmp_path, monkeypatch) as source, monkeypatch.context() as patch:
+                calls = []
+                if kind != "stream":
+                    readv = os.readv
+                    patch.setattr(os, "readv", lambda fd, buffers: calls.append(len(buffers)) or readv(fd, buffers))
+                reader = LayoutReader(source(raw))
+                blocks = [part.copy() for part in reader.blocks(source(raw))]
+                steps = list(calls)
+                assert np.concatenate(blocks).view(np.uint32).tolist() == MANY.flat().view(np.uint32).tolist()
+                assert [part.size for part in blocks] == ([4001, 499] if block else [4500])
+                assert decode_container(source(raw)).bitwise_equal(MANY)
+                for later, message in faults.values():
+                    later = source(later)
+                    with pytest.raises(ValidationError) as streamed:
+                        list(reader.blocks(later))
+                    assert str(streamed.value) == message.format(name=named(later))
+            if kind == "path":
+                # 3,000 headers and 3,000 payloads, one of them cut in two by the
+                # block boundary: one os.readv per step of at most _IOV_MAX buffers.
+                assert max(steps) == container._IOV_MAX and sum(steps) == 6000 + (block is not None)
+                assert len(steps) == (7 if block else 6)
 
 
 class TestTaskVectorArithmetic:

@@ -30,7 +30,7 @@ from tvmerge import (
 )
 from tvmerge import container, merging
 
-from reference_merge import argmax_later_wins, fill_slots, reference_tunable_merge
+from reference_merge import argmax_later_wins, fill_slots, reference_fill, reference_tunable_merge
 
 
 def random_budgets(rng, num_tasks, dim):
@@ -362,6 +362,32 @@ class TestResidualFill:
             redrawn.append(redraws)
         # A draw gives each task exactly two labels with odds 6/16.
         assert sum(r > 0 for r in redrawn) >= 5 and max(redrawn) >= 2
+
+    @pytest.mark.parametrize("short", [3, 5000], ids=["no slots", "slots"])
+    def test_one_short_task_is_filled_without_a_draw(self, monkeypatch, short):
+        """A fill whose arrangement is forced (at most one task short) draws nothing."""
+        stream = merging.selection_stream
+
+        class Undrawable:
+            def __getattr__(self, name):
+                raise AssertionError("the forced fill drew from its stream")
+
+        def no_fill_draws(seed, purpose, task):
+            return Undrawable() if purpose == merging.FILL_KEY else stream(seed, purpose, task)
+
+        monkeypatch.setattr(merging, "selection_stream", no_fill_draws)
+        for deficits in ([0, short, 0], [short], [0, 0]):
+            labels = merging._residual_labels(np.array(deficits), np.dtype(np.uint8), 7)
+            assert labels.dtype == np.uint8
+            assert labels.tolist() == reference_fill(deficits, 7)
+        # Task 1 claims all but `short` of its candidates, and task 2 has none.
+        taus = np.zeros((3, short + 40))
+        taus[0] = 5.0
+        budgets = [40, short, 0]
+        _, assignment = tunable_merge(taus, budgets, seed=7)
+        _, ref_owner, ref_prov = reference_tunable_merge([row.tolist() for row in taus], budgets, 7)
+        assert assignment.owner.tolist() == ref_owner and assignment.provenance.tolist() == ref_prov
+        assert assignment_census(assignment).tolist() == budgets
 
     def test_positions_are_uniform_on_a_slotted_fill(self):
         # 400 leftovers for tasks 2 and 3 (deficits 250 and 150): both earn
