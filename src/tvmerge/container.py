@@ -69,10 +69,7 @@ _BLOCK = 2**16
 #: Buffers per ``os.readv`` call: Linux's ``IOV_MAX``.
 _IOV_MAX = 1024
 
-#: Longest record header: name length, a 65535-byte name, dtype code, ndim and 255 dims.
-_MAX_HEADER = 2 + 0xFFFF + 2 + 8 * 0xFF
-
-#: Bytes per window of the header parse; a window holds at least one whole header.
+#: Bytes per window of the header parse, where its records are small.
 _WINDOW = 2**17
 
 #: Bytes a writer gathers before it writes, so that many small records make few
@@ -254,8 +251,9 @@ class LayoutReader:
     with the first file's; a block's records fit in one step unless they
     need more than ``_IOV_MAX`` buffers. A reader with one block works out
     its steps as it reads, so it holds the buffers of one step at a time.
-    Blocks are read into one buffer that the reader owns, so a reader
-    streams one source at a time.
+    Blocks are read into one buffer that the reader owns, shared by every
+    stream of the reader: several sources may be streamed at once, but a
+    caller is done with a block before it asks any of them for the next.
     """
 
     def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
@@ -305,7 +303,8 @@ class LayoutReader:
         """Yield the vector in ``source`` as consecutive blocks of the reader's block length.
 
         Every block is the reader's one buffer, refilled, so a caller is done
-        with a block before it asks for the next. A stream that is not
+        with a block before it asks this or another stream of the reader for
+        the next. A stream that is not
         exactly this layout raises at the latest before the last block, with
         no payload read to explain it: its headers are parsed again, which
         raises what :func:`decode_container` raises for them, and if they
@@ -421,9 +420,12 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, 
     magic, version and tensor count, then each record's name length through
     dims, end to end), and the size of each record's header. The stream is
     read in windows of ``_WINDOW`` bytes; a window is refilled from the next
-    header on when it may not hold that header whole, so payloads it does
-    not hold are sought over, not read. Each declared length is checked
-    against the bytes left in the stream first. The stream must be seekable.
+    header on when it does not hold what that header needs, so payloads it
+    does not hold are sought over, not read. Past a payload of a window or
+    more, a refill reads only what the header needs, so a file of large
+    records costs a few small reads per header. Each declared length is
+    checked against the bytes left in the stream first. The stream must be
+    seekable.
     """
     base = stream.tell()
     end = stream.seek(0, io.SEEK_END)
@@ -453,44 +455,63 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, 
     shapes: list[tuple[int, ...]] = []
     seen: set[str] = set()
     at = _PREFIX_SIZE
-    for _ in range(count):
-        if len(window) - at < _MAX_HEADER and base + len(window) < end:
+
+    def fill(nbytes: int, ahead: int) -> None:
+        """Refill the window from ``at`` on, unless it reaches the end: with ``nbytes``,
+        at least ``ahead``, or the rest of the stream. Called where the window does not
+        hold ``nbytes`` from ``at`` on."""
+        nonlocal window, base, at
+        if base + len(window) < end:
             base += at
             stream.seek(base)
-            window, at = stream.read(min(_WINDOW, end - base)), 0
+            window, at = stream.read(min(max(nbytes, ahead), end - base)), 0
+
+    payload = 0
+    for _ in range(count):
+        # Past a payload of a window or more, the next header is likely as far,
+        # so a refill reads only what this one needs: 2 bytes, then its name,
+        # dtype code and ndim, then its dims. Otherwise it reads a window,
+        # which holds the next headers too.
+        ahead = 0 if payload >= _WINDOW else _WINDOW
         if len(window) - at < 2:
-            raise short("name length")
-        code_at = at + 2 + _U16.unpack_from(window, at)[0]
-        if code_at > len(window):
+            fill(2, ahead)
+            if len(window) - at < 2:
+                raise short("name length")
+        name_end = 2 + _U16.unpack_from(window, at)[0]
+        if len(window) - at < name_end + 2:
+            fill(name_end + 2, ahead)
+        if len(window) - at < name_end:
             raise short("name")
         try:
-            name = str(window[at + 2 : code_at], "utf-8")
+            name = str(window[at + 2 : at + name_end], "utf-8")
         except UnicodeDecodeError:
             raise CodecError("tensor name is not valid UTF-8") from None
         if name in seen:
             raise CodecError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        if code_at + 2 > len(window):
+        if len(window) - at < name_end + 2:
             raise short("dtype/ndim")
-        code, ndim = window[code_at], window[code_at + 1]
+        code, ndim = window[at + name_end], window[at + name_end + 1]
         if code != dtype_code:
             raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
         if ndim == 0:
             raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
-        stop = code_at + 2 + 8 * ndim
-        if stop > len(window):
-            raise short("dims")
-        dims = _DIMS[ndim].unpack_from(window, code_at + 2)
+        size = name_end + 2 + 8 * ndim
+        if len(window) - at < size:
+            fill(size, ahead)
+            if len(window) - at < size:
+                raise short("dims")
+        dims = _DIMS[ndim].unpack_from(window, at + name_end + 2)
         if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
         payload = math.prod(dims) * itemsize
-        if payload > end - base - stop:
+        if payload > end - base - at - size:
             raise short(f"payload of {name!r}")
-        headers += window[at:stop]
-        sizes.append(stop - at)
+        headers += window[at : at + size]
+        sizes.append(size)
         names.append(name)
         shapes.append(dims)
-        at = stop + payload
+        at += size + payload
     if base + at != end:
         raise CodecError("trailing data after last record")
     return tuple(map(TensorSpec, names, shapes)), headers, sizes

@@ -2,12 +2,17 @@
 
 All strategies operate on the global flat index: each output element is
 copied bitwise from exactly one task vector (``average`` excepted). Task
-vectors are read one row at a time from a :class:`Rows` source, each row
-as a stream of blocks of ``_BLOCK`` elements, so neither a (T, d) matrix
-nor a d-sized row buffer is built. A strategy keeps a few d-sized vectors
-of state (plus T*d/8 bytes of packed bits for ``tunable``); every other
-temporary holds at most one block, besides, in ``tunable``, the int32
-indices of the candidates of a claim that is cut (and up to one int64 per
+vectors are read from a :class:`Rows` source, each row as a stream of
+blocks of ``_BLOCK`` elements, so neither a (T, d) matrix nor a d-sized
+row buffer is built. ``magmax`` and ``average`` read the rows one after
+another; ``tunable`` (both of its passes) and ``randmix`` read them in
+lockstep, block 0 of every row, then block 1, and so on, so that their
+running state is one block long. A strategy keeps a few d-sized vectors
+of state: the merged vector, the owner map and the provenance map, and in
+``tunable``'s claim sweep T*d/8 bytes of packed record-setter bits, d/8
+bytes of packed unassigned elements and one task's unpacked candidates.
+Every other temporary holds at most one block, besides, in ``tunable``,
+one bool per candidate of a claim that is cut (and up to one int64 per
 candidate while numpy draws the subset it keeps) and one task id per
 element left to the residual fill. ``magmax`` and
 ``tunable`` keep their owner map in the narrowest unsigned dtype that
@@ -64,11 +69,12 @@ class Rows:
 
     ``blocks(t)`` yields task vector t (0-based) as consecutive 1-D pieces
     of ``_BLOCK`` elements (the last one shorter), with the same dtype for
-    every t. Each piece may be one reused buffer, refilled, so a strategy is
-    done with a piece before it asks for the next. A strategy streams one
-    row at a time to its end, and it may stream a row more than once. Every
-    strategy accepts a source like this in place of a (T, d) matrix; the
-    source checks its own rows for NaN.
+    every t. Every piece, of any row, may be one reused buffer, refilled,
+    so a strategy is done with a piece before it asks any stream for the
+    next. A strategy may stream one row at a time to its end, or hold every
+    row's stream open and ask them in turn for each block; it may stream a
+    row more than once. Every strategy accepts a source like this in place
+    of a (T, d) matrix; the source checks its own rows for NaN.
     """
 
     count: int
@@ -190,9 +196,9 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     deficit earns a slot, that shuffled list is the whole fill; when at
     most one task is short, nothing is drawn.
 
-    The rows are read twice: once for the record-setter bits, kept packed
-    (T*d/8 bytes), and once, last row first, to copy the elements each task
-    owns.
+    The rows are read twice, each time in lockstep: once for the
+    record-setter bits, kept packed (T*d/8 bytes), and once to copy the
+    elements each task owns.
     """
     check_seed(seed)
     rows = _as_rows(taus)
@@ -205,8 +211,7 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
         raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
 
     owner, claimed = _budgeted_owners(rows, pref.as_array(), seed)
-    merged = _gather(rows, owner, range(rows.count - 1, -1, -1))
-    return merged, Assignment(owner, claimed.view(np.uint8), rows.count)
+    return _gather(rows, owner), Assignment(owner, claimed.view(np.uint8), rows.count)
 
 
 def average_merge(taus: TaskVectors) -> np.ndarray:
@@ -238,7 +243,7 @@ def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignme
     stream = selection_stream(seed, RANDMIX_KEY, 0)
     owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
     assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
-    return _gather(rows, owner, range(rows.count)), assignment
+    return _gather(rows, owner), assignment
 
 
 def assignment_census(assignment: Assignment) -> np.ndarray:
@@ -361,47 +366,51 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     """Owner of every element under ``deficits`` (the budgets), and where it was claimed.
 
     Reads the rows once for their record-setter bits, then runs the claim
-    sweep and the residual fill of :func:`tunable_merge` on those bits.
+    sweep and the residual fill of :func:`tunable_merge` on those bits. The
+    sweep keeps the unassigned elements as packed bits ``free`` (the padding
+    bits of its last byte clear). A task's candidates are its record-setter
+    bits and ``free``, unpacked once; a cut claim writes the candidates it
+    keeps into them through one bool per candidate, so that every claim is
+    written through its mask. ``free`` is unpacked once more, for the fill
+    and the provenance map.
     """
     packed = _record_setter_bits(rows)
     dim = rows.dim
-    # Candidate indices are int32 where they fit: half the size of int64.
-    index = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
     owner = np.zeros(dim, dtype=_owner_dtype(rows.count))
-    unassigned = np.ones(dim, dtype=bool)
+    free = np.full(packed.shape[1], 0xFF, dtype=np.uint8)
+    free[-1] <<= -dim % 8  # the padding bits of the last byte are clear
+    claimed = np.empty_like(free)
     ids = np.empty(min(_BLOCK, dim), dtype=owner.dtype)
     for task in range(rows.count, 0, -1):
         need = int(deficits[task - 1])
         if need == 0:
             continue
-        candidates = np.unpackbits(packed[task - 1], count=dim).view(bool)
-        np.logical_and(candidates, unassigned, out=candidates)
+        np.bitwise_and(packed[task - 1], free, out=claimed)
+        candidates = np.unpackbits(claimed, count=dim).view(bool)
         size = int(np.count_nonzero(candidates))
         if size > need:
-            claim = _flatnonzero(candidates, index)
-            del candidates  # freed before the draw
-            # A uniform subset of `need` positions: one draw per kept
-            # candidate, not a shuffle of every candidate.
+            # A uniform subset of `need` candidates, by their ordinals: one
+            # draw per kept candidate, not a shuffle of every candidate.
             stream = selection_stream(seed, CLAIM_KEY, task)
-            claim = claim[stream.choice(claim.size, need, replace=False, shuffle=False)]
-            owner[claim] = task
-            unassigned[claim] = False
-            del claim  # freed before the next task's candidates are unpacked
-        else:
-            # An uncut claim is written through its mask. It lies inside
-            # `unassigned`, where `owner` is still 0.
-            np.logical_xor(unassigned, candidates, out=unassigned)
-            bits, task_id = candidates.view(np.uint8), owner.dtype.type(task)
-            for block in _blocks(dim):
-                part = ids[: block.stop - block.start]
-                np.multiply(bits[block], task_id, out=part)
-                np.bitwise_or(owner[block], part, out=owner[block])
-            del candidates, bits  # freed before the next task's bits are unpacked
+            keep = np.zeros(size, dtype=bool)
+            keep[stream.choice(size, need, replace=False, shuffle=False)] = True
+            _write_where(candidates, candidates, keep)
+            del keep  # freed before the owner write
+            claimed = np.packbits(candidates)
+        # The claim lies inside `free`, where `owner` is still 0.
+        np.bitwise_xor(free, claimed, out=free)
+        bits, task_id = candidates.view(np.uint8), owner.dtype.type(task)
+        for block in _blocks(dim):
+            part = ids[: block.stop - block.start]
+            np.multiply(bits[block], task_id, out=part)
+            np.bitwise_or(owner[block], part, out=owner[block])
+        del candidates, bits  # freed before the next task's bits are unpacked
         kept = min(size, need)
         deficits[task - 1] -= kept
         log.debug("claim: task %d, %d candidates, need %d, kept %d", task, size, need, kept)
     del packed
 
+    unassigned = np.unpackbits(free, count=dim).view(bool)
     _write_where(owner, unassigned, _residual_labels(deficits, owner.dtype, seed))
     return owner, np.logical_not(unassigned, out=unassigned)
 
@@ -467,39 +476,37 @@ def _record_setter_bits(rows: Rows) -> np.ndarray:
     """Packed (T, ceil(d/8)) bits: bit p of row t is set where row t is a record-setter.
 
     That is where ``|rows[t][p]| >= |rows[s][p]|`` for every s < t; every
-    element of row 0 is one. A running maximum of the magnitudes is the
-    only state besides the bits.
+    element of row 0 is one. The rows are read in lockstep, so the running
+    maximum of the magnitudes and a row's setter flags are one block long,
+    and each row's flags are packed as soon as its block is read. A block
+    that does not start on a byte boundary is packed after the fewer than 8
+    flags that its row carried over from the block before.
     """
     num_tasks, dim = rows.count, rows.dim
     packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
     packed[0] = 0xFF
-    running = _copy_row(rows, 0)
-    np.abs(running, out=running)
-    magnitude = np.empty(min(_BLOCK, dim), dtype=running.dtype)
-    setters = np.empty(dim, dtype=bool)
-    for task in range(1, num_tasks):
-        for block, row in _pieces(rows, task):
-            part = magnitude[: block.stop - block.start]
-            np.abs(row, out=part)
-            np.greater_equal(part, running[block], out=setters[block])
-            np.maximum(running[block], part, out=running[block])
-        # 8 elements pack into one byte, so 8 blocks of bits make one block of bytes.
-        for start in range(0, dim, 8 * _BLOCK):
-            packed[task, start // 8 : (start + 8 * _BLOCK) // 8] = np.packbits(
-                setters[start : start + 8 * _BLOCK]
-            )
+    size = min(_BLOCK, dim)
+    # A row's carried flags, then its block's: flags from a byte boundary on.
+    flags = np.empty(size + 8, dtype=bool)
+    carried = np.empty((num_tasks, 8), dtype=bool)
+    for block, task, piece in _lockstep(rows):
+        n = block.stop - block.start
+        if task == 0:
+            if block.start == 0:  # the first piece sets the dtype
+                running, magnitude = np.empty(size, piece.dtype), np.empty(size, piece.dtype)
+            np.abs(piece, out=running[:n])
+            continue
+        lead = block.start % 8
+        flags[:lead] = carried[task, :lead]
+        np.abs(piece, out=magnitude[:n])
+        np.greater_equal(magnitude[:n], running[:n], out=flags[lead : lead + n])
+        np.maximum(running[:n], magnitude[:n], out=running[:n])
+        # Whole bytes are packed; the last block packs its tail as well.
+        whole = lead + n if block.stop == dim else (lead + n) // 8 * 8
+        first = block.start // 8
+        packed[task, first : first + (whole + 7) // 8] = np.packbits(flags[:whole])
+        carried[task, : lead + n - whole] = flags[whole : lead + n]
     return packed
-
-
-def _flatnonzero(mask: np.ndarray, dtype: type) -> np.ndarray:
-    """``np.flatnonzero(mask)`` as ``dtype``, found one block at a time."""
-    found = np.empty(np.count_nonzero(mask), dtype=dtype)
-    filled = 0
-    for block in _blocks(mask.size):
-        part = np.flatnonzero(mask[block])
-        np.add(part, block.start, out=found[filled : filled + part.size])
-        filled += part.size
-    return found
 
 
 def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
@@ -511,18 +518,51 @@ def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> No
         filled += where.size
 
 
-def _gather(rows: Rows, owner: np.ndarray, order: Iterable[int]) -> np.ndarray:
-    """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in ``order``."""
-    first, *rest = order
-    merged = _copy_row(rows, first)
-    scratch = np.empty(min(_BLOCK, merged.size), dtype=merged.dtype)
-    mask = np.empty(scratch.size, dtype=bool)
-    for task in rest:
-        for block, row in _pieces(rows, task):
-            n = block.stop - block.start
-            np.equal(owner[block], task + 1, out=mask[:n])
-            _select(merged[block], row, mask[:n], scratch[:n])
+def _gather(rows: Rows, owner: np.ndarray) -> np.ndarray:
+    """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in lockstep.
+
+    Each block of the merged vector is assembled from the pieces of rows
+    0..T-1 in turn: row 0's piece is copied, and each later row's piece is
+    selected where that row owns the element.
+    """
+    size = min(_BLOCK, rows.dim)
+    mask = np.empty(size, dtype=bool)
+    for block, task, piece in _lockstep(rows):
+        n = block.stop - block.start
+        if task == 0:
+            if block.start == 0:  # the first piece sets the dtype
+                merged, scratch = np.empty(rows.dim, piece.dtype), np.empty(size, piece.dtype)
+            merged[block] = piece
+            continue
+        np.equal(owner[block], task + 1, out=mask[:n])
+        _select(merged[block], piece, mask[:n], scratch[:n])
     return merged
+
+
+def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Every row's stream, open at once and asked in turn: (slice, task, piece) for
+    block 0 of rows 0..T-1, then for block 1, and so on.
+
+    A stream with fewer or more pieces than the row has blocks raises
+    ValueError. Every stream is drained at the end; if a stream raises, or
+    this generator is closed first, every stream that has a ``close`` is
+    closed.
+    """
+    streams = [iter(rows.blocks(task)) for task in range(rows.count)]
+    try:
+        for block in _blocks(rows.dim):
+            for task, stream in enumerate(streams):
+                piece = next(stream, None)
+                if piece is None:
+                    raise ValueError(f"row {task} ended before element {block.start}")
+                yield block, task, piece
+        for task, stream in enumerate(streams):
+            if next(stream, None) is not None:
+                raise ValueError(f"row {task} runs past {rows.dim} elements")
+    finally:
+        for stream in streams:
+            if hasattr(stream, "close"):
+                stream.close()
 
 
 def _select(dest: np.ndarray, row: np.ndarray, mask: np.ndarray, scratch: np.ndarray) -> None:

@@ -40,6 +40,22 @@ def roundtrip(pset):
     return decode_container(buffer)
 
 
+class CountingStream(io.BytesIO):
+    """An in-memory stream that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        self.bytes_read += count
+        return count
+
+
 # The ways a file reaches the reader: a stream read with readinto, a path
 # read with os.readv, and a path whose os.readv moves at most 7 bytes a call.
 READ_PATHS = ("stream", "path", "path, 7-byte readv")
@@ -282,6 +298,27 @@ class TestCodec:
         assert roundtrip(pset).bitwise_equal(pset)
         with pytest.raises(CodecError, match="unexpected end of stream while reading name"):
             decode_container(io.BytesIO(raw[: 4 * 60_016 + 9 + 100]))
+
+    def test_large_records_read_a_few_bytes_per_header(self):
+        # Payloads of 160 KiB, larger than the parse window: past the first
+        # window, each header is read by what it needs, not with a window of
+        # its own.
+        pset = ParameterSet([(f"t{i}", np.full(40_960, i, dtype=np.float32)) for i in range(24)])
+        stream = CountingStream(encoded(pset))
+        assert LayoutReader(stream).specs == pset.specs
+        assert stream.bytes_read <= 8 * 1024 * len(pset)
+
+    # Cuts inside the second header, after a 256 KiB payload: its name
+    # length, its 2-byte name, its dtype code and ndim, its dims.
+    @pytest.mark.parametrize(
+        "cut, what", [(1, "name length"), (3, "name"), (5, "dtype/ndim"), (9, "dims")]
+    )
+    def test_header_cut_after_a_large_payload(self, cut, what):
+        raw = encoded(ParameterSet([("t0", np.zeros(2**16)), ("t1", np.zeros(2**16))]))
+        second = 9 + 14 + 4 * 2**16  # prefix, first header, first payload
+        for read in (decode_container, LayoutReader):
+            with pytest.raises(CodecError, match=f"unexpected end of stream while reading {what}$"):
+                read(io.BytesIO(raw[: second + cut]))
 
     def test_read_layout_starts_at_the_stream_position(self):
         stream = io.BytesIO(b"junk" + encoded(ParameterSet({"w": np.zeros((2, 3)), "b": np.zeros(2)})))

@@ -30,7 +30,7 @@ from tvmerge import (
 )
 from tvmerge import container, merging
 
-from reference_merge import argmax_later_wins, fill_slots, reference_fill, reference_tunable_merge
+from reference_merge import argmax_later_wins, fill_slots, keyed_stream, reference_fill, reference_tunable_merge
 
 
 def random_budgets(rng, num_tasks, dim):
@@ -553,11 +553,13 @@ class TestMergeDispatch:
 # Peak traced allocation of each strategy at T=16, d=2**18, in rows of 4d
 # bytes, with the rows streamed through one block buffer. The live state is
 # a few d-sized vectors (the merged vector, the owner map: uint8 for magmax
-# and tunable at 16 tasks, int32 for randmix; a bool vector, the running
-# maximum in tunable's first pass, T*d/8 bytes of packed bits); every other
-# temporary is one block, or one task's claim candidates in tunable. Measured
-# peaks: tunable 2.04, randmix 2.60, magmax 2.13, average 1.00.
-PEAK_ROWS = {"tunable": 2.2, "randmix": 2.75, "magmax": 2.3, "average": 1.1}
+# and tunable at 16 tasks, int32 for randmix; a bool vector; in tunable's
+# claim sweep T*d/8 bytes of packed bits and d/8 of packed free elements);
+# every other temporary is one block, or one task's claim candidates and
+# their draw in tunable, whose two lockstep passes hold no d-sized running
+# maximum or setter flags. Measured peaks: tunable 1.86, randmix 2.61,
+# magmax 2.13, average 1.00.
+PEAK_ROWS = {"tunable": 2.02, "randmix": 2.75, "magmax": 2.3, "average": 1.1}
 
 
 class TestStreaming:
@@ -695,3 +697,91 @@ class TestBlockBoundaries:
         monkeypatch.setattr(merging, "_BLOCK", 5)
         monkeypatch.setattr(container, "_BLOCK", 5)
         assert outputs() == want
+
+
+class TestLockstep:
+    """``tunable``'s two passes and ``randmix``'s gather hold every row's stream open at once."""
+
+    # (method, the pass in which a row raises): tunable reads each row twice.
+    @pytest.mark.parametrize("method, attempt", [("tunable", 1), ("tunable", 2), ("randmix", 1)])
+    def test_a_row_that_raises_mid_pass_closes_every_stream(self, monkeypatch, method, attempt):
+        monkeypatch.setattr(merging, "_BLOCK", 5)
+        num_tasks, dim, failing = 4, 23, 2
+        opened, closed = [], []
+
+        def blocks(task):
+            opened.append(task)
+            try:
+                for block in merging._blocks(dim):
+                    if task == failing and opened.count(task) == attempt and block.start == 10:
+                        raise OSError("read failed")
+                    yield np.full(block.stop - block.start, task + 1.0)
+            finally:
+                closed.append(task)
+
+        with pytest.raises(OSError, match="read failed"):
+            merge(method, Rows(num_tasks, dim, blocks), [5, 6, 6, 6], seed=1)
+        assert sorted(opened) == sorted(closed) == sorted(list(range(num_tasks)) * attempt)
+
+    def test_every_stream_is_drained(self, monkeypatch):
+        monkeypatch.setattr(merging, "_BLOCK", 5)
+        num_tasks, dim = 3, 10  # the last piece ends the row exactly
+        finished = []
+
+        def blocks(task):
+            for block in merging._blocks(dim):
+                yield np.full(block.stop - block.start, task + 1.0)
+            finished.append(task)
+
+        for method, passes in (("tunable", 2), ("randmix", 1)):
+            finished.clear()
+            merge(method, Rows(num_tasks, dim, blocks), [3, 3, 4], seed=1)
+            assert sorted(finished) == sorted(list(range(num_tasks)) * passes)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one piece short", "one piece long"])
+    def test_a_stream_of_the_wrong_length_raises(self, monkeypatch, extra):
+        monkeypatch.setattr(merging, "_BLOCK", 5)
+        dim = 12
+
+        def blocks(task):
+            pieces = [np.ones(block.stop - block.start) for block in merging._blocks(dim)]
+            if task == 1:
+                return pieces[:-1] if extra < 0 else pieces + [np.ones(5)]
+            return pieces
+
+        for method in ("tunable", "randmix"):
+            with pytest.raises(ValueError, match="row 1"):
+                merge(method, Rows(3, dim, blocks), [4, 4, 4], seed=1)
+
+
+class TestManyTasks:
+    @pytest.mark.parametrize("block", [None, 5], ids=["default block", "block 5"])
+    def test_uint16_owners_match_reference(self, monkeypatch, block):
+        # 300 tasks need uint16 owners, and 1,001 elements leave a part-filled
+        # last byte of packed bits. Magnitudes rise every 10 tasks, with ties,
+        # so late tasks set many records. Budgets go to some of tasks 1-20, to
+        # 15 tasks past task 255 and the rest to task 300; what the claims
+        # leave goes to the residual fill.
+        rng = np.random.default_rng(300)
+        num_tasks, dim, seed = 300, 1001, 5
+        scales = 1 + np.arange(num_tasks) // 10
+        taus = (rng.integers(-3, 4, size=(num_tasks, dim)) * scales[:, None]).astype(np.float32)
+        budgets = np.zeros(num_tasks, dtype=np.int64)
+        budgets[:20] = rng.integers(0, 6, size=20)
+        budgets[255::3] = rng.integers(1, 12, size=15)
+        budgets[-1] += dim - budgets.sum()
+        ref_merged, ref_owner, ref_prov = reference_tunable_merge([row.tolist() for row in taus], budgets.tolist(), seed)
+        magmax_owner = np.array([argmax_later_wins(np.abs(taus[:, p]).tolist()) + 1 for p in range(dim)])
+        randmix_owner = keyed_stream(seed, merging.RANDMIX_KEY, 0).integers(1, num_tasks + 1, size=dim, dtype=np.int32)
+        assert max(ref_owner) > 255 and magmax_owner.max() > 255
+        if block is not None:
+            monkeypatch.setattr(merging, "_BLOCK", block)
+        columns = np.arange(dim)
+        for method, owner in (("tunable", np.array(ref_owner)), ("magmax", magmax_owner), ("randmix", randmix_owner)):
+            merged, assignment = merge(method, reused_buffer_rows(taus), budgets, seed)
+            assert assignment.owner.dtype == (np.int32 if method == "randmix" else np.uint16)
+            assert assignment.owner.tolist() == owner.tolist(), method
+            assert merged.tobytes() == taus[owner - 1, columns].tobytes(), method
+            if method == "tunable":
+                assert merged.tolist() == ref_merged
+                assert assignment.provenance.tolist() == ref_prov
