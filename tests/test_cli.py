@@ -556,7 +556,7 @@ class TestMergeStreamsBlocks:
     # 1.74, tunable 1.70 (in its gather: the merged vector, the owner and
     # provenance maps), randmix 2.45, average 1.10.
     @pytest.mark.parametrize(
-        "method, bound", [("magmax", 2.75), ("tunable", 2.57), ("randmix", 2.75), ("average", 1.5)]
+        "method, bound", [("magmax", 2.75), ("tunable", 2.6), ("randmix", 2.75), ("average", 1.5)]
     )
     def test_peak_allocation(self, tmp_path, method, bound):
         dim, split = 2**20, 3 * 40_000  # tensor "a" crosses a block boundary
