@@ -274,8 +274,8 @@ def _task_rows(paths: list[str]) -> tuple[LayoutReader, Rows]:
 
     The layout comes from the first file's headers alone. Every file, the
     first included, is then streamed a block at a time whenever a strategy
-    asks for its row, and must match the first file's header bytes; a
-    strategy that reads the rows in lockstep has every file open at once,
+    asks for its row, and must match the first file's header bytes; every
+    strategy reads the rows in lockstep, so every file is open at once,
     all streamed through the reader's one block buffer. A file that does
     not match raises, from its headers alone, what a full decode of it
     raises, or a shape mismatch naming its path.

@@ -252,8 +252,9 @@ class LayoutReader:
     need more than ``_IOV_MAX`` buffers. A reader with one block works out
     its steps as it reads, so it holds the buffers of one step at a time.
     Blocks are read into one buffer that the reader owns, shared by every
-    stream of the reader: several sources may be streamed at once, but a
-    caller is done with a block before it asks any of them for the next.
+    stream of the reader: several sources may be streamed at once (a merge
+    streams all its inputs in lockstep), but a caller is done with a block
+    before it asks any of them for the next.
     """
 
     def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):

@@ -4,10 +4,11 @@ All strategies operate on the global flat index: each output element is
 copied bitwise from exactly one task vector (``average`` excepted). Task
 vectors are read from a :class:`Rows` source, each row as a stream of
 blocks of ``_BLOCK`` elements, so neither a (T, d) matrix nor a d-sized
-row buffer is built. ``magmax`` and ``average`` read the rows one after
-another; ``tunable`` (both of its passes) and ``randmix`` read them in
-lockstep, block 0 of every row, then block 1, and so on, so that their
-running state is one block long. A strategy keeps a few d-sized vectors
+row buffer is built. Every strategy reads the rows in lockstep, block 0
+of every row, then block 1, and so on (``tunable`` twice), so that its
+running state is one block long. ``magmax`` and ``tunable`` pick by one
+record-setter rule: a row sets a record where its magnitude is at least
+that of every earlier row. A strategy keeps a few d-sized vectors
 of state: the merged vector, the owner map and the provenance map, and in
 ``tunable``'s claim sweep T*d/8 bytes of packed record-setter bits, d/8
 bytes of packed unassigned elements and one task's unpacked candidates.
@@ -33,7 +34,6 @@ to those streams.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -71,9 +71,10 @@ class Rows:
     of ``_BLOCK`` elements (the last one shorter), with the same dtype for
     every t. Every piece, of any row, may be one reused buffer, refilled,
     so a strategy is done with a piece before it asks any stream for the
-    next. A strategy may stream one row at a time to its end, or hold every
-    row's stream open and ask them in turn for each block; it may stream a
-    row more than once. Every strategy accepts a source like this in place
+    next. Every strategy holds every row's stream open at once and asks
+    them in turn for each block; it may stream a row more than once. A
+    stream with the wrong number of pieces, or a piece of the wrong length,
+    raises ValueError. Every strategy accepts a source like this in place
     of a (T, d) matrix; the source checks its own rows for NaN.
     """
 
@@ -153,25 +154,21 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     """Keep, per element, the value of largest absolute magnitude.
 
     Ties go to the later task: the owner is the element's last record-setter.
-    The merged vector is its own running maximum: ``|merged|`` is the largest
-    magnitude read so far.
     """
     rows = _as_rows(taus)
-    merged = _copy_row(rows, 0)
     owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
-    size = min(_BLOCK, rows.dim)
-    record, magnitude = np.empty(size, merged.dtype), np.empty(size, merged.dtype)
-    setters, ids = np.empty(size, dtype=bool), np.empty(size, dtype=owner.dtype)
-    for task in range(1, rows.count):
-        for block, row in _pieces(rows, task):
-            n = block.stop - block.start
-            np.abs(merged[block], out=record[:n])
-            np.abs(row, out=magnitude[:n])
-            np.greater_equal(magnitude[:n], record[:n], out=setters[:n])
-            _select(merged[block], row, setters[:n], record[:n])
-            # Later tasks have larger ids, so the last record-setter wins.
-            np.multiply(setters[:n], owner.dtype.type(task + 1), out=ids[:n])
-            np.maximum(owner[block], ids[:n], out=owner[block])
+    ids = np.empty(min(_BLOCK, rows.dim), dtype=owner.dtype)
+    for block, task, piece, flags in _record_setters(rows):
+        if flags is None:
+            if block.start == 0:  # the first piece sets the dtype
+                merged, scratch = np.empty(rows.dim, piece.dtype), np.empty(ids.size, piece.dtype)
+            merged[block] = piece
+            continue
+        n = block.stop - block.start
+        _select(merged[block], piece, flags, scratch[:n])
+        # Later tasks have larger ids, so the last record-setter wins.
+        np.multiply(flags, owner.dtype.type(task + 1), out=ids[:n])
+        np.maximum(owner[block], ids[:n], out=owner[block])
     return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
 
@@ -223,16 +220,16 @@ def average_merge(taus: TaskVectors) -> np.ndarray:
     The mean of +inf and -inf is NaN.
     """
     rows = _as_rows(taus)
-    dtype, pieces = _peek(rows, 0)
-    half = dtype == np.float16
-    total = np.empty(rows.dim, np.float32 if half else np.result_type(dtype, 0.0))
-    # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
-    for block, part in pieces:
-        np.add(part, 0.0, dtype=total.dtype, out=total[block])
     with np.errstate(invalid="ignore"):
-        for task in range(1, rows.count):
-            for block, part in _pieces(rows, task):
-                np.add(total[block], part, out=total[block])
+        for block, task, piece in _lockstep(rows):
+            if task == 0:
+                if block.start == 0:  # the first piece sets the dtype
+                    half = piece.dtype == np.float16
+                    total = np.empty(rows.dim, np.float32 if half else np.result_type(piece.dtype, 0.0))
+                # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
+                np.add(piece, 0.0, dtype=total.dtype, out=total[block])
+                continue
+            np.add(total[block], piece, out=total[block])
     total /= rows.count
     return total.astype(np.float16) if half else total
 
@@ -339,27 +336,6 @@ def _blocks(size: int) -> Iterator[slice]:
     """Consecutive slices of at most :data:`_BLOCK` elements that cover ``range(size)``."""
     for start in range(0, size, _BLOCK):
         yield slice(start, min(start + _BLOCK, size))
-
-
-def _pieces(rows: Rows, task: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row ``task`` as (slice of the row, piece) pairs; a stream of another length raises."""
-    return zip(_blocks(rows.dim), rows.blocks(task), strict=True)
-
-
-def _peek(rows: Rows, task: int) -> tuple[np.dtype, Iterator[tuple[slice, np.ndarray]]]:
-    """The dtype of row ``task``, and its :func:`_pieces` from the first on."""
-    pieces = _pieces(rows, task)
-    first = next(pieces)
-    return first[1].dtype, itertools.chain([first], pieces)
-
-
-def _copy_row(rows: Rows, task: int) -> np.ndarray:
-    """A new array holding row ``task``, filled one block at a time."""
-    dtype, pieces = _peek(rows, task)
-    row = np.empty(rows.dim, dtype)
-    for block, part in pieces:
-        row[block] = part
-    return row
 
 
 def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -475,38 +451,52 @@ def _residual_labels(deficits: np.ndarray, dtype: np.dtype, seed: int) -> np.nda
 def _record_setter_bits(rows: Rows) -> np.ndarray:
     """Packed (T, ceil(d/8)) bits: bit p of row t is set where row t is a record-setter.
 
-    That is where ``|rows[t][p]| >= |rows[s][p]|`` for every s < t; every
-    element of row 0 is one. The rows are read in lockstep, so the running
-    maximum of the magnitudes and a row's setter flags are one block long,
-    and each row's flags are packed as soon as its block is read. A block
-    that does not start on a byte boundary is packed after the fewer than 8
-    flags that its row carried over from the block before.
+    Every element of row 0 is one. Each row's flags from
+    :func:`_record_setters` are packed as soon as its block is read. A block
+    that does not start on a byte boundary (only with a ``_BLOCK`` that is
+    not a multiple of 8) is packed after the fewer than 8 flags that its
+    row carried over from the block before.
     """
     num_tasks, dim = rows.count, rows.dim
     packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
     packed[0] = 0xFF
-    size = min(_BLOCK, dim)
-    # A row's carried flags, then its block's: flags from a byte boundary on.
-    flags = np.empty(size + 8, dtype=bool)
     carried = np.empty((num_tasks, 8), dtype=bool)
+    for block, task, _, flags in _record_setters(rows):
+        if flags is None:
+            continue
+        lead = block.start % 8
+        if lead:
+            flags = np.concatenate((carried[task, :lead], flags))
+        # Whole bytes are packed; the last block packs its tail as well.
+        whole = flags.size if block.stop == dim else flags.size // 8 * 8
+        first = block.start // 8
+        packed[task, first : first + (whole + 7) // 8] = np.packbits(flags[:whole])
+        carried[task, : flags.size - whole] = flags[whole:]
+    return packed
+
+
+def _record_setters(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray | None]]:
+    """:func:`_lockstep`'s (slice, task, piece), each with the piece's record-setter flags.
+
+    The flags are None for row 0; for a later row they are where
+    ``|rows[t][p]| >= |rows[s][p]|`` for every s < t, so the later task
+    wins ties. They are one reused block-sized buffer, as is the running
+    maximum of the magnitudes they are compared with.
+    """
+    size = min(_BLOCK, rows.dim)
+    flags = np.empty(size, dtype=bool)
     for block, task, piece in _lockstep(rows):
         n = block.stop - block.start
         if task == 0:
             if block.start == 0:  # the first piece sets the dtype
                 running, magnitude = np.empty(size, piece.dtype), np.empty(size, piece.dtype)
             np.abs(piece, out=running[:n])
+            yield block, task, piece, None
             continue
-        lead = block.start % 8
-        flags[:lead] = carried[task, :lead]
         np.abs(piece, out=magnitude[:n])
-        np.greater_equal(magnitude[:n], running[:n], out=flags[lead : lead + n])
+        np.greater_equal(magnitude[:n], running[:n], out=flags[:n])
         np.maximum(running[:n], magnitude[:n], out=running[:n])
-        # Whole bytes are packed; the last block packs its tail as well.
-        whole = lead + n if block.stop == dim else (lead + n) // 8 * 8
-        first = block.start // 8
-        packed[task, first : first + (whole + 7) // 8] = np.packbits(flags[:whole])
-        carried[task, : lead + n - whole] = flags[whole : lead + n]
-    return packed
+        yield block, task, piece, flags[:n]
 
 
 def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
@@ -543,10 +533,10 @@ def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:
     """Every row's stream, open at once and asked in turn: (slice, task, piece) for
     block 0 of rows 0..T-1, then for block 1, and so on.
 
-    A stream with fewer or more pieces than the row has blocks raises
-    ValueError. Every stream is drained at the end; if a stream raises, or
-    this generator is closed first, every stream that has a ``close`` is
-    closed.
+    A stream with fewer or more pieces than the row has blocks, or a piece
+    that is not a 1-D array the length of its block, raises ValueError.
+    Every stream is drained at the end; if a stream raises, or this
+    generator is closed first, every stream that has a ``close`` is closed.
     """
     streams = [iter(rows.blocks(task)) for task in range(rows.count)]
     try:
@@ -555,6 +545,8 @@ def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:
                 piece = next(stream, None)
                 if piece is None:
                     raise ValueError(f"row {task} ended before element {block.start}")
+                if piece.shape != (block.stop - block.start,):
+                    raise ValueError(f"row {task} has a piece of shape {piece.shape} at element {block.start}")
                 yield block, task, piece
         for task, stream in enumerate(streams):
             if next(stream, None) is not None:

@@ -520,7 +520,7 @@ class TestMergeStreamsBlocks:
             assert capsys.readouterr().err == f"validation error: {message}\n"
             assert not (tmp_path / "m.tvc").exists()
 
-    # Tunable reads its inputs in lockstep, one block of every input in
+    # Every method reads its inputs in lockstep, one block of every input in
     # turn, with all six files open at once: a NaN in the first block of the
     # last input alone still exits 2, naming its tensor, and writes nothing.
     @pytest.mark.parametrize("block", [5, None], ids=["block 5", "default block"])
@@ -530,30 +530,30 @@ class TestMergeStreamsBlocks:
             monkeypatch.setattr(merging, "_BLOCK", block)
         paths = write_block_inputs(tmp_path, num_tasks=6, fault=lambda r: with_nans(r, ("b", 1)), position=5)
         out = tmp_path / "m.tvc"
-        assert main(["merge", "--method", "tunable", *BLOCK_METHOD_ARGS["tunable"], "--out", str(out), *paths]) == 2
-        assert capsys.readouterr().err == "validation error: tensor 'b': NaN payload rejected\n"
-        assert not any(path.name.startswith("m.tvc") for path in tmp_path.iterdir())
+        for method in BLOCK_METHOD_ARGS:
+            assert main(["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(out), *paths]) == 2
+            assert capsys.readouterr().err == "validation error: tensor 'b': NaN payload rejected\n", method
+            assert not any(path.name.startswith("m.tvc") for path in tmp_path.iterdir()), method
 
-    # Of several faulty inputs, the one reported is the first that the
-    # strategy's reading order meets. Input 2 has a trailing byte, found at
-    # its end, and input 5 a NaN in block 0 (of five 5-element blocks):
-    # magmax reads one input after another and reports input 2, while
-    # tunable reads block 0 of every input first and reports input 5.
+    # Of several faulty inputs, the one reported is the first that the one
+    # reading order meets. Input 2 has a trailing byte, found at its end,
+    # and input 5 a NaN in block 0 (of five 5-element blocks): every method
+    # reads block 0 of every input first and reports input 5.
     def test_the_first_fault_met_in_reading_order_is_reported(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(container, "_BLOCK", 5)
         monkeypatch.setattr(merging, "_BLOCK", 5)
         paths = write_block_inputs(tmp_path, num_tasks=6)
         Path(paths[1]).write_bytes(raw_container(block_layout_records(1)) + b"\0")
         Path(paths[4]).write_bytes(with_nans(block_layout_records(4), ("a", 0)))
-        for method, message in (("magmax", "trailing data after last record"), ("tunable", "tensor 'a': NaN payload rejected")):
+        for method in BLOCK_METHOD_ARGS:
             argv = ["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(tmp_path / "m.tvc"), *paths]
             assert main(argv) == 2
-            assert capsys.readouterr().err == f"validation error: {message}\n"
+            assert capsys.readouterr().err == "validation error: tensor 'a': NaN payload rejected\n", method
 
     # Peak traced allocation of `tvmerge merge` over T=8 files of d=2**20
     # elements, in rows of 4d bytes: the live state of each strategy, with
     # every input streamed through one block buffer. Measured peaks: magmax
-    # 1.74, tunable 1.70 (in its gather: the merged vector, the owner and
+    # 1.71, tunable 1.70 (in its gather: the merged vector, the owner and
     # provenance maps), randmix 2.45, average 1.10.
     @pytest.mark.parametrize(
         "method, bound", [("magmax", 2.75), ("tunable", 2.6), ("randmix", 2.75), ("average", 1.5)]

@@ -556,9 +556,9 @@ class TestMergeDispatch:
 # and tunable at 16 tasks, int32 for randmix; a bool vector; in tunable's
 # claim sweep T*d/8 bytes of packed bits and d/8 of packed free elements);
 # every other temporary is one block, or one task's claim candidates and
-# their draw in tunable, whose two lockstep passes hold no d-sized running
-# maximum or setter flags. Measured peaks: tunable 1.86, randmix 2.61,
-# magmax 2.13, average 1.00.
+# their draw in tunable. Every method reads the rows in lockstep, so none
+# holds a d-sized running maximum or setter flags. Measured peaks: tunable
+# 1.86, randmix 2.61, magmax 2.17, average 1.01.
 PEAK_ROWS = {"tunable": 2.02, "randmix": 2.75, "magmax": 2.3, "average": 1.1}
 
 
@@ -700,10 +700,12 @@ class TestBlockBoundaries:
 
 
 class TestLockstep:
-    """``tunable``'s two passes and ``randmix``'s gather hold every row's stream open at once."""
+    """Every method holds every row's stream open at once; ``tunable`` does so in both its passes."""
 
     # (method, the pass in which a row raises): tunable reads each row twice.
-    @pytest.mark.parametrize("method, attempt", [("tunable", 1), ("tunable", 2), ("randmix", 1)])
+    @pytest.mark.parametrize(
+        "method, attempt", [("tunable", 1), ("tunable", 2), ("randmix", 1), ("magmax", 1), ("average", 1)]
+    )
     def test_a_row_that_raises_mid_pass_closes_every_stream(self, monkeypatch, method, attempt):
         monkeypatch.setattr(merging, "_BLOCK", 5)
         num_tasks, dim, failing = 4, 23, 2
@@ -733,12 +735,13 @@ class TestLockstep:
                 yield np.full(block.stop - block.start, task + 1.0)
             finished.append(task)
 
-        for method, passes in (("tunable", 2), ("randmix", 1)):
+        for method, passes in (("tunable", 2), ("randmix", 1), ("magmax", 1), ("average", 1)):
             finished.clear()
             merge(method, Rows(num_tasks, dim, blocks), [3, 3, 4], seed=1)
             assert sorted(finished) == sorted(list(range(num_tasks)) * passes)
 
-    @pytest.mark.parametrize("extra", [-1, 1], ids=["one piece short", "one piece long"])
+    # -1 and 1: a piece too few or too many; 0: every piece one element long.
+    @pytest.mark.parametrize("extra", [-1, 1, 0], ids=["one piece short", "one piece long", "short pieces"])
     def test_a_stream_of_the_wrong_length_raises(self, monkeypatch, extra):
         monkeypatch.setattr(merging, "_BLOCK", 5)
         dim = 12
@@ -746,10 +749,12 @@ class TestLockstep:
         def blocks(task):
             pieces = [np.ones(block.stop - block.start) for block in merging._blocks(dim)]
             if task == 1:
+                if extra == 0:
+                    return [np.ones(1) for _ in pieces]
                 return pieces[:-1] if extra < 0 else pieces + [np.ones(5)]
             return pieces
 
-        for method in ("tunable", "randmix"):
+        for method in MERGE_METHODS:
             with pytest.raises(ValueError, match="row 1"):
                 merge(method, Rows(3, dim, blocks), [4, 4, 4], seed=1)
 
