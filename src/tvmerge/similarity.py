@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -201,8 +202,11 @@ def pairwise_sq_dists(
         sq_x = _sq_norms(x.vectors)
         sq_y = _sq_norms(y.vectors)
         cross = _on_columns(x, y.columns) @ _on_columns(y, x.columns).T
-    out = sq_x[:, None] + sq_y[None, :] - 2.0 * cross
-    return np.maximum(out, 0.0)
+    # In place, so that the product is the one temporary besides the result.
+    cross *= 2.0
+    out = sq_x[:, None] + sq_y[None, :]
+    out -= cross
+    return np.maximum(out, 0.0, out=out)
 
 
 def _as_set(m: Union[EmbeddingSet, np.ndarray]) -> EmbeddingSet:
@@ -393,39 +397,89 @@ def median_heuristic_bandwidth(x: EmbeddingSet, y: EmbeddingSet) -> float:
     """Median pairwise distance over the pooled samples (1.0 when all coincide).
 
     The pooled pairs are the pairs within x, the pairs within y and every
-    (x, y) pair, so the median is read off those three blocks without
-    forming the pooled matrix.
+    (x, y) pair, so the median is read off the three blocks of squared
+    distances that ``mmd_rbf`` also reads, without forming the pooled
+    matrix.
     """
-    sq_dists = np.concatenate([
-        _upper_triangle(pairwise_sq_dists(x, x)),
-        _upper_triangle(pairwise_sq_dists(y, y)),
-        pairwise_sq_dists(x, y).ravel(),
-    ])
-    median = float(np.median(np.sqrt(sq_dists, out=sq_dists)))
-    return median if median > 0.0 else 1.0
-
-
-def _upper_triangle(square: np.ndarray) -> np.ndarray:
-    """The entries above the diagonal, row by row."""
-    return square[np.triu(np.ones(square.shape, dtype=bool), k=1)]
+    return _pooled_median(*_distance_blocks(x, y))
 
 
 def mmd_rbf(x: EmbeddingSet, y: EmbeddingSet, bandwidth: float | None = None) -> float:
-    """Biased RBF-kernel maximum mean discrepancy (the square root of MMD^2)."""
+    """Biased RBF-kernel maximum mean discrepancy (the square root of MMD^2).
+
+    ``bandwidth`` of None selects ``median_heuristic_bandwidth(x, y)``,
+    read off the same three distance blocks as the kernel means, so each
+    block is built once. A given bandwidth must be finite and positive.
+    """
     if x.dim != y.dim:
         raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
+    if bandwidth is not None and not _finite_positive(bandwidth):
+        raise ValidationError("bandwidth must be finite and positive")
+    return _bandwidth_and_mmd(*_distance_blocks(x, y), bandwidth)[1]
+
+
+def _distance_blocks(x: EmbeddingSet, y: EmbeddingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The squared-distance blocks ``xx``, ``yy`` and ``xy``."""
+    return pairwise_sq_dists(x, x), pairwise_sq_dists(y, y), pairwise_sq_dists(x, y)
+
+
+def _bandwidth_and_mmd(
+    xx: np.ndarray, yy: np.ndarray, xy: np.ndarray, bandwidth: float | None
+) -> tuple[float, float]:
+    """The bandwidth and the MMD of two sets, read off their squared-distance blocks.
+
+    ``xx`` and ``yy`` are the blocks within each set and ``xy`` the block
+    between them. ``bandwidth`` of None takes the median heuristic's, and
+    the same blocks then serve the median and the kernel means; the blocks
+    are only read. The three kernel means go through one buffer the size
+    of the largest block.
+    """
     if bandwidth is None:
-        bandwidth = median_heuristic_bandwidth(x, y)
-    if bandwidth <= 0:
-        raise ValidationError("bandwidth must be positive")
+        bandwidth = _pooled_median(xx, yy, xy)
     denom = 2.0 * bandwidth * bandwidth
     if denom == 0.0:
         raise DegenerateInputError(f"bandwidth {bandwidth:g} is too small: 2 * bandwidth**2 underflows to 0")
-    k_xx = np.exp(-pairwise_sq_dists(x, x) / denom).mean()
-    k_yy = np.exp(-pairwise_sq_dists(y, y) / denom).mean()
-    k_xy = np.exp(-pairwise_sq_dists(x, y) / denom).mean()
+    buffer = np.empty(max(xx.size, yy.size, xy.size))
+    k_xx, k_yy, k_xy = (_kernel_mean(block, denom, buffer) for block in (xx, yy, xy))
     mmd_sq = max(float(k_xx + k_yy - 2.0 * k_xy), 0.0)
-    return math.sqrt(mmd_sq)
+    return bandwidth, math.sqrt(mmd_sq)
+
+
+def _kernel_mean(sq_dists: np.ndarray, denom: float, buffer: np.ndarray) -> np.floating:
+    """The mean of ``exp(-sq_dists / denom)``, computed in ``buffer``."""
+    kernel = buffer[: sq_dists.size].reshape(sq_dists.shape)
+    np.divide(np.negative(sq_dists, out=kernel), denom, out=kernel)
+    return np.exp(kernel, out=kernel).mean()
+
+
+def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
+    """Median distance over the entries above the diagonals of ``xx`` and ``yy`` and all of ``xy``.
+
+    The entries are copied once into one buffer, the squares' row by row so
+    that no index or mask is built, and partitioned there about their
+    middle. The square root is monotone and correctly rounded, so only the
+    one or two middle entries need it; they are averaged as ``np.median``
+    averages them, and a NaN entry makes the median NaN, as there.
+    """
+    n, m = xy.shape
+    pooled = np.empty(n * (n - 1) // 2 + m * (m - 1) // 2 + n * m)
+    filled = 0
+    for square in (xx, yy):
+        for i in range(square.shape[0] - 1):
+            above = square[i, i + 1 :]
+            pooled[filled : filled + above.size] = above
+            filled += above.size
+    pooled[filled:] = xy.ravel()
+    half = pooled.size // 2
+    pooled.partition(half)
+    # The partition puts NaNs last, so the upper half holds any there are.
+    if np.isnan(pooled[half:].max()):
+        return 1.0
+    median = np.sqrt(pooled[half])
+    if pooled.size % 2 == 0:
+        median = (np.sqrt(pooled[:half].max()) + median) / 2.0
+    median = float(median)
+    return median if median > 0.0 else 1.0
 
 
 def similarity_vector(
@@ -453,16 +507,40 @@ def similarity_vector(
                 f"metric {metric!r} requires {expected.__name__} inputs, got {type(item).__name__}"
             )
 
+    if metric == "mmd":
+        return SimilarityVector(tuple(_mmd_scores(tasks, metas, cfg)), metric=metric)
+
     def score(task, meta) -> float:
         if metric == "ot":
             return ot_similarity(task, meta, cfg)
         if metric == "label":
             return label_similarity(task, meta)
-        if metric == "cos":
-            return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
-        return _exp_transform(cfg.gamma_mmd, mmd_rbf(task, meta, cfg.mmd_bandwidth))
+        return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
 
     return SimilarityVector(tuple(score(task, meta) for task, meta in zip(tasks, metas)), metric=metric)
+
+
+def _mmd_scores(tasks: list, metas: list, cfg: OTConfig) -> list[float]:
+    """``exp(-gamma_mmd * mmd_rbf(task, meta, mmd_bandwidth))`` of each pair.
+
+    Each distinct meta object's self block ``yy`` is built once, when its
+    first task is scored, and dropped after its last; each task's ``xx``
+    and ``xy`` are built once, for the bandwidth and the kernel means alike.
+    """
+    uses = Counter(id(meta) for meta in metas)
+    self_blocks: dict[int, np.ndarray] = {}
+    scores = []
+    for task, meta in zip(tasks, metas):
+        key = id(meta)
+        xy = pairwise_sq_dists(task, meta)
+        if key not in self_blocks:
+            self_blocks[key] = pairwise_sq_dists(meta, meta)
+        uses[key] -= 1
+        yy = self_blocks[key] if uses[key] else self_blocks.pop(key)
+        _, mmd = _bandwidth_and_mmd(pairwise_sq_dists(task, task), yy, xy, cfg.mmd_bandwidth)
+        del xy, yy  # not held while the next task's blocks are built
+        scores.append(_exp_transform(cfg.gamma_mmd, mmd))
+    return scores
 
 
 def _broadcast_meta(meta_input, num_tasks: int) -> list:

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tvmerge import (
     similarity_vector,
     sinkhorn_ot,
 )
+from tvmerge import harness
 from reference_sinkhorn import dense_sq_dists, reference_sinkhorn
 
 
@@ -42,6 +44,48 @@ def mmd_sq_double_loop(x, y, bandwidth):
     k_yy = np.mean([[kernel(a, b) for b in y] for a in y])
     k_xy = np.mean([[kernel(a, b) for b in y] for a in x])
     return k_xx + k_yy - 2.0 * k_xy
+
+
+def mmd_rebuilding_each_block(x, y, bandwidth=None):
+    """``mmd_rbf`` with each block built where it is read: the median's three, then the kernel means' three."""
+    def above_diagonal(square):
+        return square[np.triu(np.ones(square.shape, dtype=bool), k=1)]
+
+    if bandwidth is None:
+        pooled = np.concatenate([
+            above_diagonal(pairwise_sq_dists(x, x)),
+            above_diagonal(pairwise_sq_dists(y, y)),
+            pairwise_sq_dists(x, y).ravel(),
+        ])
+        bandwidth = float(np.median(np.sqrt(pooled)))
+        bandwidth = bandwidth if bandwidth > 0.0 else 1.0
+    denom = 2.0 * bandwidth * bandwidth
+    k_xx, k_yy, k_xy = (np.exp(-pairwise_sq_dists(a, b) / denom).mean() for a, b in ((x, x), (y, y), (x, y)))
+    return bandwidth, math.sqrt(max(float(k_xx + k_yy - 2.0 * k_xy), 0.0))
+
+
+def dense_with_zero_columns(rng, rows, dim, used):
+    dense = np.zeros((rows, dim))
+    dense[:, used] = rng.normal(size=(rows, len(used)))
+    return EmbeddingSet(dense)
+
+
+def mmd_cases():
+    """(tasks, meta input, cfg) for each way ``similarity_vector`` pairs tasks with metas."""
+    rng = np.random.default_rng(36)
+    tasks = [EmbeddingSet(rng.normal(size=(7 + i, 5)) + 0.3 * i) for i in range(3)]
+    metas = [EmbeddingSet(rng.normal(size=(6, 5)) + 0.5 * i) for i in range(2)]
+    # Gathered in Fortran order: the dense sets drop their all-zero columns.
+    dense_tasks = [dense_with_zero_columns(rng, 9, 12, used) for used in ([0, 2, 3, 7], [2, 3, 5, 11])]
+    dense_meta = dense_with_zero_columns(rng, 6, 12, [0, 3, 5, 7, 9])
+    assert all(t.vectors.flags.f_contiguous and not t.vectors.flags.c_contiguous for t in dense_tasks)
+    return {
+        "shared meta": (tasks, metas[0], None),
+        "per-task metas, one repeated": (tasks, [metas[0], metas[1], metas[0]], None),
+        "task is the meta": (tasks, tasks[1], None),
+        "bandwidth given": (tasks, metas[1], OTConfig(mmd_bandwidth=0.7)),
+        "dense, zero columns dropped": (dense_tasks, dense_meta, None),
+    }
 
 
 class TestEmbeddingSet:
@@ -457,6 +501,115 @@ class TestMMD:
         expected = float(np.median(dists[np.triu_indices(pooled.shape[0], k=1)]))
         got = median_heuristic_bandwidth(EmbeddingSet(x), EmbeddingSet(y))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("case", list(mmd_cases()))
+    def test_matches_each_block_rebuilt_bitwise(self, case):
+        tasks, meta, cfg = mmd_cases()[case]
+        bandwidth = None if cfg is None else cfg.mmd_bandwidth
+        for task in tasks:
+            for y in (meta if isinstance(meta, list) else [meta]):
+                expected_bandwidth, expected = mmd_rebuilding_each_block(task, y, bandwidth)
+                assert mmd_rbf(task, y, bandwidth) == expected
+                assert similarity._bandwidth_and_mmd(*similarity._distance_blocks(task, y), bandwidth) == (
+                    expected_bandwidth, expected
+                )
+                if bandwidth is None:
+                    assert median_heuristic_bandwidth(task, y) == expected_bandwidth
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+    def test_median_of_overflowing_distances_matches_np_median(self, scale):
+        # Rows this large overflow their squared norms: distances of inf, and
+        # of NaN where two overflowed norms meet; a NaN median reads as 1.0.
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(6, 3))
+        y = rng.normal(size=(5, 3))
+        x[0] = y[1] = scale
+        for a, b in [(x, y), (x, x), (x[1:], y), (x, y[2:])]:
+            a, b = EmbeddingSet(a), EmbeddingSet(b)
+            with np.errstate(all="ignore"):
+                assert median_heuristic_bandwidth(a, b) == mmd_rebuilding_each_block(a, b)[0]
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, 0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        x = EmbeddingSet(np.array([[0.0], [1.0]]))
+        y = EmbeddingSet(np.array([[2.0]]))
+        with pytest.raises(ValidationError, match="bandwidth must be finite and positive"):
+            mmd_rbf(x, y, bandwidth)
+
+
+class TestMMDScoresInOnePass:
+    @pytest.fixture
+    def count_distances(self, monkeypatch):
+        calls = []
+        build = similarity.pairwise_sq_dists
+
+        def counted(x, y):
+            calls.append((x, y))
+            return build(x, y)
+
+        monkeypatch.setattr(similarity, "pairwise_sq_dists", counted)
+        return calls
+
+    def test_each_block_is_built_once(self, count_distances):
+        rng = np.random.default_rng(37)
+        tasks = [EmbeddingSet(rng.normal(size=(5, 3)) + i) for i in range(4)]
+        meta = EmbeddingSet(rng.normal(size=(4, 3)))
+        similarity_vector(tasks, meta, "mmd")
+        assert len(count_distances) == 2 * len(tasks) + 1
+        assert sum(x is meta and y is meta for x, y in count_distances) == 1
+        count_distances.clear()
+        # One meta object per task, equal in value but distinct: each builds its own self block.
+        metas = [EmbeddingSet(meta.vectors.copy()) for _ in tasks]
+        similarity_vector(tasks, metas, "mmd")
+        assert len(count_distances) == 3 * len(tasks)
+
+    @pytest.mark.parametrize("case", list(mmd_cases()))
+    def test_scores_equal_each_pair_scored_alone(self, case):
+        tasks, meta, cfg = mmd_cases()[case]
+        cfg = cfg or OTConfig()
+        metas = meta if isinstance(meta, list) else [meta] * len(tasks)
+        scores = similarity_vector(tasks, meta, "mmd", cfg).scores
+        assert scores == tuple(
+            similarity._exp_transform(cfg.gamma_mmd, mmd_rbf(task, m, cfg.mmd_bandwidth))
+            for task, m in zip(tasks, metas)
+        )
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDistancePeaks:
+    @pytest.mark.parametrize("same", [False, True], ids=["two sets", "one set"])
+    def test_pairwise_sq_dists_holds_its_result_and_one_temporary(self, same):
+        rng = np.random.default_rng(38)
+        x = EmbeddingSet(rng.normal(size=(600, 40)))
+        y = x if same else EmbeddingSet(rng.normal(size=(500, 40)))
+        block = x.num_samples * y.num_samples * 8
+        # The product, doubled in place, and the result: measured 2.06 blocks
+        # (two sets) and 2.05 (one set), against 3.00 when the cross term was
+        # doubled into a new array and the result taken out of place.
+        assert traced_peak(lambda: pairwise_sq_dists(x, y)) < 2.2 * block
+
+    def test_mmd_scores_peak_at_a_few_blocks(self):
+        # The pipeline benchmark's similarity inputs: 8 tasks of 320 rows on
+        # 264 columns and a 200-row meta set, so the largest block is a task's
+        # 320 x 320 self block. Holding xx, yy and xy while the median's pooled
+        # copy is partitioned, the scores peaked at 2.61 MiB, 3.34 blocks (3.01
+        # when every block was built again for the kernel means).
+        suite = {"support_mode": "overlapping", "overlap": 8, "samples_per_task": 320, "classes_per_task": 4}
+        tasks, _ = harness.generate_task_suite(8, 2056, seed=23, **suite)
+        env = harness.mix_target_environment(tasks, [1, 3, 8], [0.5, 0.3, 0.2], 2000, 0.1, seed=23)
+        task_inputs = [harness.task_embeddings(t) for t in tasks]
+        meta = harness.environment_meta_embeddings(env, tasks)
+        block = max(t.num_samples for t in task_inputs) ** 2 * 8
+        assert traced_peak(lambda: similarity_vector(task_inputs, meta, "mmd")) < 3.5 * block
 
 
 class TestSimilarityVector:
