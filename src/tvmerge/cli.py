@@ -43,7 +43,6 @@ from .merging import (
     write_assignment,
 )
 from .preference import (
-    AlphaSchedule,
     SimilarityVector,
     _read_budgets,
     load_preference,
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="geometric budget schedule for tunable merging")
     p.add_argument("--sim-file", help="similarity scores JSON for tunable merging")
     p.add_argument("--seed", type=int, help="required for tunable and randmix")
-    p.add_argument("--rounds", type=int, help="accepted for old scripts and ignored")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("apply", help="add a scaled task vector onto a base model")
@@ -162,8 +160,10 @@ def cmd_merge(args) -> int:
         raise UsageError(f"--{sources[0].replace('_', '-')} only applies to --method tunable")
     if args.method in ("tunable", "randmix") and args.seed is None:
         raise UsageError(f"--seed is required for --method {args.method}")
-    if args.rounds is not None:
-        log.warning("--rounds is ignored; the seed alone keys the merge")
+    if args.method == "average":
+        for flag in ("census-out", "assignment-out"):
+            if getattr(args, flag.replace("-", "_")) is not None:
+                raise UsageError(f"--{flag} does not apply to --method average: it has no owner map")
 
     layout, rows = _task_rows(args.taus)
     log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
@@ -171,7 +171,7 @@ def cmd_merge(args) -> int:
     if args.pref_file is not None:
         pref = load_preference(args.pref_file)
     elif args.alpha is not None:
-        pref = preference_from_alpha(AlphaSchedule(args.alpha, rows.count, rows.dim))
+        pref = preference_from_alpha(args.alpha, rows.count, rows.dim)
     elif args.sim_file is not None:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
     merged, assignment = merge(args.method, rows, pref, args.seed or 0)
@@ -225,7 +225,11 @@ def cmd_sim(args) -> int:
 
 
 def cmd_prefvec(args) -> int:
+    if args.tasks is not None and args.alpha is None:
+        raise UsageError("--tasks only applies to --alpha")
     if args.validate is not None:
+        if args.out is not None:
+            raise UsageError("--out does not apply to --validate")
         _, violations = _read_budgets(args.validate, args.dim)
         if violations:
             print("\n".join(violations), file=sys.stderr)
@@ -238,7 +242,7 @@ def cmd_prefvec(args) -> int:
     if args.alpha is not None:
         if args.tasks is None:
             raise UsageError("--tasks is required with --alpha")
-        pref = preference_from_alpha(AlphaSchedule(args.alpha, args.tasks, args.dim))
+        pref = preference_from_alpha(args.alpha, args.tasks, args.dim)
     else:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), args.dim)
     if args.out:
@@ -298,7 +302,7 @@ def _read_sim_file(path: str) -> SimilarityVector:
     scores = payload.get("scores")
     if not isinstance(scores, list):
         raise ValidationError("similarity file must contain a 'scores' list")
-    return SimilarityVector(tuple(scores), metric=payload.get("metric", ""))
+    return SimilarityVector(tuple(scores))
 
 
 def _read_embeddings(path: str) -> EmbeddingSet:
@@ -309,7 +313,7 @@ def _read_embeddings(path: str) -> EmbeddingSet:
         raise ValidationError(f"{path}: embedding container must hold a tensor named 'emb'")
     if matrix.ndim != 2:
         raise ValidationError(f"{path}: 'emb' tensor must be 2-D")
-    return EmbeddingSet(np.asarray(matrix, dtype=np.float64), source=path)
+    return EmbeddingSet(np.asarray(matrix, dtype=np.float64))
 
 
 def _read_labels(path: str) -> LabelHistogram:

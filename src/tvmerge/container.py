@@ -143,10 +143,6 @@ class ParameterSet:
         return pset
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self._specs)
-
-    @property
     def specs(self) -> tuple[TensorSpec, ...]:
         return self._specs
 
@@ -193,14 +189,10 @@ class ParameterSet:
         return f"{type(self).__name__}({inner})"
 
 
-class TaskVector(ParameterSet):
-    """A parameter delta with the same layout as the set it came from."""
-
-
-def compute_task_vector(theta_t: ParameterSet, theta_0: ParameterSet) -> TaskVector:
+def compute_task_vector(theta_t: ParameterSet, theta_0: ParameterSet) -> ParameterSet:
     """Element-wise ``theta_t - theta_0`` in float32, exact per IEEE-754."""
     _require_same_layout(theta_t, theta_0)
-    return TaskVector._of(theta_t.specs, theta_t.flat() - theta_0.flat())
+    return ParameterSet._of(theta_t.specs, theta_t.flat() - theta_0.flat())
 
 
 def apply_task_vector(

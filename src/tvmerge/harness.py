@@ -36,7 +36,6 @@ from .merging import (
     merge,
 )
 from .preference import (
-    AlphaSchedule,
     PreferenceVector,
     largest_remainder_counts,
     load_preference,
@@ -293,9 +292,7 @@ def _finite_loss(name: str, loss) -> float:
 
 def task_embeddings(task: SyntheticTask) -> EmbeddingSet:
     """Row-normalized design rows standing in for encoder features, on the task's support."""
-    return EmbeddingSet(
-        _normalize_rows(task.restricted), source=f"task-{task.task_id}", columns=task.support, dim=task.dim
-    )
+    return EmbeddingSet(_normalize_rows(task.restricted), columns=task.support, dim=task.dim)
 
 
 def environment_meta_embeddings(
@@ -313,7 +310,7 @@ def environment_meta_embeddings(
         block = _normalize_rows(task.restricted[env.meta_rows[task.task_id]])
         vectors[start : start + len(block), np.searchsorted(columns, task.support)] = block
         start += len(block)
-    return EmbeddingSet(vectors, source="meta", columns=columns, dim=members[0].dim)
+    return EmbeddingSet(vectors, columns=columns, dim=members[0].dim)
 
 
 def environment_meta_labels(
@@ -547,7 +544,7 @@ def _build_budgets(
         # Whether the file fits the suite is checked by tunable_merge.
         return load_preference(cfg.pref_path)
     if cfg.source == "alpha":
-        return preference_from_alpha(AlphaSchedule(alpha, cfg.num_tasks, cfg.dim))
+        return preference_from_alpha(alpha, cfg.num_tasks, cfg.dim)
     if cfg.metric == "label":
         task_inputs = [LabelHistogram.from_labels(t.labels.tolist()) for t in tasks]
         meta = environment_meta_labels(env, tasks)

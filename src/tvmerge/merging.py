@@ -59,7 +59,7 @@ _FILL_SLACK = 6
 
 log = logging.getLogger(__name__)
 
-TaskVectors = Union["Rows", np.ndarray, Sequence[np.ndarray]]
+Taus = Union["Rows", np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
 
 
@@ -130,7 +130,7 @@ def selection_stream(seed: int, purpose: int, task: int) -> np.random.Generator:
 
 
 def merge(
-    method: str, taus: TaskVectors, pref: Budgets | None = None, seed: int = 0
+    method: str, taus: Taus, pref: Budgets | None = None, seed: int = 0
 ) -> tuple[np.ndarray, Assignment | None]:
     """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment.
 
@@ -150,7 +150,7 @@ def merge(
     raise ValidationError(f"unknown merge method {method!r}")
 
 
-def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
+def magmax_merge(taus: Taus) -> tuple[np.ndarray, Assignment]:
     """Keep, per element, the value of largest absolute magnitude.
 
     Ties go to the later task: the owner is the element's last record-setter.
@@ -172,7 +172,7 @@ def magmax_merge(taus: TaskVectors) -> tuple[np.ndarray, Assignment]:
     return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
 
 
-def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.ndarray, Assignment]:
+def tunable_merge(taus: Taus, pref: Budgets, seed: int = 0) -> tuple[np.ndarray, Assignment]:
     """Budgeted magnitude merge: task t contributes exactly ``pref[t]`` elements.
 
     One sweep scans tasks from last to first. A task claims the
@@ -211,7 +211,7 @@ def tunable_merge(taus: TaskVectors, pref: Budgets, seed: int = 0) -> tuple[np.n
     return _gather(rows, owner), Assignment(owner, claimed.view(np.uint8), rows.count)
 
 
-def average_merge(taus: TaskVectors) -> np.ndarray:
+def average_merge(taus: Taus) -> np.ndarray:
     """Element-wise arithmetic mean of the task vectors.
 
     The rows are summed in task order starting from 0, in the dtype that
@@ -234,7 +234,7 @@ def average_merge(taus: TaskVectors) -> np.ndarray:
     return total.astype(np.float16) if half else total
 
 
-def random_mix_merge(taus: TaskVectors, seed: int) -> tuple[np.ndarray, Assignment]:
+def random_mix_merge(taus: Taus, seed: int) -> tuple[np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
     rows = _as_rows(taus)
     stream = selection_stream(seed, RANDMIX_KEY, 0)
@@ -300,7 +300,7 @@ def _integers(values, dtype: type) -> np.ndarray:
     return array if np.can_cast(array.dtype, np.intp) else array.astype(dtype)
 
 
-def _as_rows(taus: TaskVectors) -> Rows:
+def _as_rows(taus: Taus) -> Rows:
     """Check ``taus`` and present it as a row source.
 
     A (T, d) matrix or a sequence of equal-length 1-D vectors is checked for

@@ -59,7 +59,6 @@ class SimilarityVector:
     """Per-task similarity scores against a shared meta dataset."""
 
     scores: tuple[float, ...]
-    metric: str = ""
 
     def __post_init__(self) -> None:
         scores = tuple(self.scores)
@@ -84,23 +83,6 @@ class SimilarityVector:
         return len(self.scores)
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
-    """Geometric budget schedule: task t is weighted ``alpha ** (T - t)``."""
-
-    alpha: float
-    num_tasks: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ValidationError("alpha must be a finite value >= 0")
-        if self.num_tasks < 1:
-            raise ValidationError("num_tasks must be >= 1")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
-
-
 def preference_from_similarities(scores: Scores, dim: int) -> PreferenceVector:
     """Budgets proportional to scores by :func:`largest_remainder_counts`."""
     if not isinstance(scores, SimilarityVector):
@@ -110,14 +92,21 @@ def preference_from_similarities(scores: Scores, dim: int) -> PreferenceVector:
     return PreferenceVector(tuple(largest_remainder_counts(scores.scores, dim)))
 
 
-def preference_from_alpha(schedule: AlphaSchedule) -> PreferenceVector:
-    """Budgets from the geometric schedule; alpha 0 gives everything to the last task."""
-    tasks, dim = schedule.num_tasks, schedule.dim
-    if schedule.alpha == 0.0:
-        return PreferenceVector((0,) * (tasks - 1) + (dim,))
-    alpha = min(schedule.alpha, ALPHA_CAP)
+def preference_from_alpha(alpha: float, num_tasks: int, dim: int) -> PreferenceVector:
+    """Budgets from the geometric schedule: task t is weighted ``alpha ** (T - t)``.
+
+    Alpha 0 gives everything to the last task.
+    """
+    if not math.isfinite(alpha) or alpha < 0:
+        raise ValidationError("alpha must be a finite value >= 0")
+    if num_tasks < 1:
+        raise ValidationError("num_tasks must be >= 1")
+    if dim < 1:
+        raise ValidationError("dim must be >= 1")
+    if alpha == 0.0:
+        return PreferenceVector((0,) * (num_tasks - 1) + (dim,))
     # Weights are formed in log space so large alpha ** (T - t) cannot overflow.
-    log_w = np.arange(tasks - 1, -1, -1, dtype=np.float64) * math.log(alpha)
+    log_w = np.arange(num_tasks - 1, -1, -1, dtype=np.float64) * math.log(min(alpha, ALPHA_CAP))
     return PreferenceVector(tuple(largest_remainder_counts(np.exp(log_w - log_w.max()), dim)))
 
 

@@ -85,7 +85,6 @@ class EmbeddingSet:
     """
 
     vectors: np.ndarray
-    source: str = ""
     columns: np.ndarray | None = None
     dim: int | None = None
 
@@ -508,7 +507,7 @@ def similarity_vector(
             )
 
     if metric == "mmd":
-        return SimilarityVector(tuple(_mmd_scores(tasks, metas, cfg)), metric=metric)
+        return SimilarityVector(tuple(_mmd_scores(tasks, metas, cfg)))
 
     def score(task, meta) -> float:
         if metric == "ot":
@@ -517,7 +516,7 @@ def similarity_vector(
             return label_similarity(task, meta)
         return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
 
-    return SimilarityVector(tuple(score(task, meta) for task, meta in zip(tasks, metas)), metric=metric)
+    return SimilarityVector(tuple(score(task, meta) for task, meta in zip(tasks, metas)))
 
 
 def _mmd_scores(tasks: list, metas: list, cfg: OTConfig) -> list[float]:

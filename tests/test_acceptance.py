@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tvmerge import (
-    AlphaSchedule,
     EmbeddingSet,
     LabelHistogram,
     OTConfig,
@@ -80,7 +79,7 @@ def test_03_alpha_zero_corner():
     with criterion(3, "alpha 0 budgets return the last task vector bitwise"):
         rng = np.random.default_rng(11)
         taus = rng.standard_normal((5, 4096))
-        pref = preference_from_alpha(AlphaSchedule(0.0, 5, 4096))
+        pref = preference_from_alpha(0.0, 5, 4096)
         assert pref.budgets == (0, 0, 0, 0, 4096)
         merged, assignment = tunable_merge(taus, pref, seed=3)
         assert merged.tobytes() == taus[-1].tobytes()
@@ -118,11 +117,11 @@ def test_04_reference_transliteration_corpus():
 
 def test_05_alpha_schedule_hand_values():
     with criterion(5, "alpha schedule reproduces hand-computed budgets"):
-        pref = preference_from_alpha(AlphaSchedule(2.0, 5, 100))
+        pref = preference_from_alpha(2.0, 5, 100)
         assert pref.budgets == (52, 26, 13, 6, 3)
         assert pref.total == 100
         for num_tasks, dim in ((4, 8), (5, 100), (10, 1000)):
-            equal = preference_from_alpha(AlphaSchedule(1.0, num_tasks, dim))
+            equal = preference_from_alpha(1.0, num_tasks, dim)
             assert equal.budgets == (dim // num_tasks,) * num_tasks
 
 
@@ -206,7 +205,7 @@ def expected_end_task_losses(suite_seed):
     taus = np.stack([t - b for t, b in zip(thetas, [theta_0, *thetas[:-1]])])
     first, last = [], []
     for alpha in STEERING_ALPHAS:
-        pref = preference_from_alpha(AlphaSchedule(alpha, 4, 32))
+        pref = preference_from_alpha(alpha, 4, 32)
         losses = [
             evaluate(theta_0 + merge("tunable", taus, pref, seed)[0], tasks).task_losses
             for seed in STEERING_MERGE_SEEDS

@@ -223,29 +223,26 @@ class TestMerge:
         assert code == 2
         assert "unexpected end of stream" in capsys.readouterr().err
 
-    def test_rounds_is_ignored_with_one_warning(self, tmp_path, caplog, recwarn):
-        # Task 1 claims 2 of its 6 record-setter elements; the residual fill
-        # deals the other 4 to tasks 2 and 3, so its shuffle shows in the bytes.
-        write_container(tmp_path / "t1.tvc", [5.0] * 6)
-        write_container(tmp_path / "t2.tvc", [0.0] * 6)
-        write_container(tmp_path / "t3.tvc", [0.0] * 6)
-        pref = tmp_path / "pref.json"
-        pref.write_text(json.dumps({"budgets": [2, 2, 2], "d": 6}))
-        paths = [str(tmp_path / f"t{task}.tvc") for task in (1, 2, 3)]
-        outputs = {}
-        for rounds in ([], ["--rounds", "0"], ["--rounds", "5"]):
-            caplog.clear()
-            out = tmp_path / f"m{len(outputs)}.tvc"
-            argv = ["merge", "--method", "tunable", "--pref-file", str(pref), "--seed", "3", *rounds, "--out", str(out)]
-            assert main([*argv, *paths]) == 0
-            warned = [r.getMessage() for r in caplog.records if r.name == "tvmerge" and r.levelno == logging.WARNING]
-            assert warned == (["--rounds is ignored; the seed alone keys the merge"] if rounds else [])
-            outputs[" ".join(rounds)] = [
-                Path(f"{out}{suffix}").read_bytes() for suffix in ("", ".census.json", ".assignment.tvc")
-            ]
-        assert outputs["--rounds 0"] == outputs[""] == outputs["--rounds 5"]
-        assert main(["merge", "--method", "magmax", "--rounds", "two", "--out", str(tmp_path / "x.tvc"), *paths]) == 4
-        assert not recwarn.list
+    def test_rounds_exits_4(self, tmp_path, capsys):
+        write_container(tmp_path / "t1.tvc", [1.0, 2.0])
+        out = tmp_path / "m.tvc"
+        for method in (["magmax"], ["tunable", "--alpha", "0.5", "--seed", "3"]):
+            argv = ["merge", "--method", *method, "--rounds", "1", "--out", str(out), str(tmp_path / "t1.tvc")]
+            assert main(argv) == 4
+            assert "unrecognized arguments: --rounds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "t1.tvc"]
+
+    @pytest.mark.parametrize("flag", ["--census-out", "--assignment-out"])
+    def test_average_rejects_owner_map_outputs(self, tmp_path, capsys, flag):
+        write_container(tmp_path / "t1.tvc", [2.0, 0.0])
+        write_container(tmp_path / "t2.tvc", [0.0, 2.0])
+        side = tmp_path / "side.out"
+        argv = ["merge", "--method", "average", flag, str(side), "--out", str(tmp_path / "m.tvc")]
+        assert main([*argv, str(tmp_path / "t1.tvc"), str(tmp_path / "t2.tvc")]) == 4
+        assert capsys.readouterr().err == (
+            f"usage error: {flag} does not apply to --method average: it has no owner map\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.tvc", "t2.tvc"]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("method", [["magmax"], ["average"], ["randmix"], ["tunable", "--alpha", "1"]])
@@ -726,6 +723,25 @@ class TestPrefvec:
 
     def test_missing_dim_exits_4(self):
         assert main(["prefvec", "--alpha", "2", "--tasks", "5"]) == 4
+
+    def test_validate_rejects_out(self, tmp_path, capsys):
+        pref = tmp_path / "pref.json"
+        pref.write_text(json.dumps({"budgets": [4, 3], "d": 7}))
+        out = tmp_path / "v.json"
+        assert main(["prefvec", "--validate", str(pref), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --out does not apply to --validate\n" and not captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--sim-file", "--validate"])
+    def test_tasks_outside_alpha_mode_exits_4(self, tmp_path, capsys, mode):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"scores": [1.0, 1.0], "budgets": [4, 3], "d": 7}))
+        out = tmp_path / "pref.json"
+        assert main(["prefvec", mode, str(path), "--tasks", "2", "--dim", "7", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --tasks only applies to --alpha\n" and not captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, payload",

@@ -17,7 +17,6 @@ from tvmerge import (
     RESIDUAL_RANDOM,
     Rows,
     ShapeMismatchError,
-    TaskVector,
     ValidationError,
     assignment_census,
     average_merge,
@@ -97,7 +96,7 @@ class TestMagmax:
 
     def test_container_inputs_rejected(self):
         base = ParameterSet({"a": np.zeros((2, 2)), "b": np.zeros(3)})
-        taus = [TaskVector(base.items()), TaskVector(base.items())]
+        taus = [ParameterSet(base.items()), ParameterSet(base.items())]
         with pytest.raises(ValidationError, match="1-D"):
             magmax_merge(taus)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tvmerge
 from tvmerge import (
-    AlphaSchedule,
     DegenerateInputError,
     PreferenceVector,
     SimilarityVector,
@@ -85,7 +85,7 @@ class TestFromSimilarities:
         assert str(excinfo.value) == message
 
     def test_accepts_similarity_vector(self):
-        sims = SimilarityVector((1.0, 3.0), metric="label")
+        sims = SimilarityVector((1.0, 3.0))
         assert preference_from_similarities(sims, 4).budgets == (1, 3)
 
 
@@ -145,7 +145,7 @@ class TestLargestRemainderCounts:
     def test_leftovers_go_to_the_largest_remainders(self):
         assert largest_remainder_counts([0.5, 0.3, 0.2], 2000).tolist() == [1000, 600, 400]
         assert preference_from_similarities([0.5, 0.3, 0.2], 2000).budgets == (1000, 600, 400)
-        assert preference_from_alpha(AlphaSchedule(0.5, 4, 97)).budgets == (6, 13, 26, 52)
+        assert preference_from_alpha(0.5, 4, 97).budgets == (6, 13, 26, 52)
 
     def test_invalid_inputs_rejected(self):
         for weights, total in [
@@ -167,42 +167,49 @@ class TestLargestRemainderCounts:
 
 class TestFromAlpha:
     def test_hand_value(self):
-        pref = preference_from_alpha(AlphaSchedule(2.0, 5, 100))
+        pref = preference_from_alpha(2.0, 5, 100)
         assert pref.budgets == (52, 26, 13, 6, 3)
         assert pref.total == 100
 
     def test_alpha_zero_gives_everything_to_last_task(self):
-        assert preference_from_alpha(AlphaSchedule(0.0, 3, 10)).budgets == (0, 0, 10)
+        assert preference_from_alpha(0.0, 3, 10).budgets == (0, 0, 10)
 
     def test_alpha_one_equal_budgets(self):
-        assert preference_from_alpha(AlphaSchedule(1.0, 4, 8)).budgets == (2, 2, 2, 2)
-        assert preference_from_alpha(AlphaSchedule(1.0, 3, 9)).budgets == (3, 3, 3)
+        assert preference_from_alpha(1.0, 4, 8).budgets == (2, 2, 2, 2)
+        assert preference_from_alpha(1.0, 3, 9).budgets == (3, 3, 3)
 
     def test_monotone_in_task_order(self):
         for alpha in (1.5, 2.0, 7.0):
-            budgets = preference_from_alpha(AlphaSchedule(alpha, 6, 10_000)).budgets
+            budgets = preference_from_alpha(alpha, 6, 10_000).budgets
             assert list(budgets) == sorted(budgets, reverse=True)
         for alpha in (0.2, 0.5, 0.9):
-            budgets = preference_from_alpha(AlphaSchedule(alpha, 6, 10_000)).budgets
+            budgets = preference_from_alpha(alpha, 6, 10_000).budgets
             assert list(budgets) == sorted(budgets)
 
     def test_large_alpha_and_tasks_stay_finite(self):
-        pref = preference_from_alpha(AlphaSchedule(1e6, 200, 10**6))
+        pref = preference_from_alpha(1e6, 200, 10**6)
         assert pref.total == 10**6
         assert pref.budgets[0] >= pref.budgets[1]
 
     def test_alpha_above_cap_clamps(self):
-        capped = preference_from_alpha(AlphaSchedule(1e6, 5, 1000))
-        above = preference_from_alpha(AlphaSchedule(1e9, 5, 1000))
+        capped = preference_from_alpha(1e6, 5, 1000)
+        above = preference_from_alpha(1e9, 5, 1000)
         assert capped.budgets == above.budgets
 
     def test_invalid_schedules(self):
-        with pytest.raises(ValidationError):
-            AlphaSchedule(-1.0, 3, 10)
-        with pytest.raises(ValidationError):
-            AlphaSchedule(1.0, 0, 10)
-        with pytest.raises(ValidationError):
-            AlphaSchedule(1.0, 3, 0)
+        cases = [
+            ((-1.0, 3, 10), "alpha must be a finite value >= 0"),
+            ((math.nan, 3, 10), "alpha must be a finite value >= 0"),
+            ((math.inf, 3, 10), "alpha must be a finite value >= 0"),
+            ((1.0, 0, 10), "num_tasks must be >= 1"),
+            ((1.0, 3, 0), "dim must be >= 1"),
+            # Checked in that order: alpha, then num_tasks, then dim.
+            ((-1.0, 0, 0), "alpha must be a finite value >= 0"),
+            ((1.0, 0, 0), "num_tasks must be >= 1"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                preference_from_alpha(*args)
 
 
 class TestValidateAndIO:
@@ -242,3 +249,8 @@ class TestValidateAndIO:
         path.write_text('{"budgets": [4, 3]}')
         with pytest.raises(ValidationError):
             load_preference(path)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in tvmerge.__all__ if not hasattr(tvmerge, name)] == []
+    assert len(set(tvmerge.__all__)) == len(tvmerge.__all__)

@@ -98,7 +98,7 @@ class TestEmbeddingSet:
             EmbeddingSet(np.array([[np.inf, 0.0]]))
 
     def test_shape_accessors(self):
-        emb = EmbeddingSet(np.zeros((4, 7)), source="x")
+        emb = EmbeddingSet(np.zeros((4, 7)))
         assert emb.num_samples == 4 and emb.dim == 7
 
     def test_dense_input_keeps_its_used_columns(self):
@@ -621,7 +621,6 @@ class TestSimilarityVector:
         sims = similarity_vector([task1, task2], meta, "label")
         assert sims.scores[0] == pytest.approx(1 / k)
         assert sims.scores[1] == 0.0
-        assert sims.metric == "label"
 
     def test_ot_metric_self_match_is_maximal(self):
         rng = np.random.default_rng(6)
