@@ -31,8 +31,13 @@ MERGE_ARGS = {
     "average": [],
     "randmix": [],
 }
+# The rounds1/rounds5 tags name a retired merge flag that never changed the
+# bytes; both cases of a pair run the same argv and keep their recorded digests.
 MERGE_CASES = [
-    f"merge-{method}-{inputs}" for method in MERGE_ARGS for inputs in ("finite", "inf")
+    f"merge-{method}-rounds{rounds}-{inputs}"
+    for method in MERGE_ARGS
+    for rounds in (1, 5)
+    for inputs in ("finite", "inf")
 ] + ["merge-tunable-large-fill"]
 
 # Pipeline configs: each entry overrides sections of PIPELINE_BASE.
@@ -239,7 +244,7 @@ def run_case(case: str, directory: Path) -> dict:
         if case == "merge-tunable-large-fill":
             argv = ["--method", "tunable", "--alpha", "0.5", "--seed", "11", *write_large_fill_inputs(directory)]
         else:
-            _, method, inputs = case.split("-")
+            _, method, _rounds, inputs = case.split("-")
             paths = write_inputs(directory, with_inf=inputs == "inf")
             argv = ["--method", method, *MERGE_ARGS[method], "--seed", "11", *paths]
         code = main(["merge", "--out", str(out), *argv])
