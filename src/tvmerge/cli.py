@@ -69,6 +69,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Stores the option's value, and rejects the option given a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tvmerge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tvmerge {__version__}")
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="score tasks against a meta dataset")
     p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--task", action="append", required=True, help="repeat once per task")
-    p.add_argument("--meta", action="append", required=True, help="one shared or one per task")
+    p.add_argument("--meta", action=_Once, required=True, help="the one meta set every task is scored against")
     p.add_argument("--out", help="similarity JSON (default: stdout)")
     solver = p.add_argument_group(
         "solver settings", "a setting not given keeps its OTConfig default", argument_default=argparse.SUPPRESS
@@ -202,13 +211,8 @@ def cmd_apply(args) -> int:
 
 def cmd_sim(args) -> int:
     cfg = OTConfig(**{f.name: getattr(args, f.name) for f in fields(OTConfig) if hasattr(args, f.name)})
-    if args.metric == "label":
-        tasks = [_read_labels(path) for path in args.task]
-        metas = [_read_labels(path) for path in args.meta]
-    else:
-        tasks = [_read_embeddings(path) for path in args.task]
-        metas = [_read_embeddings(path) for path in args.meta]
-    scores = similarity_vector(tasks, metas, args.metric, cfg)
+    read = _read_labels if args.metric == "label" else _read_embeddings
+    scores = similarity_vector([read(path) for path in args.task], read(args.meta), args.metric, cfg)
     payload = json.dumps(
         {
             "scores": list(scores.scores),
@@ -328,7 +332,11 @@ def _read_labels(path: str) -> LabelHistogram:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # An unknown option ahead of the inputs leaves them over too; name only the options then.
+            options = [arg for arg in extras if arg.startswith("-")]
+            raise UsageError(f"unrecognized arguments: {' '.join(options or extras)}")
         logging.basicConfig(level=args.log_level.upper())
         return args.func(args)
     except UsageError as exc:

@@ -42,7 +42,7 @@ from .preference import (
     preference_from_alpha,
     preference_from_similarities,
 )
-from .similarity import EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
+from .similarity import METRICS, EmbeddingSet, LabelHistogram, OTConfig, similarity_vector
 
 log = logging.getLogger("tvmerge")
 
@@ -406,6 +406,9 @@ class PipelineConfig:
             raise ConfigError("preference source 'file' needs a 'path'")
         if source == "similarity" and not env:
             raise ConfigError("preference source 'similarity' needs an 'environment'")
+        metric = _field(pref, "metric", _string, "label")
+        if metric not in METRICS:
+            raise ConfigError(f"unknown similarity metric {metric!r}; expected one of {METRICS}")
 
         return cls(
             seed=_field(top, "seed", _integer),
@@ -426,7 +429,7 @@ class PipelineConfig:
             source=source,
             alphas=alphas,
             pref_path=pref_path,
-            metric=_field(pref, "metric", _string, "label"),
+            metric=metric,
             similarity_config=OTConfig(
                 **{key: _field(sim, key, kind) for key, kind in _OT_KINDS.items() if key in sim}
             ),

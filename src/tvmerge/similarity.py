@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -483,14 +482,15 @@ def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
 
 def similarity_vector(
     task_inputs: Sequence[Union[EmbeddingSet, LabelHistogram]],
-    meta_input,
+    meta: Union[EmbeddingSet, LabelHistogram],
     metric: str,
     cfg: OTConfig | None = None,
 ) -> SimilarityVector:
-    """Score every task against the meta dataset with one metric.
+    """Score every task against the one meta dataset with one metric.
 
-    ``meta_input`` is either a single input shared by all tasks or a
-    sequence with one (task-specific) meta input per task.
+    For ``mmd`` the meta set's self block ``yy`` is built once, before the
+    first task, and each task's ``xx`` and ``xy`` once each, for the
+    bandwidth and the kernel means alike: 2T+1 distance blocks for T tasks.
     """
     cfg = cfg or OTConfig()
     if metric not in METRICS:
@@ -498,61 +498,26 @@ def similarity_vector(
     tasks = list(task_inputs)
     if not tasks:
         raise ValidationError("need at least one task input")
-    metas = _broadcast_meta(meta_input, len(tasks))
     expected = LabelHistogram if metric == "label" else EmbeddingSet
-    for item in [*tasks, *metas]:
+    for item in [*tasks, meta]:
         if not isinstance(item, expected):
             raise ValidationError(
                 f"metric {metric!r} requires {expected.__name__} inputs, got {type(item).__name__}"
             )
+    yy = pairwise_sq_dists(meta, meta) if metric == "mmd" else None
 
-    if metric == "mmd":
-        return SimilarityVector(tuple(_mmd_scores(tasks, metas, cfg)))
-
-    def score(task, meta) -> float:
+    def score(task) -> float:
         if metric == "ot":
             return ot_similarity(task, meta, cfg)
         if metric == "label":
             return label_similarity(task, meta)
-        return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
-
-    return SimilarityVector(tuple(score(task, meta) for task, meta in zip(tasks, metas)))
-
-
-def _mmd_scores(tasks: list, metas: list, cfg: OTConfig) -> list[float]:
-    """``exp(-gamma_mmd * mmd_rbf(task, meta, mmd_bandwidth))`` of each pair.
-
-    Each distinct meta object's self block ``yy`` is built once, when its
-    first task is scored, and dropped after its last; each task's ``xx``
-    and ``xy`` are built once, for the bandwidth and the kernel means alike.
-    """
-    uses = Counter(id(meta) for meta in metas)
-    self_blocks: dict[int, np.ndarray] = {}
-    scores = []
-    for task, meta in zip(tasks, metas):
-        key = id(meta)
+        if metric == "cos":
+            return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
         xy = pairwise_sq_dists(task, meta)
-        if key not in self_blocks:
-            self_blocks[key] = pairwise_sq_dists(meta, meta)
-        uses[key] -= 1
-        yy = self_blocks[key] if uses[key] else self_blocks.pop(key)
         _, mmd = _bandwidth_and_mmd(pairwise_sq_dists(task, task), yy, xy, cfg.mmd_bandwidth)
-        del xy, yy  # not held while the next task's blocks are built
-        scores.append(_exp_transform(cfg.gamma_mmd, mmd))
-    return scores
+        return _exp_transform(cfg.gamma_mmd, mmd)
 
-
-def _broadcast_meta(meta_input, num_tasks: int) -> list:
-    if isinstance(meta_input, (EmbeddingSet, LabelHistogram)):
-        return [meta_input] * num_tasks
-    metas = list(meta_input)
-    if len(metas) == 1:
-        return metas * num_tasks
-    if len(metas) != num_tasks:
-        raise ValidationError(
-            f"got {len(metas)} meta inputs for {num_tasks} tasks; need 1 or {num_tasks}"
-        )
-    return metas
+    return SimilarityVector(tuple(score(task) for task in tasks))
 
 
 def _exp_transform(gamma: float, distance: float) -> float:

@@ -225,11 +225,15 @@ class TestMerge:
 
     def test_rounds_exits_4(self, tmp_path, capsys):
         write_container(tmp_path / "t1.tvc", [1.0, 2.0])
-        out = tmp_path / "m.tvc"
-        for method in (["magmax"], ["tunable", "--alpha", "0.5", "--seed", "3"]):
-            argv = ["merge", "--method", *method, "--rounds", "1", "--out", str(out), str(tmp_path / "t1.tvc")]
-            assert main(argv) == 4
-            assert "unrecognized arguments: --rounds" in capsys.readouterr().err
+        out, tau = str(tmp_path / "m.tvc"), str(tmp_path / "t1.tvc")
+        for argv in (
+            ["--method", "magmax", "--rounds", "1", "--out", out, tau],
+            ["--method", "tunable", "--alpha", "0.5", "--seed", "3", "--rounds", "1", "--out", out, tau],
+            # ``1`` is taken as the input list, which leaves the real inputs over too: only the option is named.
+            ["--rounds", "1", "--method", "magmax", "--out", out, tau, tau],
+        ):
+            assert main(["merge", *argv]) == 4
+            assert capsys.readouterr().err == "usage error: unrecognized arguments: --rounds\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "t1.tvc"]
 
     @pytest.mark.parametrize("flag", ["--census-out", "--assignment-out"])
@@ -657,6 +661,15 @@ class TestSim:
         )
         assert code == 3
 
+    def test_repeated_meta_exits_4(self, tmp_path, capsys):
+        emb = str(tmp_path / "emb.tvc")
+        write_embeddings(emb, np.ones((2, 2)))
+        out = tmp_path / "sims.json"
+        code = main(["sim", "--metric", "ot", "--task", emb, "--meta", emb, "--meta", emb, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == "usage error: argument --meta: given more than once\n"
+        assert not out.exists()
+
     def test_zero_mean_cos_exits_5(self, tmp_path):
         write_embeddings(tmp_path / "task1.tvc", [[1.0, 0.0], [-1.0, 0.0]])
         write_embeddings(tmp_path / "meta.tvc", [[1.0, 1.0]])
@@ -723,6 +736,11 @@ class TestPrefvec:
 
     def test_missing_dim_exits_4(self):
         assert main(["prefvec", "--alpha", "2", "--tasks", "5"]) == 4
+
+    def test_stray_argument_is_named(self, capsys):
+        assert main(["prefvec", "--alpha", "2", "--tasks", "5", "--dim", "100", "stray"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: unrecognized arguments: stray\n" and not captured.out
 
     def test_validate_rejects_out(self, tmp_path, capsys):
         pref = tmp_path / "pref.json"
@@ -951,6 +969,8 @@ class TestPipeline:
             ("metrc", {"preference": {"source": "similarity", "metrc": "ot"}}),
             ("member", {"environment": {"members": [1], "mix": [1.0], "total_samples": 20, "member": [2]}}),
             ("alpha", {"preference": {"source": "alpha", "alpha": []}}),
+            ("emd", {"preference": {"source": "similarity", "metric": "emd"}}),
+            ("emd", {"preference": {"source": "alpha", "alpha": 0.5, "metric": "emd"}}),
         ],
     )
     def test_config_fault_exits_6_naming_key(self, tmp_path, capsys, key, override):

@@ -71,7 +71,11 @@ def dense_with_zero_columns(rng, rows, dim, used):
 
 
 def mmd_cases():
-    """(tasks, meta input, cfg) for each way ``similarity_vector`` pairs tasks with metas."""
+    """(tasks, meta or list of metas, cfg): ``mmd_rbf`` pairs each task with each meta.
+
+    ``similarity_vector`` scores every task against one meta set, so it
+    takes the cases of one meta (``ONE_META_CASES``).
+    """
     rng = np.random.default_rng(36)
     tasks = [EmbeddingSet(rng.normal(size=(7 + i, 5)) + 0.3 * i) for i in range(3)]
     metas = [EmbeddingSet(rng.normal(size=(6, 5)) + 0.5 * i) for i in range(2)]
@@ -86,6 +90,9 @@ def mmd_cases():
         "bandwidth given": (tasks, metas[1], OTConfig(mmd_bandwidth=0.7)),
         "dense, zero columns dropped": (dense_tasks, dense_meta, None),
     }
+
+
+ONE_META_CASES = [case for case, (_, meta, _) in mmd_cases().items() if not isinstance(meta, list)]
 
 
 class TestEmbeddingSet:
@@ -558,21 +565,14 @@ class TestMMDScoresInOnePass:
         similarity_vector(tasks, meta, "mmd")
         assert len(count_distances) == 2 * len(tasks) + 1
         assert sum(x is meta and y is meta for x, y in count_distances) == 1
-        count_distances.clear()
-        # One meta object per task, equal in value but distinct: each builds its own self block.
-        metas = [EmbeddingSet(meta.vectors.copy()) for _ in tasks]
-        similarity_vector(tasks, metas, "mmd")
-        assert len(count_distances) == 3 * len(tasks)
 
-    @pytest.mark.parametrize("case", list(mmd_cases()))
+    @pytest.mark.parametrize("case", ONE_META_CASES)
     def test_scores_equal_each_pair_scored_alone(self, case):
         tasks, meta, cfg = mmd_cases()[case]
         cfg = cfg or OTConfig()
-        metas = meta if isinstance(meta, list) else [meta] * len(tasks)
         scores = similarity_vector(tasks, meta, "mmd", cfg).scores
         assert scores == tuple(
-            similarity._exp_transform(cfg.gamma_mmd, mmd_rbf(task, m, cfg.mmd_bandwidth))
-            for task, m in zip(tasks, metas)
+            similarity._exp_transform(cfg.gamma_mmd, mmd_rbf(task, meta, cfg.mmd_bandwidth)) for task in tasks
         )
 
 
@@ -641,19 +641,12 @@ class TestSimilarityVector:
         sims = similarity_vector([x], y, "cos", cfg)
         assert sims.scores[0] == pytest.approx(math.exp(-10.0), rel=1e-9)
 
-    def test_per_task_meta_inputs(self):
-        rng = np.random.default_rng(8)
-        tasks = [EmbeddingSet(rng.normal(size=(4, 2))) for _ in range(2)]
-        metas = [EmbeddingSet(rng.normal(size=(3, 2)) + i) for i in range(2)]
-        sims = similarity_vector(tasks, metas, "ot")
-        assert sims.scores[0] == ot_similarity(tasks[0], metas[0])
-        assert sims.scores[1] == ot_similarity(tasks[1], metas[1])
-        assert sims.scores[0] != sims.scores[1]
-
     def test_meta_count_mismatch(self):
+        # Every task is scored against one meta set: a list of them, of any length, is rejected.
         emb = EmbeddingSet(np.zeros((2, 2)) + 1.0)
-        with pytest.raises(ValidationError, match="meta inputs"):
-            similarity_vector([emb, emb, emb], [emb, emb], "ot")
+        for metas in ([emb], [emb, emb], [emb, emb, emb]):
+            with pytest.raises(ValidationError, match="requires EmbeddingSet inputs, got list"):
+                similarity_vector([emb, emb, emb], metas, "ot")
 
     def test_mixed_kinds_rejected(self):
         emb = EmbeddingSet(np.ones((2, 2)))
