@@ -118,13 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     solver = p.add_argument_group(
         "solver settings", "a setting not given keeps its OTConfig default", argument_default=argparse.SUPPRESS
     )
-    solver.add_argument("--gamma", type=float)
-    solver.add_argument("--gamma-cos", type=float)
-    solver.add_argument("--gamma-mmd", type=float)
-    solver.add_argument("--epsilon", type=float)
-    solver.add_argument("--max-iters", type=int)
-    solver.add_argument("--tol", type=float)
-    solver.add_argument("--bandwidth", type=float, dest="mmd_bandwidth")
+    for setting in fields(OTConfig):
+        flag = "--bandwidth" if setting.name == "mmd_bandwidth" else "--" + setting.name.replace("_", "-")
+        kind = float if setting.default is None else type(setting.default)
+        solver.add_argument(flag, type=kind, dest=setting.name)
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("prefvec", help="build or validate a budgets file")
@@ -185,9 +182,9 @@ def cmd_merge(args) -> int:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
     merged, assignment = merge(args.method, rows, pref, args.seed or 0)
 
-    # The inputs hold no NaN, so only an average can make one: the mean of +inf and -inf.
-    problem = "the average of +inf and -inf is NaN" if args.method == "average" else "NaN payload rejected"
-    _reject_nan(layout.specs, merged, problem)
+    # Only an average can make a NaN, of +inf and -inf: the others copy input bits.
+    if args.method == "average":
+        _reject_nan(layout.specs, merged, "the average of +inf and -inf is NaN")
     # Written with the header bytes read from the first input: none is encoded.
     _write_records(layout.records(merged), len(layout.specs), DTYPE_F32, args.out)
     if assignment is not None:

@@ -63,7 +63,8 @@ DTYPE_U16 = 1
 _NUMPY_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_U16: np.dtype("<u2")}
 
 #: Elements per block of the temporaries made on the encode and merge paths,
-#: so that none of them grows with the size of a vector.
+#: so that none of them grows with the size of a vector. A multiple of 8, so
+#: each merge block's record-setter flags fill whole bytes.
 _BLOCK = 2**16
 
 #: Buffers per ``os.readv`` call: Linux's ``IOV_MAX``.

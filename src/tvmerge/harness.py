@@ -37,6 +37,7 @@ from .merging import (
 )
 from .preference import (
     PreferenceVector,
+    _check_array_size,
     largest_remainder_counts,
     load_preference,
     preference_from_alpha,
@@ -121,6 +122,8 @@ def generate_task_suite(
     """
     if num_tasks < 1 or dim < 1:
         raise ValidationError("num_tasks and dim must be >= 1")
+    _check_array_size("num_tasks", num_tasks)
+    _check_array_size("dim", dim)
     if support_mode not in SUPPORT_MODES:
         raise ValidationError(f"unknown support mode {support_mode!r}")
     if classes_per_task < 1:
@@ -140,6 +143,7 @@ def generate_task_suite(
         raise ValidationError(
             f"samples_per_task {samples_per_task} < widest support {widest}"
         )
+    _check_array_size("samples_per_task", samples_per_task, 8 * (widest + 1))  # the fit's [X | y]
 
     tasks = []
     for task_id, support in enumerate(supports, start=1):
@@ -227,6 +231,7 @@ def mix_target_environment(
         raise ValidationError(f"mixing ratios sum to {ratios.sum()}, expected 1")
     if total_samples < len(members):
         raise ValidationError("total_samples must be at least the member count")
+    _check_array_size("total_samples", total_samples)
     if not (0.0 < meta_fraction < 1.0):
         raise ValidationError("meta_fraction must lie in (0, 1)")
 

@@ -3,8 +3,8 @@
 All strategies operate on the global flat index: each output element is
 copied bitwise from exactly one task vector (``average`` excepted). Task
 vectors are read from a :class:`Rows` source, each row as a stream of
-blocks of ``_BLOCK`` elements, so neither a (T, d) matrix nor a d-sized
-row buffer is built. Every strategy reads the rows in lockstep, block 0
+blocks of ``container._BLOCK`` elements, so neither a (T, d) matrix nor a
+d-sized row buffer is built. Every strategy reads the rows in lockstep, block 0
 of every row, then block 1, and so on (``tunable`` twice), so that its
 running state is one block long. ``magmax`` and ``tunable`` pick by one
 record-setter rule: a row sets a record where its magnitude is at least
@@ -41,7 +41,8 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .container import _BLOCK, DTYPE_U16, _read_whole, _record_header, _write_records
+from . import container
+from .container import DTYPE_U16, _read_whole, _record_header, _write_records
 from .errors import ShapeMismatchError, ValidationError
 from .preference import PreferenceVector
 
@@ -68,7 +69,7 @@ class Rows:
     """``count`` task vectors of ``dim`` elements each, read as streams of blocks.
 
     ``blocks(t)`` yields task vector t (0-based) as consecutive 1-D pieces
-    of ``_BLOCK`` elements (the last one shorter), with the same dtype for
+    of ``container._BLOCK`` elements (the last shorter), with the same dtype for
     every t. Every piece, of any row, may be one reused buffer, refilled,
     so a strategy is done with a piece before it asks any stream for the
     next. Every strategy holds every row's stream open at once and asks
@@ -157,7 +158,7 @@ def magmax_merge(taus: Taus) -> tuple[np.ndarray, Assignment]:
     """
     rows = _as_rows(taus)
     owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
-    ids = np.empty(min(_BLOCK, rows.dim), dtype=owner.dtype)
+    ids = np.empty(min(container._BLOCK, rows.dim), dtype=owner.dtype)
     for block, task, piece, flags in _record_setters(rows):
         if flags is None:
             if block.start == 0:  # the first piece sets the dtype
@@ -333,9 +334,9 @@ def _as_rows(taus: Taus) -> Rows:
 
 
 def _blocks(size: int) -> Iterator[slice]:
-    """Consecutive slices of at most :data:`_BLOCK` elements that cover ``range(size)``."""
-    for start in range(0, size, _BLOCK):
-        yield slice(start, min(start + _BLOCK, size))
+    """Consecutive slices of at most ``container._BLOCK`` elements that cover ``range(size)``."""
+    for start in range(0, size, container._BLOCK):
+        yield slice(start, min(start + container._BLOCK, size))
 
 
 def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +357,7 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     free = np.full(packed.shape[1], 0xFF, dtype=np.uint8)
     free[-1] <<= -dim % 8  # the padding bits of the last byte are clear
     claimed = np.empty_like(free)
-    ids = np.empty(min(_BLOCK, dim), dtype=owner.dtype)
+    ids = np.empty(min(container._BLOCK, dim), dtype=owner.dtype)
     for task in range(rows.count, 0, -1):
         need = int(deficits[task - 1])
         if need == 0:
@@ -425,13 +426,12 @@ def _residual_labels(deficits: np.ndarray, dtype: np.dtype, seed: int) -> np.nda
     if any(slots):
         table = np.zeros(1 << 16, dtype)
         table[: sum(slots)] = np.repeat(ids, slots)
-        # A uint16 draw of an even size uses whole 32-bit words, so even
-        # chunks give the same labels as one call over every leftover.
-        chunk = _BLOCK + _BLOCK % 2
+        # A uint16 draw of an even size uses whole 32-bit words, so a draw per
+        # block (a multiple of 8 elements) gives the labels of one whole draw.
         while True:
             drawn = np.zeros(deficits.size + 1, dtype=np.int64)
-            for start in range(0, total, chunk):
-                part = labels[start : start + chunk]
+            for block in _blocks(total):
+                part = labels[block]
                 np.take(table, stream.integers(0, 1 << 16, size=part.size, dtype=np.uint16), out=part, mode="clip")
                 drawn += np.bincount(part, minlength=deficits.size + 1)
             if np.all(drawn[1:] <= deficits):
@@ -452,26 +452,15 @@ def _record_setter_bits(rows: Rows) -> np.ndarray:
     """Packed (T, ceil(d/8)) bits: bit p of row t is set where row t is a record-setter.
 
     Every element of row 0 is one. Each row's flags from
-    :func:`_record_setters` are packed as soon as its block is read. A block
-    that does not start on a byte boundary (only with a ``_BLOCK`` that is
-    not a multiple of 8) is packed after the fewer than 8 flags that its
-    row carried over from the block before.
+    :func:`_record_setters` are packed into their block's bytes as soon as
+    the block is read: a block is a whole number of bytes of flags, and the
+    last block packs its tail into a part-filled last byte.
     """
-    num_tasks, dim = rows.count, rows.dim
-    packed = np.empty((num_tasks, (dim + 7) // 8), dtype=np.uint8)
+    packed = np.empty((rows.count, (rows.dim + 7) // 8), dtype=np.uint8)
     packed[0] = 0xFF
-    carried = np.empty((num_tasks, 8), dtype=bool)
     for block, task, _, flags in _record_setters(rows):
-        if flags is None:
-            continue
-        lead = block.start % 8
-        if lead:
-            flags = np.concatenate((carried[task, :lead], flags))
-        # Whole bytes are packed; the last block packs its tail as well.
-        whole = flags.size if block.stop == dim else flags.size // 8 * 8
-        first = block.start // 8
-        packed[task, first : first + (whole + 7) // 8] = np.packbits(flags[:whole])
-        carried[task, : flags.size - whole] = flags[whole:]
+        if flags is not None:
+            packed[task, block.start // 8 : (block.stop + 7) // 8] = np.packbits(flags)
     return packed
 
 
@@ -483,7 +472,7 @@ def _record_setters(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray, np.nda
     wins ties. They are one reused block-sized buffer, as is the running
     maximum of the magnitudes they are compared with.
     """
-    size = min(_BLOCK, rows.dim)
+    size = min(container._BLOCK, rows.dim)
     flags = np.empty(size, dtype=bool)
     for block, task, piece in _lockstep(rows):
         n = block.stop - block.start
@@ -515,7 +504,7 @@ def _gather(rows: Rows, owner: np.ndarray) -> np.ndarray:
     0..T-1 in turn: row 0's piece is copied, and each later row's piece is
     selected where that row owns the element.
     """
-    size = min(_BLOCK, rows.dim)
+    size = min(container._BLOCK, rows.dim)
     mask = np.empty(size, dtype=bool)
     for block, task, piece in _lockstep(rows):
         n = block.stop - block.start

@@ -101,6 +101,7 @@ def preference_from_alpha(alpha: float, num_tasks: int, dim: int) -> PreferenceV
         raise ValidationError("alpha must be a finite value >= 0")
     if num_tasks < 1:
         raise ValidationError("num_tasks must be >= 1")
+    _check_array_size("num_tasks", num_tasks)
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     if alpha == 0.0:
@@ -195,6 +196,12 @@ def _budget_violations(budgets) -> list[str]:
         elif n < 0:
             violations.append(f"negative budget {n} for task {index}")
     return violations
+
+
+def _check_array_size(name: str, count: int, item_bytes: int = 8) -> None:
+    """Raise ValidationError naming ``name`` unless ``count`` items of ``item_bytes`` fit in one numpy array."""
+    if count * item_bytes > np.iinfo(np.intp).max:
+        raise ValidationError(f"{name} {count} is too large for a numpy array")
 
 
 def _is_integral(value) -> bool:

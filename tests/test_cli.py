@@ -25,7 +25,7 @@ from tvmerge import (
     read_assignment,
     write_assignment,
 )
-from tvmerge import cli, container, merging
+from tvmerge import cli, container
 from tvmerge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -195,6 +195,18 @@ class TestMerge:
         assert code == 2
         assert capsys.readouterr().err == "validation error: tensor 'w': the average of +inf and -inf is NaN\n"
         assert not out.exists()
+
+    # Every other method copies input bits, which hold no NaN, so only an average is scanned.
+    @pytest.mark.parametrize("method", ["magmax", "tunable", "randmix"])
+    def test_only_an_average_is_scanned_for_nan(self, tmp_path, monkeypatch, method):
+        paths = write_block_inputs(tmp_path)
+        want = merge_outputs(tmp_path, method, paths)
+
+        def scan(*args):
+            raise AssertionError("the merged vector was scanned for NaN")
+
+        monkeypatch.setattr(cli, "_reject_nan", scan)
+        assert merge_outputs(tmp_path, method, paths) == want
 
     def test_debug_log_reports_sizes_census_and_residual(self, tmp_path, caplog):
         write_container(tmp_path / "t1.tvc", [5.0, 5.0, 5.0, 5.0])
@@ -439,8 +451,8 @@ class TestMergeLaterInputs:
 
 
 # Merge inputs are streamed from their files one block at a time. With
-# 5-element blocks, these tensors (offsets 0, 1, 4 and 11 of 22) straddle
-# block boundaries, start mid-block and fill the first block exactly.
+# 8-element blocks, these tensors (offsets 0, 1, 4 and 11 of 22) start
+# mid-block and straddle block boundaries, and the last block is short.
 BLOCK_LAYOUT = (("a", (1,)), ("b", (3,)), ("c", (7,)), ("d", (11,)))
 
 
@@ -502,17 +514,15 @@ class TestMergeStreamsBlocks:
     def test_five_element_blocks_give_the_same_bytes(self, tmp_path, monkeypatch, method):
         paths = write_block_inputs(tmp_path)
         want = merge_outputs(tmp_path, method, paths)
-        monkeypatch.setattr(container, "_BLOCK", 5)
-        monkeypatch.setattr(merging, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 8)
         assert merge_outputs(tmp_path, method, paths) == want
 
-    @pytest.mark.parametrize("block", [5, None], ids=["block 5", "default block"])
+    @pytest.mark.parametrize("block", [8, None], ids=["block 5", "default block"])
     @pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
     @pytest.mark.parametrize("fault", BLOCK_FAULTS)
     def test_fault_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, fault, position, block):
         if block is not None:
             monkeypatch.setattr(container, "_BLOCK", block)
-            monkeypatch.setattr(merging, "_BLOCK", block)
         build, message = BLOCK_FAULTS[fault]
         paths = write_block_inputs(tmp_path, fault=build, position=position)
         for method in BLOCK_METHOD_ARGS:
@@ -524,11 +534,10 @@ class TestMergeStreamsBlocks:
     # Every method reads its inputs in lockstep, one block of every input in
     # turn, with all six files open at once: a NaN in the first block of the
     # last input alone still exits 2, naming its tensor, and writes nothing.
-    @pytest.mark.parametrize("block", [5, None], ids=["block 5", "default block"])
+    @pytest.mark.parametrize("block", [8, None], ids=["block 5", "default block"])
     def test_nan_in_the_first_block_of_the_last_of_six_inputs(self, tmp_path, capsys, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(container, "_BLOCK", block)
-            monkeypatch.setattr(merging, "_BLOCK", block)
         paths = write_block_inputs(tmp_path, num_tasks=6, fault=lambda r: with_nans(r, ("b", 1)), position=5)
         out = tmp_path / "m.tvc"
         for method in BLOCK_METHOD_ARGS:
@@ -538,11 +547,11 @@ class TestMergeStreamsBlocks:
 
     # Of several faulty inputs, the one reported is the first that the one
     # reading order meets. Input 2 has a trailing byte, found at its end,
-    # and input 5 a NaN in block 0 (of five 5-element blocks): every method
-    # reads block 0 of every input first and reports input 5.
+    # and input 5 a NaN in block 0 (of three 8-element blocks, the last cut
+    # short): every method reads block 0 of every input first and reports
+    # input 5.
     def test_the_first_fault_met_in_reading_order_is_reported(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(container, "_BLOCK", 5)
-        monkeypatch.setattr(merging, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 8)
         paths = write_block_inputs(tmp_path, num_tasks=6)
         Path(paths[1]).write_bytes(raw_container(block_layout_records(1)) + b"\0")
         Path(paths[4]).write_bytes(with_nans(block_layout_records(4), ("a", 0)))
@@ -736,6 +745,13 @@ class TestPrefvec:
 
     def test_missing_dim_exits_4(self):
         assert main(["prefvec", "--alpha", "2", "--tasks", "5"]) == 4
+
+    @pytest.mark.parametrize("alpha", ["0.5", "0"])
+    def test_task_count_past_the_array_limit_exits_2(self, tmp_path, capsys, alpha):
+        out = tmp_path / "pref.json"
+        assert main(["prefvec", "--alpha", alpha, "--tasks", str(10**20), "--dim", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"validation error: num_tasks {10**20} is too large for a numpy array\n"
+        assert not out.exists()
 
     def test_stray_argument_is_named(self, capsys):
         assert main(["prefvec", "--alpha", "2", "--tasks", "5", "--dim", "100", "stray"]) == 4
@@ -1053,6 +1069,29 @@ class TestPipeline:
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("validation error: out of memory: Unable to allocate")
+
+    # Counts past numpy's array size limit exit 2 naming their field, and nothing is written.
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, 10**20])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("suite", "num_tasks"), ("suite", "dim"), ("suite", "samples_per_task"), ("environment", "total_samples")],
+        ids=["num_tasks", "dim", "samples_per_task", "total_samples"],
+    )
+    def test_count_past_the_array_limit_exits_2_naming_it(self, tmp_path, capsys, section, key, value):
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "similarity", "metric": "label"},
+            "environment": {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 20},
+        }
+        config[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["pipeline", "--config", str(path), "--csv-out", str(tmp_path / "r.csv"), "--json-out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"validation error: {key} {value} is too large for a numpy array\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @staticmethod
     def alpha_config(tmp_path, **suite):

@@ -418,8 +418,7 @@ class TestLayoutReader:
         with monkeypatch.context() as patch:
             patch.setattr(container, "_record_header", encode_header)
             patch.setattr(merging, "_record_header", encode_side_file_header)
-            patch.setattr(container, "_BLOCK", 4)
-            patch.setattr(merging, "_BLOCK", 4)
+            patch.setattr(container, "_BLOCK", 8)
             assert decode_container(io.BytesIO(raw_first)).bitwise_equal(first)
             side_file.seek(0)
             loaded = read_assignment(side_file)

@@ -49,7 +49,7 @@ def skewed_case(rng, num_tasks, dim):
 
 def block_buffer_rows(num_tasks, dim, dtype, fill):
     """A row source that refills one block buffer: ``fill(task, block, out)`` writes a block."""
-    buffer = np.empty(min(merging._BLOCK, dim), dtype=dtype)
+    buffer = np.empty(min(container._BLOCK, dim), dtype=dtype)
 
     def blocks(task):
         for block in merging._blocks(dim):
@@ -317,8 +317,8 @@ class TestResidualFill:
             (seed, *skewed_case(rng, int(rng.integers(2, 5)), int(rng.integers(5000, 20001))))
             for seed in range(4)
         ]
-        for block in (merging._BLOCK, 5):
-            monkeypatch.setattr(merging, "_BLOCK", block)
+        for block in (container._BLOCK, 8):
+            monkeypatch.setattr(container, "_BLOCK", block)
             for seed, taus, budgets in cases:
                 merged, assignment = tunable_merge(taus, budgets, seed=seed)
                 ref_merged, ref_owner, ref_prov = reference_tunable_merge(
@@ -661,8 +661,12 @@ class TestStreaming:
 
 
 class TestBlockBoundaries:
+    def test_a_block_is_whole_bytes_of_record_setter_flags(self):
+        # Each block's flags are packed straight into its own bytes of the packed bits.
+        assert container._BLOCK % 8 == 0
+
     @pytest.mark.parametrize("num_tasks", [1, 3])
-    # 83 also crosses two boundaries of the 8-block stretches that pack into bits.
+    # 83 spans ten whole blocks and a short one.
     @pytest.mark.parametrize("dim", [1, 4, 5, 6, 11, 23, 83])
     def test_five_element_blocks_give_the_same_bytes(self, monkeypatch, num_tasks, dim):
         rng = np.random.default_rng(100 * dim + num_tasks)
@@ -693,8 +697,7 @@ class TestBlockBoundaries:
             return result
 
         want = outputs()
-        monkeypatch.setattr(merging, "_BLOCK", 5)
-        monkeypatch.setattr(container, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 8)
         assert outputs() == want
 
 
@@ -706,7 +709,7 @@ class TestLockstep:
         "method, attempt", [("tunable", 1), ("tunable", 2), ("randmix", 1), ("magmax", 1), ("average", 1)]
     )
     def test_a_row_that_raises_mid_pass_closes_every_stream(self, monkeypatch, method, attempt):
-        monkeypatch.setattr(merging, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 8)
         num_tasks, dim, failing = 4, 23, 2
         opened, closed = [], []
 
@@ -714,7 +717,7 @@ class TestLockstep:
             opened.append(task)
             try:
                 for block in merging._blocks(dim):
-                    if task == failing and opened.count(task) == attempt and block.start == 10:
+                    if task == failing and opened.count(task) == attempt and block.start == 8:
                         raise OSError("read failed")
                     yield np.full(block.stop - block.start, task + 1.0)
             finally:
@@ -725,8 +728,8 @@ class TestLockstep:
         assert sorted(opened) == sorted(closed) == sorted(list(range(num_tasks)) * attempt)
 
     def test_every_stream_is_drained(self, monkeypatch):
-        monkeypatch.setattr(merging, "_BLOCK", 5)
-        num_tasks, dim = 3, 10  # the last piece ends the row exactly
+        monkeypatch.setattr(container, "_BLOCK", 8)
+        num_tasks, dim = 3, 16  # the last piece ends the row exactly
         finished = []
 
         def blocks(task):
@@ -736,13 +739,13 @@ class TestLockstep:
 
         for method, passes in (("tunable", 2), ("randmix", 1), ("magmax", 1), ("average", 1)):
             finished.clear()
-            merge(method, Rows(num_tasks, dim, blocks), [3, 3, 4], seed=1)
+            merge(method, Rows(num_tasks, dim, blocks), [5, 5, 6], seed=1)
             assert sorted(finished) == sorted(list(range(num_tasks)) * passes)
 
     # -1 and 1: a piece too few or too many; 0: every piece one element long.
     @pytest.mark.parametrize("extra", [-1, 1, 0], ids=["one piece short", "one piece long", "short pieces"])
     def test_a_stream_of_the_wrong_length_raises(self, monkeypatch, extra):
-        monkeypatch.setattr(merging, "_BLOCK", 5)
+        monkeypatch.setattr(container, "_BLOCK", 8)
         dim = 12
 
         def blocks(task):
@@ -750,7 +753,7 @@ class TestLockstep:
             if task == 1:
                 if extra == 0:
                     return [np.ones(1) for _ in pieces]
-                return pieces[:-1] if extra < 0 else pieces + [np.ones(5)]
+                return pieces[:-1] if extra < 0 else pieces + [np.ones(8)]
             return pieces
 
         for method in MERGE_METHODS:
@@ -759,7 +762,7 @@ class TestLockstep:
 
 
 class TestManyTasks:
-    @pytest.mark.parametrize("block", [None, 5], ids=["default block", "block 5"])
+    @pytest.mark.parametrize("block", [None, 8], ids=["default block", "block 5"])
     def test_uint16_owners_match_reference(self, monkeypatch, block):
         # 300 tasks need uint16 owners, and 1,001 elements leave a part-filled
         # last byte of packed bits. Magnitudes rise every 10 tasks, with ties,
@@ -779,7 +782,7 @@ class TestManyTasks:
         randmix_owner = keyed_stream(seed, merging.RANDMIX_KEY, 0).integers(1, num_tasks + 1, size=dim, dtype=np.int32)
         assert max(ref_owner) > 255 and magmax_owner.max() > 255
         if block is not None:
-            monkeypatch.setattr(merging, "_BLOCK", block)
+            monkeypatch.setattr(container, "_BLOCK", block)
         columns = np.arange(dim)
         for method, owner in (("tunable", np.array(ref_owner)), ("magmax", magmax_owner), ("randmix", randmix_owner)):
             merged, assignment = merge(method, reused_buffer_rows(taus), budgets, seed)
