@@ -209,7 +209,9 @@ def cmd_apply(args) -> int:
 def cmd_sim(args) -> int:
     cfg = OTConfig(**{f.name: getattr(args, f.name) for f in fields(OTConfig) if hasattr(args, f.name)})
     read = _read_labels if args.metric == "label" else _read_embeddings
-    scores = similarity_vector([read(path) for path in args.task], read(args.meta), args.metric, cfg)
+    # The meta file is read first; each task file is read only when it is scored.
+    meta = read(args.meta)
+    scores = similarity_vector((read(path) for path in args.task), meta, args.metric, cfg)
     payload = json.dumps(
         {
             "scores": list(scores.scores),

@@ -479,23 +479,26 @@ class PipelineReport:
 def run_pipeline(config: Union[PipelineConfig, dict]) -> PipelineReport:
     """Execute the full synthetic pipeline described by ``config``.
 
-    Stages: generate the suite, fit tasks sequentially, form per-task
-    deltas, build the budget vector from the configured source, merge,
-    apply the merged delta at ``lambda_merge``, and evaluate. A list-valued
-    alpha sweeps the schedule and emits one run per alpha.
+    Stages: generate the suite, sample the target environment (if any),
+    fit tasks sequentially, form per-task deltas, build the budget vector
+    from the configured source, merge, apply the merged delta at
+    ``lambda_merge``, and evaluate. The environment needs only the suite
+    and draws from its own keyed streams, so an invalid one is reported
+    before the fit is paid for. A list-valued alpha sweeps the schedule and
+    emits one run per alpha.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_dict(config)
     check_seed(cfg.seed)
     tasks, theta_0 = generate_task_suite(cfg.num_tasks, cfg.dim, seed=cfg.seed, **cfg.suite)
+    env = None
+    if cfg.environment is not None:
+        env = mix_target_environment(tasks, seed=cfg.seed, **cfg.environment)
     thetas = sequential_finetune_analog(tasks, theta_0)
     if cfg.delta_mode == "incremental":
         bases = [theta_0, *thetas[:-1]]
     else:
         bases = [theta_0] * len(thetas)
     taus = np.stack([t - b for t, b in zip(thetas, bases)])
-    env = None
-    if cfg.environment is not None:
-        env = mix_target_environment(tasks, seed=cfg.seed, **cfg.environment)
 
     runs = []
     for alpha in cfg.alphas:
@@ -546,6 +549,12 @@ def _build_budgets(
     tasks: Sequence[SyntheticTask],
     env: TargetEnvironment | None,
 ) -> PreferenceVector | None:
+    """The run's budgets from the configured source, or None for methods without them.
+
+    A similarity source builds the meta input first, then hands the task
+    inputs over as a generator, so each task's histogram or row-normalized
+    embeddings is built only when it is scored, and one is held at a time.
+    """
     if cfg.source is None:
         return None
     if cfg.source == "file":
@@ -554,11 +563,11 @@ def _build_budgets(
     if cfg.source == "alpha":
         return preference_from_alpha(alpha, cfg.num_tasks, cfg.dim)
     if cfg.metric == "label":
-        task_inputs = [LabelHistogram.from_labels(t.labels.tolist()) for t in tasks]
         meta = environment_meta_labels(env, tasks)
+        task_inputs = (LabelHistogram.from_labels(t.labels.tolist()) for t in tasks)
     else:
-        task_inputs = [task_embeddings(t) for t in tasks]
         meta = environment_meta_embeddings(env, tasks)
+        task_inputs = (task_embeddings(t) for t in tasks)
     scores = similarity_vector(task_inputs, meta, cfg.metric, cfg.similarity_config)
     return preference_from_similarities(scores, cfg.dim)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class EmbeddingSet:
         arr = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or (self.columns is None and arr.shape[1] < 1):
             raise ValidationError("embeddings must form a non-empty 2-D matrix")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN and reach any inf, so two reductions
+        # without temporaries check every entry; a zero-width set has none.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValidationError("embeddings must be finite")
         if self.columns is None:
             if self.dim is not None and self.dim != arr.shape[1]:
@@ -481,12 +483,17 @@ def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
 
 
 def similarity_vector(
-    task_inputs: Sequence[Union[EmbeddingSet, LabelHistogram]],
+    task_inputs: Iterable[Union[EmbeddingSet, LabelHistogram]],
     meta: Union[EmbeddingSet, LabelHistogram],
     metric: str,
     cfg: OTConfig | None = None,
 ) -> SimilarityVector:
     """Score every task against the one meta dataset with one metric.
+
+    ``task_inputs`` may be any iterable, a one-shot generator included. The
+    meta input's type is checked first, and each task's as it arrives; each
+    task is scored before the next is asked for, so besides the meta set
+    only one task input is held at a time.
 
     For ``mmd`` the meta set's self block ``yy`` is built once, before the
     first task, and each task's ``xx`` and ``xy`` once each, for the
@@ -495,15 +502,16 @@ def similarity_vector(
     cfg = cfg or OTConfig()
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    tasks = list(task_inputs)
-    if not tasks:
-        raise ValidationError("need at least one task input")
     expected = LabelHistogram if metric == "label" else EmbeddingSet
-    for item in [*tasks, meta]:
+
+    def checked(item):
         if not isinstance(item, expected):
             raise ValidationError(
                 f"metric {metric!r} requires {expected.__name__} inputs, got {type(item).__name__}"
             )
+        return item
+
+    checked(meta)
     yy = pairwise_sq_dists(meta, meta) if metric == "mmd" else None
 
     def score(task) -> float:
@@ -517,7 +525,11 @@ def similarity_vector(
         _, mmd = _bandwidth_and_mmd(pairwise_sq_dists(task, task), yy, xy, cfg.mmd_bandwidth)
         return _exp_transform(cfg.gamma_mmd, mmd)
 
-    return SimilarityVector(tuple(score(task) for task in tasks))
+    # map keeps no reference to a task once its score is taken.
+    scores = tuple(map(score, map(checked, task_inputs)))
+    if not scores:
+        raise ValidationError("need at least one task input")
+    return SimilarityVector(scores)
 
 
 def _exp_transform(gamma: float, distance: float) -> float:

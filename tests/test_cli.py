@@ -25,7 +25,7 @@ from tvmerge import (
     read_assignment,
     write_assignment,
 )
-from tvmerge import cli, container
+from tvmerge import cli, container, harness
 from tvmerge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -670,6 +670,25 @@ class TestSim:
         )
         assert code == 3
 
+    def test_missing_later_task_exits_3_naming_it(self, tmp_path, capsys):
+        write_embeddings(tmp_path / "task1.tvc", np.ones((2, 2)))
+        missing, out = tmp_path / "missing.tvc", tmp_path / "sims.json"
+        code = main(
+            ["sim", "--metric", "mmd", "--task", str(tmp_path / "task1.tvc"), "--task", str(missing), "--meta", str(tmp_path / "task1.tvc"), "--out", str(out)]
+        )
+        assert code == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_meta_is_named_before_a_missing_task(self, tmp_path, capsys):
+        # The meta file is read first, and each task file only when it is scored.
+        task, meta, out = tmp_path / "task.tvc", tmp_path / "meta.tvc", tmp_path / "sims.json"
+        code = main(["sim", "--metric", "ot", "--task", str(task), "--meta", str(meta), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(meta) in err and str(task) not in err
+        assert not out.exists()
+
     def test_repeated_meta_exits_4(self, tmp_path, capsys):
         emb = str(tmp_path / "emb.tvc")
         write_embeddings(emb, np.ones((2, 2)))
@@ -1092,6 +1111,36 @@ class TestPipeline:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"validation error: {key} {value} is too large for a numpy array\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    # The environment is checked before the fit: with the fit made to fail, an
+    # invalid environment still exits 2 with its own message.
+    @pytest.mark.parametrize(
+        "environment, message",
+        [
+            ({"members": [1, 9], "mix": [0.5, 0.5], "total_samples": 20}, "unknown member task ids [9]"),
+            (
+                {"members": [1, 2], "mix": [0.5, 0.5], "total_samples": 2**63},
+                f"total_samples {2**63} is too large for a numpy array",
+            ),
+        ],
+        ids=["unknown member", "total_samples"],
+    )
+    def test_invalid_environment_exits_2_before_the_fit(self, tmp_path, capsys, monkeypatch, environment, message):
+        def fit(*args):
+            raise AssertionError("the suite was fitted")
+
+        monkeypatch.setattr(harness, "sequential_finetune_analog", fit)
+        config = {
+            "seed": 1,
+            "suite": {"num_tasks": 2, "dim": 8, "samples_per_task": 12},
+            "merge": {"method": "tunable", "lambda_merge": 1.0},
+            "preference": {"source": "similarity", "metric": "label"},
+            "environment": environment,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     @staticmethod
     def alpha_config(tmp_path, **suite):

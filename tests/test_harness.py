@@ -22,6 +22,7 @@ from tvmerge import (
     sequential_finetune_analog,
     tunable_merge,
 )
+from tvmerge import harness, similarity
 from tvmerge.harness import environment_meta_embeddings, task_embeddings
 from reference_pipeline import dense_embeddings, dense_fit, dense_overlapping_suite, dense_pipeline
 from reference_sinkhorn import dense_sq_dists
@@ -299,6 +300,32 @@ class TestPipeline:
         )
         budgets = report.summary["runs"][0]["budgets"]
         assert budgets[1] == max(budgets) and budgets[1] > sorted(budgets)[-2]
+
+    @pytest.mark.parametrize(
+        "metric, core", [("ot", "ot_similarity"), ("cos", "cosine_mean_distance"), ("mmd", "_bandwidth_and_mmd")]
+    )
+    def test_each_task_is_embedded_only_when_it_is_scored(self, monkeypatch, metric, core):
+        log = []
+        embed, score = harness.task_embeddings, getattr(similarity, core)
+
+        def embedded(task):
+            log.append(f"embed {task.task_id}")
+            return embed(task)
+
+        def scored(*args):
+            result = score(*args)
+            log.append("score")
+            return result
+
+        monkeypatch.setattr(harness, "task_embeddings", embedded)
+        monkeypatch.setattr(similarity, core, scored)
+        run_pipeline(
+            self.base_config(
+                preference={"source": "similarity", "metric": metric},
+                environment={"members": [2], "mix": [1.0], "total_samples": 16, "meta_fraction": 0.25},
+            )
+        )
+        assert log == ["embed 1", "score", "embed 2", "score", "embed 3", "score"]
 
     def test_alpha_sweep_rows_and_csv_schema(self):
         report = run_pipeline(self.base_config(preference={"source": "alpha", "alpha": [0.0, 2.0]}))

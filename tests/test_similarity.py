@@ -1,7 +1,9 @@
+import copy
 import itertools
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +105,19 @@ class TestEmbeddingSet:
             EmbeddingSet(np.array([1.0, 2.0]))
         with pytest.raises(ValidationError):
             EmbeddingSet(np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [(0, 0), (-1, 1), (1, -1)], ids=["first row", "last row", "last column"])
+    @pytest.mark.parametrize("columns", [None, [0, 2, 5]], ids=["dense", "given columns"])
+    def test_every_non_finite_entry_is_rejected(self, value, at, columns):
+        vectors = np.ones((4, 3))
+        vectors[at] = value
+        with pytest.raises(ValidationError, match="^embeddings must be finite$"):
+            EmbeddingSet(vectors, columns=columns, dim=None if columns is None else 6)
+
+    def test_a_zero_width_set_has_no_entry_to_check(self):
+        emb = EmbeddingSet(np.zeros((3, 0)), columns=[], dim=4)
+        assert emb.vectors.shape == (3, 0) and emb.dim == 4
 
     def test_shape_accessors(self):
         emb = EmbeddingSet(np.zeros((4, 7)))
@@ -660,3 +675,83 @@ class TestSimilarityVector:
             similarity_vector([hist], hist, "ot")
         with pytest.raises(ValidationError, match="unknown metric"):
             similarity_vector([hist], hist, "euclidean")
+
+
+# The call in which each metric's similarity_vector scores one task.
+SCORE_CORES = {"ot": "ot_similarity", "label": "label_similarity", "cos": "cosine_mean_distance", "mmd": "_bandwidth_and_mmd"}
+
+
+def one_meta_inputs(metric):
+    """Three task inputs of ``metric``'s kind and one meta input."""
+    if metric == "label":
+        tasks = [LabelHistogram.from_labels(labels) for labels in ([0, 1, 1], [1, 2], [3])]
+        return tasks, LabelHistogram.from_labels([1, 2, 2])
+    rng = np.random.default_rng(41)
+    tasks = [EmbeddingSet(rng.normal(size=(5, 3)) + i) for i in range(3)]
+    return tasks, EmbeddingSet(rng.normal(size=(4, 3)))
+
+
+class TestOneTaskAtATime:
+    @pytest.mark.parametrize("metric", similarity.METRICS)
+    def test_each_task_is_scored_before_the_next_is_asked_for(self, monkeypatch, metric):
+        tasks, meta = one_meta_inputs(metric)
+        want = similarity_vector(tasks, meta, metric)
+        log = []
+        core = getattr(similarity, SCORE_CORES[metric])
+
+        def logged(*args):
+            result = core(*args)
+            log.append("scored")
+            return result
+
+        def produced():
+            for k, task in enumerate(tasks):
+                log.append(f"task {k}")
+                yield task
+
+        monkeypatch.setattr(similarity, SCORE_CORES[metric], logged)
+        assert similarity_vector(produced(), meta, metric) == want
+        assert log == ["task 0", "scored", "task 1", "scored", "task 2", "scored"]
+
+    # LabelHistogram has slots and no weak references; the embedding sets are what take memory.
+    @pytest.mark.parametrize("metric", ["ot", "cos", "mmd"])
+    def test_a_scored_task_is_let_go_before_the_next_is_made(self, metric):
+        tasks, meta = one_meta_inputs(metric)
+        made = []
+
+        def remembered(task):
+            made.append(weakref.ref(task))
+            return task
+
+        def produced():
+            for task in tasks:
+                assert [ref() for ref in made] == [None] * len(made)
+                yield remembered(copy.copy(task))
+
+        assert similarity_vector(produced(), meta, metric) == similarity_vector(tasks, meta, metric)
+        assert len(made) == len(tasks)
+
+    @pytest.mark.parametrize("metric", similarity.METRICS)
+    def test_an_empty_iterable_is_rejected(self, metric):
+        _, meta = one_meta_inputs(metric)
+        with pytest.raises(ValidationError, match="^need at least one task input$"):
+            similarity_vector(iter(()), meta, metric)
+
+    def test_a_wrongly_typed_task_after_valid_ones_is_rejected(self):
+        emb = EmbeddingSet(np.ones((2, 2)))
+        tasks = (item for item in (emb, emb, LabelHistogram.from_labels([1])))
+        with pytest.raises(ValidationError) as excinfo:
+            similarity_vector(tasks, emb, "ot")
+        assert str(excinfo.value) == "metric 'ot' requires EmbeddingSet inputs, got LabelHistogram"
+
+    def test_a_wrongly_typed_meta_is_rejected_before_any_task_is_asked_for(self):
+        asked = []
+
+        def produced():
+            asked.append(True)
+            yield EmbeddingSet(np.ones((2, 2)))
+
+        with pytest.raises(ValidationError) as excinfo:
+            similarity_vector(produced(), LabelHistogram.from_labels([1]), "mmd")
+        assert str(excinfo.value) == "metric 'mmd' requires EmbeddingSet inputs, got LabelHistogram"
+        assert asked == []
