@@ -12,6 +12,7 @@ import logging
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,10 +22,7 @@ from .container import (
     LayoutReader,
     _reject_nan,
     _write_records,
-    apply_task_vector,
-    compute_task_vector,
     decode_container,
-    encode_container,
 )
 from .errors import (
     ConfigError,
@@ -37,6 +35,7 @@ from .merging import (
     MERGE_METHODS,
     RESIDUAL_RANDOM,
     Rows,
+    _lockstep,
     assignment_census,
     merge,
     read_assignment,
@@ -149,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_taskvec(args) -> int:
-    theta = decode_container(args.theta)
-    theta0 = decode_container(args.theta0)
-    encode_container(compute_task_vector(theta, theta0), args.out)
+    _combine(args.theta, args.theta0, np.subtract, args.out)
     return EXIT_OK
 
 
@@ -200,9 +197,10 @@ def cmd_merge(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    theta0 = decode_container(args.theta0)
-    tau = decode_container(args.tau)
-    encode_container(apply_task_vector(theta0, tau, args.lambda_merge), args.out)
+    if not 0.0 <= args.lambda_merge <= 1.0:
+        raise ValidationError(f"lambda_merge {args.lambda_merge} outside [0, 1]")
+    lam = np.float32(args.lambda_merge)
+    _combine(args.theta0, args.tau, lambda base, tau, out: np.add(base, lam * tau, out=out), args.out)
     return EXIT_OK
 
 
@@ -289,6 +287,30 @@ def _task_rows(paths: list[str]) -> tuple[LayoutReader, Rows]:
     """
     reader = LayoutReader(paths[0])
     return reader, Rows(len(paths), reader.num_elements, lambda task: reader.blocks(paths[task]))
+
+
+def _combine(first: str, second: str, combine: Callable[..., np.ndarray], out: str) -> None:
+    """Write ``combine(a, b)`` to ``out``, where ``a`` and ``b`` are the float32 vectors of
+    the containers ``first`` and ``second``, which must share one layout.
+
+    Both files are streamed through the merge's reader in lockstep: each
+    block of ``a`` is copied into the result, and the block of ``b`` is
+    combined into it before the shared block buffer is refilled. So one
+    vector is held, and a fault is reported as ``merge`` reports it. The
+    result is checked for NaN, then written with the first file's header
+    bytes once both files are read, so ``out`` may name an input.
+    """
+    layout, rows = _task_rows([first, second])
+    result = np.empty(rows.dim, dtype=np.float32)
+    # Opposite infinities make a NaN, which is rejected below, not warned of.
+    with np.errstate(invalid="ignore"):
+        for block, task, piece in _lockstep(rows):
+            if task == 0:
+                result[block] = piece
+            else:
+                combine(result[block], piece, out=result[block])
+    _reject_nan(layout.specs, result)
+    _write_records(layout.records(result), len(layout.specs), DTYPE_F32, out)
 
 
 def _write_census(census: np.ndarray, out: str | None) -> None:

@@ -23,19 +23,19 @@ decode; selection by absolute magnitude is undefined with NaN present.
 
 Every TVC1 file, whether a container, a merge input or an assignment
 side-file, is read by one :class:`LayoutReader`. It takes a path or a
-seekable binary stream and parses the headers first, from windows of
-``_WINDOW`` bytes that it seeks between over large payloads, so every
-declared length is checked against the stream's size before anything is
-allocated for it. It then streams files that must hold that layout: each
-file is read in steps of at most ``_IOV_MAX`` buffers (its header bytes
-into a staging copy, its payloads straight into a block buffer), one
-``os.readv`` per step for a path, and each step's header bytes are
-compared with the first file's in one comparison. A file that does not
-match is explained from its headers alone. :func:`decode_container` and
-:func:`tvmerge.merging.read_assignment` read the first file itself as one
-block, so each payload goes straight into its slice of one vector.
-Writers take each record's header bytes with its payload, so a merge
-writes the header bytes it read rather than encoding them again.
+seekable binary stream and parses the headers first, through a buffered
+reader that seeks over the payloads, so every declared length is checked
+against the stream's size before anything is allocated for it. It then
+streams files that must hold that layout: each file is read in steps of
+at most ``_IOV_MAX`` buffers (its header bytes into a staging copy, its
+payloads straight into a block buffer), one ``os.readv`` per step for a
+path, and each step's header bytes are compared with the first file's in
+one comparison. A file that does not match is explained from its headers
+alone. :func:`decode_container` and :func:`tvmerge.merging.read_assignment`
+read the first file itself as one block, so each payload goes straight
+into its slice of one vector. Writers take each record's header bytes
+with its payload, so a merge writes the header bytes it read rather than
+encoding them again.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ _BLOCK = 2**16
 
 #: Buffers per ``os.readv`` call: Linux's ``IOV_MAX``.
 _IOV_MAX = 1024
-
-#: Bytes per window of the header parse, where its records are small.
-_WINDOW = 2**17
 
 #: Bytes a writer gathers before it writes, so that many small records make few
 #: writes; a block of payload is larger, and goes out without a copy.
@@ -188,27 +185,6 @@ class ParameterSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{spec.name}{spec.dims}" for spec in self._specs)
         return f"{type(self).__name__}({inner})"
-
-
-def compute_task_vector(theta_t: ParameterSet, theta_0: ParameterSet) -> ParameterSet:
-    """Element-wise ``theta_t - theta_0`` in float32, exact per IEEE-754."""
-    _require_same_layout(theta_t, theta_0)
-    return ParameterSet._of(theta_t.specs, theta_t.flat() - theta_0.flat())
-
-
-def apply_task_vector(
-    theta_0: ParameterSet, tau: ParameterSet, lambda_merge: float
-) -> ParameterSet:
-    """Return ``theta_0 + lambda_merge * tau`` in float32.
-
-    ``lambda_merge`` must lie in [0, 1]; 1.0 reproduces a fine-tuned model
-    bit-exactly when the subtraction that produced ``tau`` was exact.
-    """
-    if not (0.0 <= lambda_merge <= 1.0):
-        raise ValidationError(f"lambda_merge {lambda_merge} outside [0, 1]")
-    _require_same_layout(theta_0, tau)
-    lam = np.float32(lambda_merge)
-    return ParameterSet._of(theta_0.specs, theta_0.flat() + lam * tau.flat())
 
 
 def encode_container(pset: ParameterSet, destination: Source) -> None:
@@ -412,101 +388,87 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, 
 
     Returns the records' specs, their header bytes as read (the prefix of
     magic, version and tensor count, then each record's name length through
-    dims, end to end), and the size of each record's header. The stream is
-    read in windows of ``_WINDOW`` bytes; a window is refilled from the next
-    header on when it does not hold what that header needs, so payloads it
-    does not hold are sought over, not read. Past a payload of a window or
-    more, a refill reads only what the header needs, so a file of large
-    records costs a few small reads per header. Each declared length is
-    checked against the bytes left in the stream first. The stream must be
-    seekable.
+    dims, end to end), and the size of each record's header. Each record is
+    read in three pieces: its name length, its name with its dtype code and
+    ndim, and its dims; its payload is sought over, not read. An unbuffered
+    stream is read through an ``io.BufferedReader``, so small records cost
+    one read of the stream per buffer, and large ones one read per header.
+    Each declared length is checked against the bytes left in the stream
+    first. The stream must be seekable, and is left at no particular
+    position.
     """
-    base = stream.tell()
+    if isinstance(stream, io.RawIOBase):
+        buffered = io.BufferedReader(stream)
+        try:
+            return _read_headers(buffered, dtype_code)
+        finally:
+            buffered.detach()  # the caller's stream stays open
+    pos = stream.tell()
     end = stream.seek(0, io.SEEK_END)
-    stream.seek(base)
-    # `window` holds the stream's bytes from `base` on; `at` is an offset in it.
-    window = stream.read(min(_WINDOW, end - base))
+    stream.seek(pos)
 
     def short(what: str) -> CodecError:
         return CodecError(f"unexpected end of stream while reading {what}")
 
-    if len(window) < 4:
+    prefix = stream.read(_PREFIX_SIZE)
+    if len(prefix) < 4:
         raise short("magic")
-    if window[:4] != MAGIC:
-        raise CodecError(f"bad magic {window[:4]!r}")
-    if len(window) < 5:
+    if prefix[:4] != MAGIC:
+        raise CodecError(f"bad magic {prefix[:4]!r}")
+    if len(prefix) < 5:
         raise short("version")
-    if window[4] != VERSION:
-        raise CodecError(f"unsupported version {window[4]}")
-    if len(window) < _PREFIX_SIZE:
+    if prefix[4] != VERSION:
+        raise CodecError(f"unsupported version {prefix[4]}")
+    if len(prefix) < _PREFIX_SIZE:
         raise short("tensor count")
-    (count,) = _U32.unpack_from(window, 5)
+    (count,) = _U32.unpack_from(prefix, 5)
     if count == 0:
         raise CodecError("empty container")
     itemsize = _NUMPY_DTYPES[dtype_code].itemsize
-    headers, sizes = bytearray(window[:_PREFIX_SIZE]), []
+    headers, sizes = bytearray(prefix), []
     names: list[str] = []
     shapes: list[tuple[int, ...]] = []
     seen: set[str] = set()
-    at = _PREFIX_SIZE
-
-    def fill(nbytes: int, ahead: int) -> None:
-        """Refill the window from ``at`` on, unless it reaches the end: with ``nbytes``,
-        at least ``ahead``, or the rest of the stream. Called where the window does not
-        hold ``nbytes`` from ``at`` on."""
-        nonlocal window, base, at
-        if base + len(window) < end:
-            base += at
-            stream.seek(base)
-            window, at = stream.read(min(max(nbytes, ahead), end - base)), 0
-
-    payload = 0
+    pos += _PREFIX_SIZE
     for _ in range(count):
-        # Past a payload of a window or more, the next header is likely as far,
-        # so a refill reads only what this one needs: 2 bytes, then its name,
-        # dtype code and ndim, then its dims. Otherwise it reads a window,
-        # which holds the next headers too.
-        ahead = 0 if payload >= _WINDOW else _WINDOW
-        if len(window) - at < 2:
-            fill(2, ahead)
-            if len(window) - at < 2:
-                raise short("name length")
-        name_end = 2 + _U16.unpack_from(window, at)[0]
-        if len(window) - at < name_end + 2:
-            fill(name_end + 2, ahead)
-        if len(window) - at < name_end:
+        length = stream.read(2)
+        if len(length) < 2:
+            raise short("name length")
+        (name_size,) = _U16.unpack(length)
+        named = stream.read(name_size + 2)
+        if len(named) < name_size:
             raise short("name")
         try:
-            name = str(window[at + 2 : at + name_end], "utf-8")
+            name = str(named[:name_size], "utf-8")
         except UnicodeDecodeError:
             raise CodecError("tensor name is not valid UTF-8") from None
         if name in seen:
             raise CodecError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        if len(window) - at < name_end + 2:
+        if len(named) < name_size + 2:
             raise short("dtype/ndim")
-        code, ndim = window[at + name_end], window[at + name_end + 1]
+        code, ndim = named[name_size], named[name_size + 1]
         if code != dtype_code:
             raise CodecError(f"tensor {name!r}: unsupported dtype code {code}")
         if ndim == 0:
             raise CodecError(f"tensor {name!r}: zero-dimensional tensor")
-        size = name_end + 2 + 8 * ndim
-        if len(window) - at < size:
-            fill(size, ahead)
-            if len(window) - at < size:
-                raise short("dims")
-        dims = _DIMS[ndim].unpack_from(window, at + name_end + 2)
+        packed = stream.read(8 * ndim)
+        if len(packed) < 8 * ndim:
+            raise short("dims")
+        dims = _DIMS[ndim].unpack(packed)
         if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
+        size = 4 + name_size + 8 * ndim
         payload = math.prod(dims) * itemsize
-        if payload > end - base - at - size:
+        pos += size
+        if payload > end - pos:
             raise short(f"payload of {name!r}")
-        headers += window[at : at + size]
+        headers += length + named + packed
         sizes.append(size)
         names.append(name)
         shapes.append(dims)
-        at += size + payload
-    if base + at != end:
+        pos = stream.seek(pos + payload)
+    if pos != end:
         raise CodecError("trailing data after last record")
     return tuple(map(TensorSpec, names, shapes)), headers, sizes
 
@@ -578,7 +540,3 @@ def _opened(target: Source, mode: str) -> Iterator[BinaryIO]:
     else:
         yield target
 
-
-def _require_same_layout(a: ParameterSet, b: ParameterSet) -> None:
-    if not a.same_layout(b):
-        raise ShapeMismatchError(f"shape mismatch: layouts differ ({a!r} vs {b!r})")

@@ -284,10 +284,12 @@ def read_assignment(source) -> Assignment:
     try:
         owner = records["owner"]
         provenance = records["provenance"]
-        num_tasks = int(records["num_tasks"][0])
+        num_tasks = records["num_tasks"]
     except KeyError as missing:
         raise ValidationError(f"assignment file lacks record {missing}") from None
-    return Assignment(owner, provenance, num_tasks)
+    if num_tasks.size != 1:
+        raise ValidationError(f"assignment file record 'num_tasks' holds {num_tasks.size} values, not 1")
+    return Assignment(owner, provenance, num_tasks.item())
 
 
 def _owner_dtype(num_tasks: int) -> np.dtype:

@@ -27,6 +27,7 @@ from tvmerge import (
 )
 from tvmerge import cli, container, harness
 from tvmerge.cli import main
+from tvmerge.container import DTYPE_U16
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,34 +47,6 @@ def tunable_merge_exit(tmp_path, flag, path):
         write_container(tau, [1.0, -2.0, 3.0, 4.0])
     argv = ["merge", "--method", "tunable", "--seed", "1", flag, str(path), "--out", str(tmp_path / "m.tvc")]
     return main([*argv, *map(str, paths)])
-
-
-class TestTaskvec:
-    def test_success(self, tmp_path):
-        write_container(tmp_path / "theta.tvc", [3.0, 5.0])
-        write_container(tmp_path / "theta0.tvc", [1.0, 2.0])
-        out = tmp_path / "tau.tvc"
-        code = main(
-            ["taskvec", "--theta", str(tmp_path / "theta.tvc"), "--theta0", str(tmp_path / "theta0.tvc"), "--out", str(out)]
-        )
-        assert code == 0
-        assert decode_container(out).tensor("w").tolist() == [2.0, 3.0]
-
-    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
-        write_container(tmp_path / "a.tvc", [1.0, 2.0])
-        write_container(tmp_path / "b.tvc", [1.0, 2.0, 3.0])
-        code = main(
-            ["taskvec", "--theta", str(tmp_path / "a.tvc"), "--theta0", str(tmp_path / "b.tvc"), "--out", str(tmp_path / "out.tvc")]
-        )
-        assert code == 2
-        assert "shape" in capsys.readouterr().err
-
-    def test_missing_file_exits_3(self, tmp_path):
-        write_container(tmp_path / "a.tvc", [1.0])
-        code = main(
-            ["taskvec", "--theta", str(tmp_path / "a.tvc"), "--theta0", str(tmp_path / "missing.tvc"), "--out", str(tmp_path / "out.tvc")]
-        )
-        assert code == 3
 
 
 class TestMerge:
@@ -588,7 +561,156 @@ class TestMergeStreamsBlocks:
         assert peak < bound * dim * 4
 
 
-class TestApply:
+# taskvec and apply stream both inputs in lockstep through the merge's
+# reader. With 8-element blocks, these 21 elements (tensors at offsets 0, 3
+# and 10) cross block boundaries, and the last block is short.
+PAIR_LAYOUT = (("a", (3,)), ("b", (7,)), ("c", (11,)))
+
+
+def pair_records(seed):
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(scale=100, size=dims).astype("<f4") for _, dims in PAIR_LAYOUT]
+    return [{"name": name.encode(), "code": 0, "dims": dims, "values": v} for (name, dims), v in zip(PAIR_LAYOUT, values)]
+
+
+def write_pair(directory, first=None, second=None):
+    """Two inputs of PAIR_LAYOUT (``first`` and ``second`` override their bytes)."""
+    paths = [directory / "first.tvc", directory / "second.tvc"]
+    for seed, (path, raw) in enumerate(zip(paths, (first, second))):
+        path.write_bytes(raw_container(pair_records(seed)) if raw is None else raw)
+    return paths
+
+
+# Faults in either input and their stderr (exit 2): the first met in lockstep
+# order, as merge reports them.
+PAIR_FAULTS = {
+    "other layout": (lambda r: edited(r, 1, dims=(1, 7)), "shape mismatch: {second} has a different layout"),
+    "NaN": (lambda r: with_nans(r, ("b", 6)), "tensor 'b': NaN payload rejected"),
+    "truncated payload": (lambda r: raw_container(r)[:-1], "unexpected end of stream while reading payload of 'c'"),
+}
+
+
+class StreamsBothInputs:
+    """Checks shared by taskvec and apply, which write ``combine(first, second)``."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(container, "_BLOCK", 8)
+
+    def test_small_blocks_write_what_the_library_arithmetic_writes(self, tmp_path):
+        paths = write_pair(tmp_path)
+        out = tmp_path / "out.tvc"
+        assert main(self.argv(*paths, out)) == 0
+        first, second = (decode_container(path) for path in paths)
+        want = io.BytesIO()
+        encode_container(first.with_flat(self.combine(first.flat(), second.flat())), want)
+        assert out.read_bytes() == want.getvalue()
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("fault", PAIR_FAULTS)
+    def test_fault_in_either_input_exits_2_naming_it(self, tmp_path, capsys, fault, position):
+        build, message = PAIR_FAULTS[fault]
+        raws = [None, None]
+        raws[position] = build(pair_records(position))
+        paths = write_pair(tmp_path, *raws)
+        out = tmp_path / "out.tvc"
+        assert main(self.argv(*paths, out)) == 2
+        assert capsys.readouterr().err == f"validation error: {message.format(second=paths[1])}\n"
+        assert not out.exists()
+
+    # Of two faults, the first met in lockstep order is reported: the NaN in
+    # block 0 of the second input, not the one in the last block of the first.
+    def test_the_first_fault_met_in_lockstep_order_is_reported(self, tmp_path, capsys):
+        paths = write_pair(tmp_path, with_nans(pair_records(0), ("c", 10)), with_nans(pair_records(1), ("a", 0)))
+        assert main(self.argv(*paths, tmp_path / "out.tvc")) == 2
+        assert capsys.readouterr().err == "validation error: tensor 'a': NaN payload rejected\n"
+
+    # The result is written only after both inputs are read.
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+    def test_out_may_name_an_input(self, tmp_path, position):
+        paths = write_pair(tmp_path)
+        assert main(self.argv(*paths, tmp_path / "out.tvc")) == 0
+        assert main(self.argv(*paths, paths[position])) == 0
+        assert paths[position].read_bytes() == (tmp_path / "out.tvc").read_bytes()
+
+    # Peak traced allocation over inputs of d=2**20 elements, at the default
+    # block: the result vector, the reader's block buffer and, in apply, one
+    # block of scaled tau. A whole-container decode and encode held about
+    # three vectors.
+    def test_peak_allocation(self, tmp_path, monkeypatch):
+        monkeypatch.undo()  # of small_blocks
+        dim, split = 2**20, 3 * 40_000  # tensor "a" crosses a block boundary
+        rng = np.random.default_rng(8)
+        paths = [tmp_path / "first.tvc", tmp_path / "second.tvc"]
+        for path in paths:
+            flat = rng.normal(size=dim).astype(np.float32)
+            encode_container(ParameterSet([("a", flat[:split].reshape(3, -1)), ("b", flat[split:])]), path)
+        del flat
+        tracemalloc.start()
+        try:
+            assert main(self.argv(*paths, tmp_path / "out.tvc")) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * dim * 4 + container._BLOCK * 4
+
+
+class TestTaskvec(StreamsBothInputs):
+    combine = staticmethod(np.subtract)
+
+    @staticmethod
+    def argv(theta, theta0, out):
+        return ["taskvec", "--theta", str(theta), "--theta0", str(theta0), "--out", str(out)]
+
+    def test_success(self, tmp_path):
+        write_container(tmp_path / "theta.tvc", [3.0, 5.0])
+        write_container(tmp_path / "theta0.tvc", [1.0, 2.0])
+        out = tmp_path / "tau.tvc"
+        code = main(
+            ["taskvec", "--theta", str(tmp_path / "theta.tvc"), "--theta0", str(tmp_path / "theta0.tvc"), "--out", str(out)]
+        )
+        assert code == 0
+        assert decode_container(out).tensor("w").tolist() == [2.0, 3.0]
+
+    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
+        write_container(tmp_path / "a.tvc", [1.0, 2.0])
+        write_container(tmp_path / "b.tvc", [1.0, 2.0, 3.0])
+        code = main(
+            ["taskvec", "--theta", str(tmp_path / "a.tvc"), "--theta0", str(tmp_path / "b.tvc"), "--out", str(tmp_path / "out.tvc")]
+        )
+        assert code == 2
+        assert "shape" in capsys.readouterr().err
+
+    def test_missing_file_exits_3(self, tmp_path):
+        write_container(tmp_path / "a.tvc", [1.0])
+        code = main(
+            ["taskvec", "--theta", str(tmp_path / "a.tvc"), "--theta0", str(tmp_path / "missing.tvc"), "--out", str(tmp_path / "out.tvc")]
+        )
+        assert code == 3
+
+    def test_identical_models_give_positive_zeros(self, tmp_path):
+        records = pair_records(0)
+        records[0]["values"][1] = -0.0
+        paths = write_pair(tmp_path, raw_container(records), raw_container(records))
+        out = tmp_path / "tau.tvc"
+        assert main(self.argv(*paths, out)) == 0
+        assert not decode_container(out).flat().view(np.uint32).any()
+
+    def test_infinity_minus_infinity_exits_2(self, tmp_path, capsys):
+        write_container(tmp_path / "a.tvc", [1.0, np.inf])
+        out = tmp_path / "tau.tvc"
+        assert main(self.argv(tmp_path / "a.tvc", tmp_path / "a.tvc", out)) == 2
+        assert capsys.readouterr().err == "validation error: tensor 'w': NaN payload rejected\n"
+        assert not out.exists()
+
+
+class TestApply(StreamsBothInputs):
+    combine = staticmethod(lambda base, tau: base + np.float32(0.3) * tau)
+
+    @staticmethod
+    def argv(theta0, tau, out, lambda_merge="0.3"):
+        return ["apply", "--theta0", str(theta0), "--tau", str(tau), "--out", str(out), "--lambda-merge", lambda_merge]
+
     def test_apply_half(self, tmp_path):
         write_container(tmp_path / "theta0.tvc", [1.0, 1.0])
         write_container(tmp_path / "tau.tvc", [2.0, 4.0])
@@ -606,6 +728,39 @@ class TestApply:
             ["apply", "--theta0", str(tmp_path / "theta0.tvc"), "--tau", str(tmp_path / "tau.tvc"), "--out", str(tmp_path / "o.tvc"), "--lambda-merge", "1.5"]
         )
         assert code == 2
+
+    def test_lambda_zero_keeps_the_base_bitwise(self, tmp_path):
+        paths = write_pair(tmp_path)
+        out = tmp_path / "theta.tvc"
+        assert main(self.argv(*paths, out, "0")) == 0
+        assert out.read_bytes() == paths[0].read_bytes()
+
+    def test_lambda_one_recovers_the_fine_tuned_model_bitwise(self, tmp_path):
+        # Integer values, so that tau = tuned - base is exact.
+        pairs = [pair_records(seed) for seed in (0, 1)]
+        for record in pairs[0] + pairs[1]:
+            record["values"] = np.round(record["values"])
+        base, tuned = write_pair(tmp_path, *map(raw_container, pairs))
+        tau, out = tmp_path / "tau.tvc", tmp_path / "theta.tvc"
+        assert main(TestTaskvec.argv(tuned, base, tau)) == 0
+        assert main(self.argv(base, tau, out, "1")) == 0
+        assert out.read_bytes() == tuned.read_bytes()
+
+    # λ is checked before any input is read, so a missing input does not hide it.
+    @pytest.mark.parametrize("lambda_merge", ["-0.1", "1.1", "nan"])
+    def test_lambda_outside_0_1_exits_2_before_reading(self, tmp_path, capsys, lambda_merge):
+        out = tmp_path / "theta.tvc"
+        assert main(self.argv(tmp_path / "missing.tvc", tmp_path / "missing.tvc", out, lambda_merge)) == 2
+        assert capsys.readouterr().err == f"validation error: lambda_merge {float(lambda_merge)} outside [0, 1]\n"
+        assert not out.exists()
+
+    def test_opposite_infinities_exit_2(self, tmp_path, capsys):
+        write_container(tmp_path / "base.tvc", [1.0, np.inf])
+        write_container(tmp_path / "tau.tvc", [1.0, -np.inf])
+        out = tmp_path / "theta.tvc"
+        assert main(self.argv(tmp_path / "base.tvc", tmp_path / "tau.tvc", out)) == 2
+        assert capsys.readouterr().err == "validation error: tensor 'w': NaN payload rejected\n"
+        assert not out.exists()
 
 
 class TestSim:
@@ -905,6 +1060,16 @@ class TestCensus:
         code = main(["census", "--assignment", str(tmp_path / "m.tvc.assignment.tvc")])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"counts": [1, 2]}
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2)], ids=["2", "2x2"])
+    def test_num_tasks_of_more_than_one_value_exits_2(self, tmp_path, capsys, shape):
+        maps = {"owner": np.array([1, 2]), "provenance": np.array([1, 1]), "num_tasks": np.full(shape, 2)}
+        records = [(container._record_header(name, DTYPE_U16, a.shape), a) for name, a in maps.items()]
+        path = tmp_path / "m.assignment.tvc"
+        container._write_records(records, len(records), DTYPE_U16, path)
+        assert main(["census", "--assignment", str(path)]) == 2
+        size = math.prod(shape)
+        assert capsys.readouterr().err == f"validation error: assignment file record 'num_tasks' holds {size} values, not 1\n"
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
