@@ -119,6 +119,11 @@ def generate_task_suite(
     task. Overlapping mode slides windows of width L over the indices so
     consecutive supports share ``overlap`` coordinates; the window width
     must come out integral, i.e. T must divide d + (T - 1) * overlap.
+
+    Each task draws from its own keyed stream, in order, its true
+    parameters, its center's direction and its design's standard normal
+    entries; the center is added to the design in place, so each design
+    is built in one array.
     """
     if num_tasks < 1 or dim < 1:
         raise ValidationError("num_tasks and dim must be >= 1")
@@ -151,7 +156,9 @@ def generate_task_suite(
         width = support.size
         truth = rng.normal(size=width)
         center = cluster_separation * _unit(rng.normal(size=width))
-        restricted = center[None, :] + rng.normal(size=(samples_per_task, width))
+        # Addition commutes, so these are the bits of ``center + normal``.
+        restricted = rng.normal(size=(samples_per_task, width))
+        restricted += center
         targets = restricted @ truth
         if noise_sigma > 0:
             with np.errstate(over="ignore"):

@@ -178,6 +178,10 @@ class SinkhornResult(NamedTuple):
     iterations: int
 
 
+# Entries of the temporary that finishes a distance block: 64 KiB.
+_FINISH_ENTRIES = 1 << 13
+
+
 def pairwise_sq_dists(
     x: Union[EmbeddingSet, np.ndarray], y: Union[EmbeddingSet, np.ndarray]
 ) -> np.ndarray:
@@ -188,25 +192,42 @@ def pairwise_sq_dists(
     over its set's columns and the cross term over the columns both sets
     hold, aligned by index. A plain array is read as a dense set, so sets
     without an all-zero column take the plain dense formula.
+
+    Raises DegenerateInputError when a distance overflows float64 (rows
+    of about 1e154 or more), so no inf or NaN reaches a score.
     """
     same = y is x
     x = _as_set(x)
     y = x if same else _as_set(y)
     if x.dim != y.dim:
         raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
-    if y is x:
-        # One array on both sides, so that ``m @ m.T`` takes the symmetric product.
-        sq_x = sq_y = _sq_norms(x.vectors)
-        cross = x.vectors @ x.vectors.T
-    else:
-        sq_x = _sq_norms(x.vectors)
-        sq_y = _sq_norms(y.vectors)
-        cross = _on_columns(x, y.columns) @ _on_columns(y, x.columns).T
-    # In place, so that the product is the one temporary besides the result.
-    cross *= 2.0
-    out = sq_x[:, None] + sq_y[None, :]
-    out -= cross
-    return np.maximum(out, 0.0, out=out)
+    # An overflow is caught below, one reduction per finished block, so
+    # numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if y is x:
+            # One array on both sides, so that ``m @ m.T`` takes the symmetric product.
+            sq_x = sq_y = _sq_norms(x.vectors)
+            out = x.vectors @ x.vectors.T
+        else:
+            sq_x = _sq_norms(x.vectors)
+            sq_y = _sq_norms(y.vectors)
+            out = _on_columns(x, y.columns) @ _on_columns(y, x.columns).T
+        # ``(sq_x + sq_y) - 2 * cross`` is finished in the product's own
+        # buffer a few rows at a time, through one small temporary, so the
+        # result is the only n x m array.
+        out *= 2.0
+        rows = max(1, _FINISH_ENTRIES // out.shape[1])
+        norm_sums = np.empty((rows, out.shape[1]))
+        for start in range(0, out.shape[0], rows):
+            block = out[start : start + rows]
+            sums = np.add(sq_x[start : start + rows, None], sq_y[None, :], out=norm_sums[: len(block)])
+            np.maximum(np.subtract(sums, block, out=block), 0.0, out=block)
+            # max propagates NaN and reaches any inf. A -inf (twice the
+            # cross term rounding past the largest float while the norms'
+            # sum does not) is clamped to 0, which is then the distance.
+            if not math.isfinite(block.max()):
+                raise DegenerateInputError("squared distances overflow float64: the embeddings are too large")
+    return out
 
 
 def _as_set(m: Union[EmbeddingSet, np.ndarray]) -> EmbeddingSet:
@@ -257,7 +278,10 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
     """
     cfg = cfg or OTConfig()
     cost = pairwise_sq_dists(x, y)
-    scale = float(cost.mean())
+    with np.errstate(over="ignore"):
+        scale = float(cost.mean())
+    if scale == math.inf:
+        raise DegenerateInputError("the mean transport cost overflows float64: the embeddings are too large")
     if scale == 0.0:
         return SinkhornResult(0.0, True, 0)
 
@@ -374,11 +398,16 @@ def cosine_mean_distance(x: EmbeddingSet, y: EmbeddingSet) -> float:
         raise ValidationError(f"embedding dims differ: {x.dim} vs {y.dim}")
     mean_x = _mean_row(x)
     mean_y = _mean_row(y)
-    norm_x = np.linalg.norm(mean_x)
-    norm_y = np.linalg.norm(mean_y)
-    if norm_x == 0.0 or norm_y == 0.0:
-        raise DegenerateInputError("zero-norm mean")
-    cosine = float(mean_x @ mean_y / (norm_x * norm_y))
+    # An overflow is raised below; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore"):
+        norm_x = np.linalg.norm(mean_x)
+        norm_y = np.linalg.norm(mean_y)
+        norms = norm_x * norm_y
+        if norm_x == 0.0 or norm_y == 0.0:
+            raise DegenerateInputError("zero-norm mean")
+        if norms == math.inf:
+            raise DegenerateInputError("the mean norms' product overflows float64: the embeddings are too large")
+        cosine = float(mean_x @ mean_y / norms)
     return min(max(1.0 - cosine, 0.0), 2.0)
 
 
@@ -459,7 +488,8 @@ def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
     that no index or mask is built, and partitioned there about their
     middle. The square root is monotone and correctly rounded, so only the
     one or two middle entries need it; they are averaged as ``np.median``
-    averages them, and a NaN entry makes the median NaN, as there.
+    averages them. The blocks are finite: ``pairwise_sq_dists`` raises on
+    an overflow.
     """
     n, m = xy.shape
     pooled = np.empty(n * (n - 1) // 2 + m * (m - 1) // 2 + n * m)
@@ -472,9 +502,6 @@ def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
     pooled[filled:] = xy.ravel()
     half = pooled.size // 2
     pooled.partition(half)
-    # The partition puts NaNs last, so the upper half holds any there are.
-    if np.isnan(pooled[half:].max()):
-        return 1.0
     median = np.sqrt(pooled[half])
     if pooled.size % 2 == 0:
         median = (np.sqrt(pooled[:half].max()) + median) / 2.0
@@ -492,12 +519,15 @@ def similarity_vector(
 
     ``task_inputs`` may be any iterable, a one-shot generator included. The
     meta input's type is checked first, and each task's as it arrives; each
-    task is scored before the next is asked for, so besides the meta set
-    only one task input is held at a time.
+    task is scored before the next is asked for, and let go before then, so
+    besides the meta set at most one task input is held at a time.
 
     For ``mmd`` the meta set's self block ``yy`` is built once, before the
-    first task, and each task's ``xx`` and ``xy`` once each, for the
+    first task, and each task's ``xy`` and ``xx`` once each, for the
     bandwidth and the kernel means alike: 2T+1 distance blocks for T tasks.
+    The task is let go as soon as its two blocks exist, so one that the
+    caller does not hold (a generator's) is freed before the median's
+    pooled copy is made.
     """
     cfg = cfg or OTConfig()
     if metric not in METRICS:
@@ -514,19 +544,25 @@ def similarity_vector(
     checked(meta)
     yy = pairwise_sq_dists(meta, meta) if metric == "mmd" else None
 
-    def score(task) -> float:
+    def score(item) -> float:
         if metric == "ot":
-            return ot_similarity(task, meta, cfg)
+            return ot_similarity(item, meta, cfg)
         if metric == "label":
-            return label_similarity(task, meta)
+            return label_similarity(item, meta)
         if metric == "cos":
-            return _exp_transform(cfg.gamma_cos, cosine_mean_distance(task, meta))
-        xy = pairwise_sq_dists(task, meta)
-        _, mmd = _bandwidth_and_mmd(pairwise_sq_dists(task, task), yy, xy, cfg.mmd_bandwidth)
+            return _exp_transform(cfg.gamma_cos, cosine_mean_distance(item, meta))
+        xy, xx = item
+        _, mmd = _bandwidth_and_mmd(xx, yy, xy, cfg.mmd_bandwidth)
         return _exp_transform(cfg.gamma_mmd, mmd)
 
-    # map keeps no reference to a task once its score is taken.
-    scores = tuple(map(score, map(checked, task_inputs)))
+    scores = []
+    for item in map(checked, task_inputs):
+        if metric == "mmd":
+            # The task's blocks replace it, the last reference this loop holds.
+            item = pairwise_sq_dists(item, meta), pairwise_sq_dists(item, item)
+        scores.append(score(item))
+        # Let go before the next task is made.
+        del item
     if not scores:
         raise ValidationError("need at least one task input")
     return SimilarityVector(scores)

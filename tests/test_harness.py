@@ -63,6 +63,19 @@ class TestSuiteGeneration:
         c, _ = generate_task_suite(3, 12, "disjoint", 16, seed=6)
         assert not np.array_equal(a[0].restricted, c[0].restricted)
 
+    @pytest.mark.parametrize("separation", [3.0, 0.7])
+    def test_each_design_is_center_plus_normal_from_its_keyed_stream(self, separation):
+        # Per task: the truth's draw, the center's direction, then the design's.
+        tasks, _ = generate_task_suite(4, 30, "overlapping", 20, seed=8, overlap=2, cluster_separation=separation)
+        for task in tasks:
+            rng = np.random.default_rng([8, harness._SUITE_SALT, task.task_id])
+            truth = rng.normal(size=task.support.size)
+            direction = rng.normal(size=task.support.size)
+            center = separation * (direction / np.linalg.norm(direction))
+            design = center[None, :] + rng.normal(size=(20, task.support.size))
+            assert task.restricted.tobytes() == design.tobytes()
+            assert task.targets.tobytes() == (design @ truth).tobytes()
+
     def test_design_zero_off_support(self):
         # The design is held only on its support: one column per support index.
         tasks, _ = generate_task_suite(3, 12, "disjoint", 16, seed=1)

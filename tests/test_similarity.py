@@ -316,6 +316,11 @@ class TestPairwiseSqDists:
         y = rng.normal(size=(18, 13))
         assert np.array_equal(pairwise_sq_dists(x, x), dense_sq_dists(x, x))
         assert np.array_equal(pairwise_sq_dists(x, y), dense_sq_dists(x, y))
+        # Finished in blocks of 27 rows (the last of 19), and of one row.
+        wide = rng.normal(size=(300, 13))
+        widest = rng.normal(size=(similarity._FINISH_ENTRIES + 1, 13))
+        for a, b in [(wide[:100], wide), (wide, wide), (x[:3], widest)]:
+            assert np.array_equal(pairwise_sq_dists(a, b), dense_sq_dists(a, b))
         # One dense set against a sparse one keeps the dense set's norms.
         sparse = y.copy()
         sparse[:, 4:9] = 0.0
@@ -539,18 +544,32 @@ class TestMMD:
                 if bandwidth is None:
                     assert median_heuristic_bandwidth(task, y) == expected_bandwidth
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+    @pytest.mark.parametrize("scale", [1e150])
     def test_median_of_overflowing_distances_matches_np_median(self, scale):
-        # Rows this large overflow their squared norms: distances of inf, and
-        # of NaN where two overflowed norms meet; a NaN median reads as 1.0.
+        # Rows this large take squared norms of 3e300, near the largest
+        # float; rows of 1e160 overflow them (next test).
         rng = np.random.default_rng(39)
         x = rng.normal(size=(6, 3))
         y = rng.normal(size=(5, 3))
         x[0] = y[1] = scale
         for a, b in [(x, y), (x, x), (x[1:], y), (x, y[2:])]:
             a, b = EmbeddingSet(a), EmbeddingSet(b)
-            with np.errstate(all="ignore"):
-                assert median_heuristic_bandwidth(a, b) == mmd_rebuilding_each_block(a, b)[0]
+            assert median_heuristic_bandwidth(a, b) == mmd_rebuilding_each_block(a, b)[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_distances_are_an_error(self, scale):
+        # Squared norms of inf, and NaN where two of them meet: no median or
+        # MMD is read off them, and numpy warns of nothing.
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(6, 3))
+        y = rng.normal(size=(5, 3))
+        x[0] = y[1] = scale
+        for a, b in [(x, y), (x, x), (x[1:], y), (x, y[2:])]:
+            a, b = EmbeddingSet(a), EmbeddingSet(b)
+            for measure in (median_heuristic_bandwidth, mmd_rbf):
+                with pytest.raises(DegenerateInputError, match="^squared distances overflow float64"):
+                    measure(a, b)
 
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, 0.0, -1.0])
     def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
@@ -607,23 +626,36 @@ class TestDistancePeaks:
         x = EmbeddingSet(rng.normal(size=(600, 40)))
         y = x if same else EmbeddingSet(rng.normal(size=(500, 40)))
         block = x.num_samples * y.num_samples * 8
-        # The product, doubled in place, and the result: measured 2.06 blocks
-        # (two sets) and 2.05 (one set), against 3.00 when the cross term was
-        # doubled into a new array and the result taken out of place.
-        assert traced_peak(lambda: pairwise_sq_dists(x, y)) < 2.2 * block
+        # The product, finished in place through a 64 KiB temporary: measured
+        # 1.09 blocks (two sets) and 1.07 (one set), against 2.06 and 2.05
+        # when the norms' sums were a second block, and 3.00 when the cross
+        # term was also doubled into a new array.
+        assert traced_peak(lambda: pairwise_sq_dists(x, y)) < 1.3 * block
 
-    def test_mmd_scores_peak_at_a_few_blocks(self):
+    @staticmethod
+    def pipeline_similarity_inputs():
         # The pipeline benchmark's similarity inputs: 8 tasks of 320 rows on
         # 264 columns and a 200-row meta set, so the largest block is a task's
-        # 320 x 320 self block. Holding xx, yy and xy while the median's pooled
-        # copy is partitioned, the scores peaked at 2.61 MiB, 3.34 blocks (3.01
-        # when every block was built again for the kernel means).
+        # 320 x 320 self block.
         suite = {"support_mode": "overlapping", "overlap": 8, "samples_per_task": 320, "classes_per_task": 4}
         tasks, _ = harness.generate_task_suite(8, 2056, seed=23, **suite)
         env = harness.mix_target_environment(tasks, [1, 3, 8], [0.5, 0.3, 0.2], 2000, 0.1, seed=23)
+        return tasks, harness.environment_meta_embeddings(env, tasks), 320**2 * 8
+
+    def test_mmd_scores_peak_at_a_few_blocks(self):
+        # Holding xx, yy and xy while the median's pooled copy is partitioned,
+        # the scores peak at 2.61 MiB, 3.34 blocks (3.01 when every block was
+        # built again for the kernel means).
+        tasks, meta, block = self.pipeline_similarity_inputs()
         task_inputs = [harness.task_embeddings(t) for t in tasks]
-        meta = harness.environment_meta_embeddings(env, tasks)
-        block = max(t.num_samples for t in task_inputs) ** 2 * 8
+        assert traced_peak(lambda: similarity_vector(task_inputs, meta, "mmd")) < 3.5 * block
+
+    def test_mmd_scores_of_generated_tasks_peak_at_a_few_blocks(self):
+        # Handed over as the pipeline hands them, each task is built inside
+        # the call: 3.34 blocks with the task let go once xy and xx exist,
+        # against 4.17 when it was held through the median's pooled copy.
+        tasks, meta, block = self.pipeline_similarity_inputs()
+        task_inputs = (harness.task_embeddings(t) for t in tasks)
         assert traced_peak(lambda: similarity_vector(task_inputs, meta, "mmd")) < 3.5 * block
 
 
@@ -675,6 +707,36 @@ class TestSimilarityVector:
             similarity_vector([hist], hist, "ot")
         with pytest.raises(ValidationError, match="unknown metric"):
             similarity_vector([hist], hist, "euclidean")
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowIsAnError:
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ("ot", "^squared distances overflow float64"),
+            ("mmd", "^squared distances overflow float64"),
+            ("cos", "^the mean norms' product overflows float64"),
+        ],
+        ids=["ot", "mmd", "cos"],
+    )
+    def test_each_metric_raises_on_rows_near_1e200(self, metric, message):
+        # These scored _TINY (ot, mmd) and 4.5e-05 (cos) under numpy's warnings.
+        rng = np.random.default_rng(42)
+        huge = rng.normal(size=(5, 3))
+        huge[0] = 1e200
+        huge, plain = EmbeddingSet(huge), EmbeddingSet(rng.normal(size=(4, 3)))
+        for tasks, meta in [([plain, huge], plain), ([plain], huge)]:
+            with pytest.raises(DegenerateInputError, match=message):
+                similarity_vector(tasks, meta, metric)
+
+    def test_an_overflowing_mean_transport_cost_is_an_error(self):
+        # Every squared distance, 1.2e307, is finite; their sum is not.
+        x = EmbeddingSet(np.full((6, 3), 1e153))
+        y = EmbeddingSet(np.full((5, 3), -1e153))
+        assert np.all(pairwise_sq_dists(x, y) == pairwise_sq_dists(x, y)[0, 0])
+        with pytest.raises(DegenerateInputError, match="^the mean transport cost overflows float64"):
+            sinkhorn_ot(x, y)
 
 
 # The call in which each metric's similarity_vector scores one task.
@@ -730,6 +792,29 @@ class TestOneTaskAtATime:
 
         assert similarity_vector(produced(), meta, metric) == similarity_vector(tasks, meta, metric)
         assert len(made) == len(tasks)
+
+    def test_an_mmd_task_is_let_go_before_the_median_copies_its_blocks(self, monkeypatch):
+        tasks, meta = one_meta_inputs("mmd")
+        made = []
+        medians = []
+        pooled_median = similarity._pooled_median
+
+        def checked_median(xx, yy, xy):
+            medians.append([ref() is None for ref in made])
+            return pooled_median(xx, yy, xy)
+
+        def remembered(task):
+            made.append(weakref.ref(task))
+            return task
+
+        def produced():
+            for task in tasks:
+                yield remembered(copy.copy(task))
+
+        want = similarity_vector(tasks, meta, "mmd")
+        monkeypatch.setattr(similarity, "_pooled_median", checked_median)
+        assert similarity_vector(produced(), meta, "mmd") == want
+        assert medians == [[True], [True, True], [True, True, True]]
 
     @pytest.mark.parametrize("metric", similarity.METRICS)
     def test_an_empty_iterable_is_rejected(self, metric):
