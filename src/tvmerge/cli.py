@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
+import stat
 import sys
+from contextlib import suppress
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable
@@ -17,13 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .container import (
-    DTYPE_F32,
-    LayoutReader,
-    _reject_nan,
-    _write_records,
-    decode_container,
-)
+from . import container
+from .container import _WRITE_BUFFER, LayoutReader, _reject_nan, decode_container
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -36,8 +34,8 @@ from .merging import (
     RESIDUAL_RANDOM,
     Rows,
     _lockstep,
+    _merge_blocks,
     assignment_census,
-    merge,
     read_assignment,
     write_assignment,
 )
@@ -177,13 +175,10 @@ def cmd_merge(args) -> int:
         pref = preference_from_alpha(args.alpha, rows.count, rows.dim)
     elif args.sim_file is not None:
         pref = preference_from_similarities(_read_sim_file(args.sim_file), rows.dim)
-    merged, assignment = merge(args.method, rows, pref, args.seed or 0)
-
     # Only an average can make a NaN, of +inf and -inf: the others copy input bits.
-    if args.method == "average":
-        _reject_nan(layout.specs, merged, "the average of +inf and -inf is NaN")
-    # Written with the header bytes read from the first input: none is encoded.
-    _write_records(layout.records(merged), len(layout.specs), DTYPE_F32, args.out)
+    nan = "the average of +inf and -inf is NaN" if args.method == "average" else None
+    with _Output(layout, args.out, nan) as output:
+        assignment = _merge_blocks(rows, args.method, pref, args.seed or 0, output)
     if assignment is not None:
         census = assignment_census(assignment)
         log.debug("census: %s", " ".join(str(c) for c in census))
@@ -294,23 +289,82 @@ def _combine(first: str, second: str, combine: Callable[..., np.ndarray], out: s
     the containers ``first`` and ``second``, which must share one layout.
 
     Both files are streamed through the merge's reader in lockstep: each
-    block of ``a`` is copied into the result, and the block of ``b`` is
-    combined into it before the shared block buffer is refilled. So one
-    vector is held, and a fault is reported as ``merge`` reports it. The
-    result is checked for NaN, then written with the first file's header
-    bytes once both files are read, so ``out`` may name an input.
+    block of ``a`` is copied into the output's block buffer, and the block
+    of ``b`` is combined into it before the shared read buffer is refilled.
+    Each block is then written as a merged block is, so a fault is reported
+    as ``merge`` reports it, and ``out`` may name an input.
     """
     layout, rows = _task_rows([first, second])
-    result = np.empty(rows.dim, dtype=np.float32)
-    # Opposite infinities make a NaN, which is rejected below, not warned of.
-    with np.errstate(invalid="ignore"):
+    # Opposite infinities make a NaN, which is rejected as it is written, not warned of.
+    with _Output(layout, out, "NaN payload rejected") as output, np.errstate(invalid="ignore"):
         for block, task, piece in _lockstep(rows):
             if task == 0:
-                result[block] = piece
+                result = output.block(block, np.float32)
+                result[...] = piece
             else:
-                combine(result[block], piece, out=result[block])
-    _reject_nan(layout.specs, result)
-    _write_records(layout.records(result), len(layout.specs), DTYPE_F32, out)
+                combine(result, piece, out=result)
+                output.emit(block, result)
+
+
+class _Output:
+    """``out``, written a block at a time as a vector of ``layout``'s layout is finished.
+
+    It answers the calls a merge strategy makes of
+    :class:`tvmerge.merging._Collector`: ``block`` gives one block-sized
+    buffer, and ``emit`` checks the finished block for NaN, when ``nan``
+    names the problem to report, and writes it with the first input's
+    header bytes. A regular or missing ``out`` is written as
+    ``<out>.<pid>.part``, created at the first block and renamed over
+    ``out`` when the ``with`` block ends; if it raises, the part file is
+    removed and ``out`` is left as it was. Any other file at ``out`` (a
+    FIFO, ``/dev/null``) is written in place.
+    """
+
+    def __init__(self, layout: LayoutReader, out: str, nan: str | None):
+        self._layout, self._out, self._nan = layout, out, nan
+        self._buffer = self._stream = self._part = self._write = None
+
+    def block(self, block: slice, dtype: np.dtype) -> np.ndarray:
+        if self._buffer is None:
+            self._buffer = np.empty(min(container._BLOCK, self._layout.num_elements), dtype)
+        return self._buffer[: block.stop - block.start]
+
+    def emit(self, block: slice, values: np.ndarray) -> None:
+        if self._nan is not None:
+            _reject_nan(self._layout.specs, values, self._nan, start=block.start)
+        if self._write is None:
+            if _is_special(self._out):
+                self._stream = open(self._out, "wb", buffering=_WRITE_BUFFER)
+            else:
+                part = f"{self._out}.{os.getpid()}.part"
+                fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                self._part, self._stream = part, open(fd, "wb", buffering=_WRITE_BUFFER)
+            self._write = self._layout.writer(self._stream)
+        self._write(values)
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            if self._stream is not None:
+                self._stream.close()
+            if kind is None and self._part is not None:
+                os.replace(self._part, self._out)
+                self._part = None
+        finally:
+            # Still set if the block raised, or closing or renaming did.
+            if self._part is not None:
+                with suppress(OSError):
+                    os.unlink(self._part)
+
+
+def _is_special(path: str) -> bool:
+    """Whether ``path`` names an existing file, symlinks followed, that is not a regular file."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
 
 
 def _write_census(census: np.ndarray, out: str | None) -> None:

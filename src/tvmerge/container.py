@@ -34,8 +34,9 @@ one comparison. A file that does not match is explained from its headers
 alone. :func:`decode_container` and :func:`tvmerge.merging.read_assignment`
 read the first file itself as one block, so each payload goes straight
 into its slice of one vector. Writers take each record's header bytes
-with its payload, so a merge writes the header bytes it read rather than
-encoding them again.
+with its payload: :meth:`LayoutReader.writer` puts the first file's header
+bytes back at each record boundary of a vector given a block at a time, so
+a merge writes the header bytes it read rather than encoding them again.
 """
 
 from __future__ import annotations
@@ -228,10 +229,9 @@ class LayoutReader:
 
     def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
         with _opened(source, "rb") as stream:
-            self.specs, self._headers, self._header_sizes = _read_headers(stream, dtype_code)
+            self.specs, self._headers, self._header_sizes, self._counts = _read_headers(stream, dtype_code)
         self._dtype_code = dtype_code
         self._stage = bytearray(len(self._headers))
-        self._counts = [spec.num_elements for spec in self.specs]
         self.num_elements = sum(self._counts)
         size = min(_BLOCK if block is None else block, self.num_elements)
         self._buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
@@ -308,15 +308,36 @@ class LayoutReader:
                 yield block
                 start += block.size
 
-    def records(self, flat: np.ndarray) -> Iterator[tuple[memoryview, np.ndarray]]:
-        """``flat`` as the records of this layout, for :func:`_write_records`: each
-        record's header bytes as the first file holds them, and its payload (a view)."""
-        headers = memoryview(self._headers)
-        head, start = _PREFIX_SIZE, 0
-        for header, count in zip(self._header_sizes, self._counts):
-            yield headers[head : head + header], flat[start : start + count]
-            head += header
-            start += count
+    def writer(self, stream: BinaryIO) -> Callable[[np.ndarray], None]:
+        """A writer of a file of this layout to ``stream``, given its vector as consecutive blocks.
+
+        Each call writes the next block, of any length, and before each
+        record that starts within it that record's header bytes as the first
+        file holds them (before the first record, also the magic, version
+        and tensor count), so no header is encoded again. A block not in the
+        layout's dtype is converted; one that is goes out from its own memory.
+        """
+        headers, dtype = memoryview(self._headers), self._buffer.dtype
+        records = zip(self._header_sizes, self._counts)
+        head, staged, left = 0, _PREFIX_SIZE, 0  # ``left``: elements of the open record to come
+
+        def write(block: np.ndarray) -> None:
+            nonlocal head, staged, left
+            block = np.asarray(block, dtype=dtype)
+            pieces, pos = [], 0
+            while pos < block.size:
+                if not left:
+                    header, left = next(records)
+                    staged += header
+                    pieces.append(headers[head:staged])
+                    head = staged
+                take = min(left, block.size - pos)
+                pieces.append(block[pos : pos + take])
+                pos += take
+                left -= take
+            stream.writelines(pieces)
+
+        return write
 
 
 def _reject_nan(
@@ -383,14 +404,17 @@ def _write_records(
         stream.writelines(chunks())
 
 
-def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, ...], bytearray, list[int]]:
+def _read_headers(
+    stream: BinaryIO, dtype_code: int
+) -> tuple[tuple[TensorSpec, ...], bytearray, list[int], list[int]]:
     """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
 
     Returns the records' specs, their header bytes as read (the prefix of
     magic, version and tensor count, then each record's name length through
-    dims, end to end), and the size of each record's header. Each record is
-    read in three pieces: its name length, its name with its dtype code and
-    ndim, and its dims; its payload is sought over, not read. An unbuffered
+    dims, end to end), the size of each record's header and each record's
+    element count. Each record is read in three pieces: its name length,
+    its name with its dtype code and ndim, and its dims; its payload is
+    sought over, not read. An unbuffered
     stream is read through an ``io.BufferedReader``, so small records cost
     one read of the stream per buffer, and large ones one read per header.
     Each declared length is checked against the bytes left in the stream
@@ -425,7 +449,7 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, 
     if count == 0:
         raise CodecError("empty container")
     itemsize = _NUMPY_DTYPES[dtype_code].itemsize
-    headers, sizes = bytearray(prefix), []
+    headers, sizes, counts = bytearray(prefix), [], []
     names: list[str] = []
     shapes: list[tuple[int, ...]] = []
     seen: set[str] = set()
@@ -459,18 +483,20 @@ def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[tuple[TensorSpec, 
         if 0 in dims:
             raise CodecError(f"tensor {name!r}: zero-sized dimension")
         size = 4 + name_size + 8 * ndim
-        payload = math.prod(dims) * itemsize
+        elements = math.prod(dims)
+        payload = elements * itemsize
         pos += size
         if payload > end - pos:
             raise short(f"payload of {name!r}")
         headers += length + named + packed
         sizes.append(size)
+        counts.append(elements)
         names.append(name)
         shapes.append(dims)
         pos = stream.seek(pos + payload)
     if pos != end:
         raise CodecError("trailing data after last record")
-    return tuple(map(TensorSpec, names, shapes)), headers, sizes
+    return tuple(map(TensorSpec, names, shapes)), headers, sizes, counts
 
 
 def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...], np.ndarray]:

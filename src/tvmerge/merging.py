@@ -6,12 +6,17 @@ vectors are read from a :class:`Rows` source, each row as a stream of
 blocks of ``container._BLOCK`` elements, so neither a (T, d) matrix nor a
 d-sized row buffer is built. Every strategy reads the rows in lockstep, block 0
 of every row, then block 1, and so on (``tunable`` twice), so that its
-running state is one block long. ``magmax`` and ``tunable`` pick by one
-record-setter rule: a row sets a record where its magnitude is at least
-that of every earlier row. A strategy keeps a few d-sized vectors
-of state: the merged vector, the owner map and the provenance map, and in
-``tunable``'s claim sweep T*d/8 bytes of packed record-setter bits, d/8
-bytes of packed unassigned elements and one task's unpacked candidates.
+running state is one block long. Each strategy finishes the merged vector a
+block at a time, in a buffer that its caller gives for the block, and hands
+the buffer back once the block is done: the public functions give each
+block's slice of one vector, and the command line one block-sized buffer that
+it writes to the output file after each block. ``magmax`` and ``tunable``
+pick by one record-setter rule: a row sets a record where its magnitude is
+at least that of every earlier row. A strategy keeps a few d-sized vectors
+of state: the owner map and the provenance map (and the merged vector, when
+it is returned), and in ``tunable``'s claim sweep T*d/8 bytes of packed
+record-setter bits, d/8 bytes of packed unassigned elements and one task's
+unpacked candidates.
 Every other temporary holds at most one block, besides, in ``tunable``,
 one bool per candidate of a claim that is cut (and up to one int64 per
 candidate while numpy draws the subset it keeps) and one task id per
@@ -137,18 +142,7 @@ def merge(
 
     Every method checks ``seed``; only ``tunable`` and ``randmix`` draw from it.
     """
-    check_seed(seed)
-    if method == "magmax":
-        return magmax_merge(taus)
-    if method == "tunable":
-        if pref is None:
-            raise ValidationError("tunable merging needs a preference vector")
-        return tunable_merge(taus, pref, seed)
-    if method == "average":
-        return average_merge(taus), None
-    if method == "randmix":
-        return random_mix_merge(taus, seed)
-    raise ValidationError(f"unknown merge method {method!r}")
+    return _collected(taus, _merge_blocks, method, pref, seed)
 
 
 def magmax_merge(taus: Taus) -> tuple[np.ndarray, Assignment]:
@@ -156,21 +150,7 @@ def magmax_merge(taus: Taus) -> tuple[np.ndarray, Assignment]:
 
     Ties go to the later task: the owner is the element's last record-setter.
     """
-    rows = _as_rows(taus)
-    owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
-    ids = np.empty(min(container._BLOCK, rows.dim), dtype=owner.dtype)
-    for block, task, piece, flags in _record_setters(rows):
-        if flags is None:
-            if block.start == 0:  # the first piece sets the dtype
-                merged, scratch = np.empty(rows.dim, piece.dtype), np.empty(ids.size, piece.dtype)
-            merged[block] = piece
-            continue
-        n = block.stop - block.start
-        _select(merged[block], piece, flags, scratch[:n])
-        # Later tasks have larger ids, so the last record-setter wins.
-        np.multiply(flags, owner.dtype.type(task + 1), out=ids[:n])
-        np.maximum(owner[block], ids[:n], out=owner[block])
-    return merged, Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
+    return _collected(taus, _magmax)
 
 
 def tunable_merge(taus: Taus, pref: Budgets, seed: int = 0) -> tuple[np.ndarray, Assignment]:
@@ -198,18 +178,7 @@ def tunable_merge(taus: Taus, pref: Budgets, seed: int = 0) -> tuple[np.ndarray,
     record-setter bits, kept packed (T*d/8 bytes), and once to copy the
     elements each task owns.
     """
-    check_seed(seed)
-    rows = _as_rows(taus)
-    budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
-    if np.ndim(budgets) != 1 or len(budgets) != rows.count:
-        count = np.size(budgets)
-        raise ValidationError(f"preference vector has {count} budgets for {rows.count} tasks")
-    pref = PreferenceVector(tuple(budgets))
-    if pref.total != rows.dim:
-        raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
-
-    owner, claimed = _budgeted_owners(rows, pref.as_array(), seed)
-    return _gather(rows, owner), Assignment(owner, claimed.view(np.uint8), rows.count)
+    return _collected(taus, _tunable, pref, seed)
 
 
 def average_merge(taus: Taus) -> np.ndarray:
@@ -220,28 +189,12 @@ def average_merge(taus: Taus) -> np.ndarray:
     rows, float64 for integer rows), so the result is the same to the bit.
     The mean of +inf and -inf is NaN.
     """
-    rows = _as_rows(taus)
-    with np.errstate(invalid="ignore"):
-        for block, task, piece in _lockstep(rows):
-            if task == 0:
-                if block.start == 0:  # the first piece sets the dtype
-                    half = piece.dtype == np.float16
-                    total = np.empty(rows.dim, np.float32 if half else np.result_type(piece.dtype, 0.0))
-                # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
-                np.add(piece, 0.0, dtype=total.dtype, out=total[block])
-                continue
-            np.add(total[block], piece, out=total[block])
-    total /= rows.count
-    return total.astype(np.float16) if half else total
+    return _collected(taus, _average)[0]
 
 
 def random_mix_merge(taus: Taus, seed: int) -> tuple[np.ndarray, Assignment]:
     """Assign each element to a task drawn uniformly from the seeded stream."""
-    rows = _as_rows(taus)
-    stream = selection_stream(seed, RANDMIX_KEY, 0)
-    owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
-    assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
-    return _gather(rows, owner), assignment
+    return _collected(taus, _randmix, seed)
 
 
 def assignment_census(assignment: Assignment) -> np.ndarray:
@@ -290,6 +243,134 @@ def read_assignment(source) -> Assignment:
     if num_tasks.size != 1:
         raise ValidationError(f"assignment file record 'num_tasks' holds {num_tasks.size} values, not 1")
     return Assignment(owner, provenance, num_tasks.item())
+
+
+class _Collector:
+    """Where a strategy finishes the merged vector: here, in place in one vector.
+
+    A strategy finishes block 0 of the merged vector, then block 1, and so
+    on. For each, it asks ``block(block, dtype)`` for the buffer to finish
+    it in (``block`` is its slice of the flat index), and once the block's
+    last row is in, hands the buffer to ``emit(block, values)``. A writer
+    of the command line answers the same two calls with one block-sized
+    buffer, which ``emit`` writes out; this collector hands out each
+    block's slice of one vector, allocated at the first block, so nothing
+    is copied.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.vector: np.ndarray | None = None
+
+    def block(self, block: slice, dtype: np.dtype) -> np.ndarray:
+        if self.vector is None:  # the first block sets the dtype
+            self.vector = np.empty(self.dim, dtype)
+        return self.vector[block]
+
+    def emit(self, block: slice, values: np.ndarray) -> None:
+        pass
+
+
+def _collected(taus: Taus, strategy: Callable[..., Assignment | None], *args) -> tuple[np.ndarray, Assignment | None]:
+    """The merged vector of ``strategy(rows, *args, out)`` on ``taus``, and what it returns."""
+    rows = _as_rows(taus)
+    out = _Collector(rows.dim)
+    result = strategy(rows, *args, out)
+    return out.vector, result
+
+
+def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out) -> Assignment | None:
+    """Run the strategy ``method`` on ``rows``, finishing the merged vector's blocks in ``out``.
+
+    ``out`` answers the calls of :class:`_Collector`. Returns the
+    assignment, None for ``average``. Nothing is emitted before ``seed``
+    and, for ``tunable``, the budgets are checked.
+    """
+    check_seed(seed)
+    if method == "magmax":
+        return _magmax(rows, out)
+    if method == "tunable":
+        if pref is None:
+            raise ValidationError("tunable merging needs a preference vector")
+        return _tunable(rows, pref, seed, out)
+    if method == "average":
+        return _average(rows, out)
+    if method == "randmix":
+        return _randmix(rows, seed, out)
+    raise ValidationError(f"unknown merge method {method!r}")
+
+
+def _magmax(rows: Rows, out) -> Assignment:
+    """:func:`magmax_merge` on ``rows``, finishing each merged block in ``out``."""
+    owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
+    ids = np.empty(min(container._BLOCK, rows.dim), dtype=owner.dtype)
+    for block, task, piece, flags in _record_setters(rows):
+        n = block.stop - block.start
+        if flags is None:
+            if block.start == 0:  # the first piece sets the dtype
+                scratch = np.empty(ids.size, piece.dtype)
+            merged = out.block(block, piece.dtype)
+            merged[...] = piece
+        else:
+            _select(merged, piece, flags, scratch[:n])
+            # Later tasks have larger ids, so the last record-setter wins.
+            np.multiply(flags, owner.dtype.type(task + 1), out=ids[:n])
+            np.maximum(owner[block], ids[:n], out=owner[block])
+        if task == rows.count - 1:
+            out.emit(block, merged)
+    return Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
+
+
+def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> Assignment:
+    """:func:`tunable_merge` on ``rows``, finishing each merged block in ``out``."""
+    check_seed(seed)
+    budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
+    if np.ndim(budgets) != 1 or len(budgets) != rows.count:
+        count = np.size(budgets)
+        raise ValidationError(f"preference vector has {count} budgets for {rows.count} tasks")
+    pref = PreferenceVector(tuple(budgets))
+    if pref.total != rows.dim:
+        raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
+
+    owner, claimed = _budgeted_owners(rows, pref.as_array(), seed)
+    _gather(rows, owner, out)
+    return Assignment(owner, claimed.view(np.uint8), rows.count)
+
+
+def _average(rows: Rows, out) -> None:
+    """:func:`average_merge` on ``rows``, finishing each block of the mean in ``out``.
+
+    Float16 rows are summed in a block-sized float32 buffer, and each block
+    of the mean is cast into ``out``'s buffer; other rows are summed there.
+    """
+    with np.errstate(invalid="ignore"):
+        for block, task, piece in _lockstep(rows):
+            n = block.stop - block.start
+            if task == 0:
+                if block.start == 0:  # the first piece sets the dtype
+                    half = piece.dtype == np.float16
+                    dtype = np.result_type(piece.dtype, 0.0)
+                    total = np.empty(min(container._BLOCK, rows.dim), np.float32) if half else None
+                merged = out.block(block, dtype)
+                acc = total[:n] if half else merged
+                # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
+                np.add(piece, 0.0, dtype=acc.dtype, out=acc)
+            else:
+                np.add(acc, piece, out=acc)
+            if task == rows.count - 1:
+                acc /= rows.count
+                if half:
+                    merged[...] = acc
+                out.emit(block, merged)
+
+
+def _randmix(rows: Rows, seed: int, out) -> Assignment:
+    """:func:`random_mix_merge` on ``rows``, finishing each merged block in ``out``."""
+    stream = selection_stream(seed, RANDMIX_KEY, 0)
+    owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
+    assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
+    _gather(rows, owner, out)
+    return assignment
 
 
 def _owner_dtype(num_tasks: int) -> np.dtype:
@@ -499,12 +580,13 @@ def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> No
         filled += where.size
 
 
-def _gather(rows: Rows, owner: np.ndarray) -> np.ndarray:
+def _gather(rows: Rows, owner: np.ndarray, out) -> None:
     """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in lockstep.
 
-    Each block of the merged vector is assembled from the pieces of rows
-    0..T-1 in turn: row 0's piece is copied, and each later row's piece is
-    selected where that row owns the element.
+    Each block of the merged vector is finished in the buffer ``out`` gives
+    for it, from the pieces of rows 0..T-1 in turn: row 0's piece is
+    copied, and each later row's piece is selected where that row owns the
+    element. Then the block is handed to ``out.emit``.
     """
     size = min(container._BLOCK, rows.dim)
     mask = np.empty(size, dtype=bool)
@@ -512,12 +594,14 @@ def _gather(rows: Rows, owner: np.ndarray) -> np.ndarray:
         n = block.stop - block.start
         if task == 0:
             if block.start == 0:  # the first piece sets the dtype
-                merged, scratch = np.empty(rows.dim, piece.dtype), np.empty(size, piece.dtype)
-            merged[block] = piece
-            continue
-        np.equal(owner[block], task + 1, out=mask[:n])
-        _select(merged[block], piece, mask[:n], scratch[:n])
-    return merged
+                scratch = np.empty(size, piece.dtype)
+            merged = out.block(block, piece.dtype)
+            merged[...] = piece
+        else:
+            np.equal(owner[block], task + 1, out=mask[:n])
+            _select(merged, piece, mask[:n], scratch[:n])
+        if task == rows.count - 1:
+            out.emit(block, merged)
 
 
 def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:

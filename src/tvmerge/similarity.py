@@ -276,8 +276,15 @@ def sinkhorn_ot(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None) -
     ``log v`` are folded into the potentials (Schmitzer 2019,
     arXiv:1610.06519).
     """
-    cfg = cfg or OTConfig()
-    cost = pairwise_sq_dists(x, y)
+    return _sinkhorn(pairwise_sq_dists(x, y), cfg or OTConfig())
+
+
+def _sinkhorn(cost: np.ndarray, cfg: OTConfig) -> SinkhornResult:
+    """:func:`sinkhorn_ot` on the squared-distance matrix ``cost`` of the two sets.
+
+    ``cost`` is only read, so the sets themselves need not be held while
+    the solver iterates.
+    """
     with np.errstate(over="ignore"):
         scale = float(cost.mean())
     if scale == math.inf:
@@ -378,7 +385,11 @@ def ot_similarity(x: EmbeddingSet, y: EmbeddingSet, cfg: OTConfig | None = None)
     solve that stopped at ``cfg.max_iters`` unconverged at warning level.
     """
     cfg = cfg or OTConfig()
-    result = sinkhorn_ot(x, y, cfg)
+    return _ot_score(sinkhorn_ot(x, y, cfg), cfg)
+
+
+def _ot_score(result: SinkhornResult, cfg: OTConfig) -> float:
+    """:func:`ot_similarity`'s score of a solve, logged as it logs it."""
     log.debug("sinkhorn: %d iterations, converged %s, cost %.6g", result.iterations, result.converged, result.cost)
     if not result.converged:
         log.warning("sinkhorn did not converge within max_iters %d (tol %g)", cfg.max_iters, cfg.tol)
@@ -525,9 +536,10 @@ def similarity_vector(
     For ``mmd`` the meta set's self block ``yy`` is built once, before the
     first task, and each task's ``xy`` and ``xx`` once each, for the
     bandwidth and the kernel means alike: 2T+1 distance blocks for T tasks.
-    The task is let go as soon as its two blocks exist, so one that the
-    caller does not hold (a generator's) is freed before the median's
-    pooled copy is made.
+    For ``ot`` each task's cost block ``xy`` is built and solved on. The
+    task is let go as soon as its blocks exist, so one that the caller does
+    not hold (a generator's) is freed before the median's pooled copy is
+    made, or before Sinkhorn iterates.
     """
     cfg = cfg or OTConfig()
     if metric not in METRICS:
@@ -546,7 +558,7 @@ def similarity_vector(
 
     def score(item) -> float:
         if metric == "ot":
-            return ot_similarity(item, meta, cfg)
+            return _ot_score(_sinkhorn(item, cfg), cfg)
         if metric == "label":
             return label_similarity(item, meta)
         if metric == "cos":
@@ -557,8 +569,10 @@ def similarity_vector(
 
     scores = []
     for item in map(checked, task_inputs):
-        if metric == "mmd":
-            # The task's blocks replace it, the last reference this loop holds.
+        # The task's distance blocks replace it, the last reference this loop holds.
+        if metric == "ot":
+            item = pairwise_sq_dists(item, meta)
+        elif metric == "mmd":
             item = pairwise_sq_dists(item, meta), pairwise_sq_dists(item, item)
         scores.append(score(item))
         # Let go before the next task is made.

@@ -315,7 +315,7 @@ class TestPipeline:
         assert budgets[1] == max(budgets) and budgets[1] > sorted(budgets)[-2]
 
     @pytest.mark.parametrize(
-        "metric, core", [("ot", "ot_similarity"), ("cos", "cosine_mean_distance"), ("mmd", "_bandwidth_and_mmd")]
+        "metric, core", [("ot", "_sinkhorn"), ("cos", "cosine_mean_distance"), ("mmd", "_bandwidth_and_mmd")]
     )
     def test_each_task_is_embedded_only_when_it_is_scored(self, monkeypatch, metric, core):
         log = []
