@@ -15,7 +15,7 @@ import sys
 from contextlib import suppress
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -179,15 +179,16 @@ def cmd_merge(args) -> int:
     nan = "the average of +inf and -inf is NaN" if args.method == "average" else None
     with _Output(layout, args.out, nan) as output:
         assignment = _merge_blocks(rows, args.method, pref, args.seed or 0, output)
-    if assignment is not None:
-        census = assignment_census(assignment)
-        log.debug("census: %s", " ".join(str(c) for c in census))
-        if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
-            residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
-            log.debug("residual fraction: %.6g", residual)
-        _write_census(census, args.census_out or f"{args.out}.census.json")
-        assignment_path = args.assignment_out or f"{args.out}.assignment.tvc"
-        write_assignment(assignment_path, assignment)
+        if assignment is not None:
+            census = assignment_census(assignment)
+            log.debug("census: %s", " ".join(str(c) for c in census))
+            if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
+                residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
+                log.debug("residual fraction: %.6g", residual)
+            with output.open(args.census_out or f"{args.out}.census.json") as stream:
+                stream.write(_census_json(census).encode())
+            with output.open(args.assignment_out or f"{args.out}.assignment.tvc") as stream:
+                write_assignment(stream, assignment)
     return EXIT_OK
 
 
@@ -249,7 +250,11 @@ def cmd_prefvec(args) -> int:
 
 
 def cmd_census(args) -> int:
-    _write_census(assignment_census(read_assignment(args.assignment)), args.out)
+    payload = _census_json(assignment_census(read_assignment(args.assignment)))
+    if args.out:
+        Path(args.out).write_text(payload)
+    else:
+        print(payload, end="")
     return EXIT_OK
 
 
@@ -307,22 +312,26 @@ def _combine(first: str, second: str, combine: Callable[..., np.ndarray], out: s
 
 
 class _Output:
-    """``out``, written a block at a time as a vector of ``layout``'s layout is finished.
+    """``out``, written a block at a time as a vector of ``layout``'s layout is finished,
+    and the side-files that commit with it.
 
     It answers the calls a merge strategy makes of
     :class:`tvmerge.merging._Collector`: ``block`` gives one block-sized
     buffer, and ``emit`` checks the finished block for NaN, when ``nan``
     names the problem to report, and writes it with the first input's
-    header bytes. A regular or missing ``out`` is written as
-    ``<out>.<pid>.part``, created at the first block and renamed over
-    ``out`` when the ``with`` block ends; if it raises, the part file is
-    removed and ``out`` is left as it was. Any other file at ``out`` (a
+    header bytes. ``out`` is opened at the first block, and each side-file
+    when it is asked for, with :meth:`open`. A regular or missing file is
+    written as ``<path>.<pid>.part``, and every part is renamed over its
+    path when the ``with`` block ends, the last opened first, so the
+    side-files are in place before ``out``; if anything raises, every part
+    file is removed and every path is left as it was. Any other file (a
     FIFO, ``/dev/null``) is written in place.
     """
 
     def __init__(self, layout: LayoutReader, out: str, nan: str | None):
         self._layout, self._out, self._nan = layout, out, nan
-        self._buffer = self._stream = self._part = self._write = None
+        self._buffer = self._stream = self._write = None
+        self._parts: list[tuple[str, str]] = []  # (part, path), in the order opened
 
     def block(self, block: slice, dtype: np.dtype) -> np.ndarray:
         if self._buffer is None:
@@ -331,16 +340,20 @@ class _Output:
 
     def emit(self, block: slice, values: np.ndarray) -> None:
         if self._nan is not None:
-            _reject_nan(self._layout.specs, values, self._nan, start=block.start)
+            _reject_nan(self._layout, values, self._nan, start=block.start)
         if self._write is None:
-            if _is_special(self._out):
-                self._stream = open(self._out, "wb", buffering=_WRITE_BUFFER)
-            else:
-                part = f"{self._out}.{os.getpid()}.part"
-                fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                self._part, self._stream = part, open(fd, "wb", buffering=_WRITE_BUFFER)
+            self._stream = self.open(self._out)
             self._write = self._layout.writer(self._stream)
         self._write(values)
+
+    def open(self, path: str) -> BinaryIO:
+        """A buffered stream that writes ``path``: its part file, or ``path`` itself if special."""
+        if _is_special(path):
+            return open(path, "wb", buffering=_WRITE_BUFFER)
+        part = f"{path}.{os.getpid()}.part"
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        self._parts.append((part, path))
+        return open(fd, "wb", buffering=_WRITE_BUFFER)
 
     def __enter__(self) -> "_Output":
         return self
@@ -349,14 +362,14 @@ class _Output:
         try:
             if self._stream is not None:
                 self._stream.close()
-            if kind is None and self._part is not None:
-                os.replace(self._part, self._out)
-                self._part = None
+            while kind is None and self._parts:
+                os.replace(*self._parts[-1])
+                self._parts.pop()
         finally:
-            # Still set if the block raised, or closing or renaming did.
-            if self._part is not None:
+            # Still listed if the block raised, or closing or renaming did.
+            for part, _ in self._parts:
                 with suppress(OSError):
-                    os.unlink(self._part)
+                    os.unlink(part)
 
 
 def _is_special(path: str) -> bool:
@@ -367,13 +380,9 @@ def _is_special(path: str) -> bool:
         return False
 
 
-def _write_census(census: np.ndarray, out: str | None) -> None:
-    """Write ``{"counts": [...]}`` and a newline to ``out``, or to stdout when no path is given."""
-    payload = json.dumps({"counts": [int(c) for c in census]}, sort_keys=True)
-    if out:
-        Path(out).write_text(payload + "\n")
-    else:
-        print(payload)
+def _census_json(census: np.ndarray) -> str:
+    """``{"counts": [...]}`` and a newline."""
+    return json.dumps({"counts": [int(c) for c in census]}, sort_keys=True) + "\n"
 
 
 def _read_sim_file(path: str) -> SimilarityVector:

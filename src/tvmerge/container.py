@@ -28,7 +28,8 @@ reader that seeks over the payloads, so every declared length is checked
 against the stream's size before anything is allocated for it. It then
 streams files that must hold that layout: each file is read in steps of
 at most ``_IOV_MAX`` buffers (its header bytes into a staging copy, its
-payloads straight into a block buffer), one ``os.readv`` per step for a
+payloads straight into a block buffer), worked out a block at a time and
+shared by every file streamed in lockstep, one ``os.readv`` per step for a
 path, and each step's header bytes are compared with the first file's in
 one comparison. A file that does not match is explained from its headers
 alone. :func:`decode_container` and :func:`tvmerge.merging.read_assignment`
@@ -45,9 +46,9 @@ import io
 import math
 import os
 import struct
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -190,7 +191,7 @@ class ParameterSet:
 
 def encode_container(pset: ParameterSet, destination: Source) -> None:
     """Write ``pset`` as a TVC1 stream; decode gives back identical bits."""
-    _reject_nan(pset.specs, pset.flat())
+    _reject_nan(pset, pset.flat())
     records = ((_record_header(name, DTYPE_F32, arr.shape), arr) for name, arr in pset.items())
     _write_records(records, len(pset), DTYPE_F32, destination)
 
@@ -210,34 +211,53 @@ class LayoutReader:
     This is the one reader of TVC1 payloads. The first file's headers are
     parsed once, and are checked as :func:`decode_container` checks them,
     with the same errors; its payloads are not read. Its records must carry
-    ``dtype_code`` (float32 unless given). The reader keeps the first file's
-    header bytes end to end, and reads another file of the layout in steps
-    worked out once. A step is at most ``_IOV_MAX`` buffers in file order,
-    slices of a header stage (room for one copy of the header bytes) and of
-    a block of ``block`` elements (``_BLOCK`` unless given), with their
-    byte count. Each step is one ``os.readv`` for a path or another
-    unbuffered file, or ``readinto`` calls that fill the same buffers for
-    any other stream, and then one comparison of the header bytes it read
-    with the first file's; a block's records fit in one step unless they
-    need more than ``_IOV_MAX`` buffers. A reader with one block works out
-    its steps as it reads, so it holds the buffers of one step at a time.
+    ``dtype_code`` (float32 unless given). Per record, the reader keeps the
+    first file's header bytes end to end, each header's size and each
+    record's element count; :attr:`specs` is parsed from the header bytes
+    only when asked for, as a merge asks only to name a tensor that holds
+    a NaN. A file of the layout is read in steps. A step is at most
+    ``_IOV_MAX`` buffers in file order, slices of a header stage (room for
+    one copy of the header bytes) and of a block of ``_BLOCK`` elements
+    (the whole vector for a ``whole`` reader), with their byte count. Each step is one
+    ``os.readv`` for a path or another unbuffered file, or ``readinto``
+    calls that fill the same buffers for any other stream, and then one
+    comparison of the header bytes it read with the first file's; a
+    block's records fit in one step unless they need more than
+    ``_IOV_MAX`` buffers. The reader keeps the steps of one block: the
+    first stream to ask for a block works them out, every other stream
+    reads that block with them, and they are dropped when the next block
+    is asked for. A ``whole`` reader, as a whole-vector read makes to
+    stream its file once, works out its steps as it reads, so it holds the
+    buffers of one step at a time.
     Blocks are read into one buffer that the reader owns, shared by every
     stream of the reader: several sources may be streamed at once (a merge
     streams all its inputs in lockstep), but a caller is done with a block
     before it asks any of them for the next.
     """
 
-    def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, block: int | None = None):
+    def __init__(self, source: Source, *, dtype_code: int = DTYPE_F32, whole: bool = False):
         with _opened(source, "rb") as stream:
-            self.specs, self._headers, self._header_sizes, self._counts = _read_headers(stream, dtype_code)
+            self._headers, self._header_sizes, self._counts = _read_headers(stream, dtype_code)
         self._dtype_code = dtype_code
         self._stage = bytearray(len(self._headers))
         self.num_elements = sum(self._counts)
-        size = min(_BLOCK if block is None else block, self.num_elements)
+        size = self.num_elements if whole else min(_BLOCK, self.num_elements)
         self._buffer = np.empty(size, dtype=_NUMPY_DTYPES[dtype_code])
-        # A one-block reader, as a whole-vector read makes to stream its file
-        # once, works out its steps as it reads rather than hold them all.
-        self._steps = None if size == self.num_elements else list(self._plan())
+        self._whole = whole
+        # The steps of block ``_index``, worked out by ``_planner``.
+        self._planner, self._index, self._steps = None, -1, []
+
+    @cached_property
+    def specs(self) -> tuple[TensorSpec, ...]:
+        """The first file's tensors, parsed again from the header bytes kept."""
+        headers, specs, head = self._headers, [], _PREFIX_SIZE
+        for size in self._header_sizes:
+            (name_size,) = _U16.unpack_from(headers, head)
+            name = str(headers[head + 2 : head + 2 + name_size], "utf-8")
+            ndim = headers[head + 3 + name_size]
+            specs.append(TensorSpec(name, _DIMS[ndim].unpack_from(headers, head + 4 + name_size)))
+            head += size
+        return tuple(specs)
 
     def _plan(self) -> Iterator[tuple[list[memoryview], int, slice, np.ndarray | None]]:
         """Steps that read a file of this layout: the buffers a step fills in file order,
@@ -293,20 +313,50 @@ class LayoutReader:
                 name = source if isinstance(source, (str, Path)) else "stream"
                 return ShapeMismatchError(f"shape mismatch: {name} has a different layout")
 
-            readv, stage, headers = _vector_reader(stream), self._stage, self._headers
-            start = 0
-            for buffers, nbytes, staged, block in self._plan() if self._steps is None else self._steps:
-                if not _fill(readv, buffers, nbytes) or stage[staged] != headers[staged]:
+            readv, start = _vector_reader(stream), 0
+            for index in range(-(-self.num_elements // self._buffer.size)):
+                block = self._read_block(readv, index)
+                # The end is checked before the last block is yielded, since
+                # a caller that has every block need not resume the stream.
+                if block is None or (start + block.size == self.num_elements and stream.read(1)):
                     raise mismatch()
-                if block is None:
-                    continue
-                # Checked before the last block is yielded, since a caller
-                # that has every block need not resume the stream.
-                if start + block.size == self.num_elements and stream.read(1):
-                    raise mismatch()
-                _reject_nan(self.specs, block, start=start)
+                _reject_nan(self, block, start=start)
                 yield block
                 start += block.size
+
+    def _read_block(self, readv: Callable[[list[memoryview]], int], index: int) -> np.ndarray | None:
+        """Block ``index`` of a file, read with ``readv``; None if the file does not match.
+
+        A stream paused at a block holds none of its steps, so once every
+        stream has moved on, the steps of the block before are gone.
+        """
+        stage, headers = self._stage, self._headers
+        for buffers, nbytes, staged, block in self._block_steps(index):
+            if not _fill(readv, buffers, nbytes) or stage[staged] != headers[staged]:
+                return None
+        return block
+
+    def _block_steps(self, index: int) -> Iterable[tuple[list[memoryview], int, slice, np.ndarray | None]]:
+        """The steps that read block ``index`` of a file, the last of them completing the block.
+
+        The steps of one block are kept, so every stream in a lockstep reads
+        block ``index`` with the steps the first to ask for it worked out;
+        asking for the next block drops them, and asking for an earlier one
+        starts the planner again. A ``whole`` reader works out its steps as
+        it reads rather than hold them all.
+        """
+        if self._whole:
+            return self._plan()
+        if self._planner is None or index < self._index:
+            self._planner, self._index = self._plan(), -1
+        while self._index < index:
+            self._steps = []  # dropped before the next block's are worked out
+            for step in self._planner:
+                self._steps.append(step)
+                if step[3] is not None:
+                    break
+            self._index += 1
+        return self._steps
 
     def writer(self, stream: BinaryIO) -> Callable[[np.ndarray], None]:
         """A writer of a file of this layout to ``stream``, given its vector as consecutive blocks.
@@ -341,20 +391,22 @@ class LayoutReader:
 
 
 def _reject_nan(
-    specs: Sequence[TensorSpec],
+    layout: ParameterSet | LayoutReader,
     flat: np.ndarray,
     problem: str = "NaN payload rejected",
     start: int = 0,
 ) -> None:
     """Raise ``tensor '<name>': <problem>`` for the first tensor of ``flat`` holding NaN.
 
-    ``flat`` holds the layout's elements from flat index ``start`` on.
+    ``flat`` holds ``layout``'s elements from flat index ``start`` on. The
+    layout's specs are asked for only once ``flat`` is found to hold a NaN,
+    so a reader builds none for a clean vector.
     """
     # max propagates NaN, so one reduction without temporaries clears a clean vector.
     if not np.isnan(flat.max()):
         return
     offset = -start
-    for spec in specs:
+    for spec in layout.specs:
         end = offset + spec.num_elements
         if end > 0 and np.isnan(flat[max(offset, 0) : end].max()):
             raise CodecError(f"tensor {spec.name!r}: {problem}")
@@ -404,17 +456,17 @@ def _write_records(
         stream.writelines(chunks())
 
 
-def _read_headers(
-    stream: BinaryIO, dtype_code: int
-) -> tuple[tuple[TensorSpec, ...], bytearray, list[int], list[int]]:
+def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[bytearray, list[int], list[int]]:
     """Parse the headers of a TVC1 stream of ``dtype_code`` records, from its position on.
 
-    Returns the records' specs, their header bytes as read (the prefix of
-    magic, version and tensor count, then each record's name length through
-    dims, end to end), the size of each record's header and each record's
-    element count. Each record is read in three pieces: its name length,
-    its name with its dtype code and ndim, and its dims; its payload is
-    sought over, not read. An unbuffered
+    Returns the records' header bytes as read (the prefix of magic, version
+    and tensor count, then each record's name length through dims, end to
+    end), the size of each record's header and each record's element count;
+    no :class:`TensorSpec` is built. The checks are those of a decode, in
+    its order: an empty name, the one :class:`TensorSpec` check a parsed
+    header can fail, is raised once every record is read. Each record is
+    read in three pieces: its name length, its name with its dtype code and
+    ndim, and its dims; its payload is sought over, not read. An unbuffered
     stream is read through an ``io.BufferedReader``, so small records cost
     one read of the stream per buffer, and large ones one read per header.
     Each declared length is checked against the bytes left in the stream
@@ -450,8 +502,6 @@ def _read_headers(
         raise CodecError("empty container")
     itemsize = _NUMPY_DTYPES[dtype_code].itemsize
     headers, sizes, counts = bytearray(prefix), [], []
-    names: list[str] = []
-    shapes: list[tuple[int, ...]] = []
     seen: set[str] = set()
     pos += _PREFIX_SIZE
     for _ in range(count):
@@ -491,24 +541,24 @@ def _read_headers(
         headers += length + named + packed
         sizes.append(size)
         counts.append(elements)
-        names.append(name)
-        shapes.append(dims)
         pos = stream.seek(pos + payload)
     if pos != end:
         raise CodecError("trailing data after last record")
-    return tuple(map(TensorSpec, names, shapes)), headers, sizes, counts
+    if "" in seen:
+        raise ValidationError("tensor name must be non-empty")
+    return headers, sizes, counts
 
 
 def _read_whole(source: Source, dtype_code: int) -> tuple[tuple[TensorSpec, ...], np.ndarray]:
     """The layout of a TVC1 stream of ``dtype_code`` records, and its payloads as one vector.
 
-    A :class:`LayoutReader` whose one block is the whole vector reads the
-    stream from where its headers start, so each payload is read once
+    A ``whole`` :class:`LayoutReader`, whose one block is the whole vector,
+    reads the stream from where its headers start, so each payload is read once
     straight into its slice of the vector.
     """
     with _opened(source, "rb") as stream:
         origin = stream.tell()
-        reader = LayoutReader(stream, dtype_code=dtype_code, block=sys.maxsize)
+        reader = LayoutReader(stream, dtype_code=dtype_code, whole=True)
         stream.seek(origin)
         (flat,) = reader.blocks(stream)
     return reader.specs, flat

@@ -670,6 +670,85 @@ class TestMergeWritesByRename:
         assert stat.S_ISFIFO(os.stat(out).st_mode)
         assert part_files(tmp_path) == []
 
+    # The census and the owner map are written through part files too, and
+    # renamed into place before --out: an unwritable side-file exits 3 and
+    # changes no output.
+    @pytest.mark.parametrize("flag", ["--census-out", "--assignment-out"])
+    @pytest.mark.parametrize("method", ["magmax", "tunable"])
+    def test_an_unwritable_side_file_leaves_every_output_as_it_was(self, tmp_path, capsys, method, flag):
+        paths = write_block_inputs(tmp_path)
+        out = tmp_path / "m.tvc"
+        earlier = {out: b"an earlier result"}
+        for suffix in (".census.json", ".assignment.tvc"):
+            earlier[Path(f"{out}{suffix}")] = f"an earlier {suffix}".encode()
+        for path, data in earlier.items():
+            path.write_bytes(data)
+        unwritable = tmp_path / "missing" / "side-file"
+        argv = ["merge", "--method", method, *BLOCK_METHOD_ARGS[method], flag, str(unwritable), "--out", str(out)]
+        assert main([*argv, *paths]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert {path: path.read_bytes() for path in earlier} == earlier
+        assert part_files(tmp_path) == []
+
+    def test_side_files_are_renamed_before_out(self, tmp_path, monkeypatch):
+        paths = write_block_inputs(tmp_path)
+        want = merge_outputs(tmp_path, "magmax", paths)
+        renamed, replace = [], os.replace
+
+        def record(part, path):
+            renamed.append(Path(path).name)
+            replace(part, path)
+
+        monkeypatch.setattr(os, "replace", record)
+        assert merge_outputs(tmp_path, "magmax", paths) == want
+        assert renamed == ["magmax.tvc.assignment.tvc", "magmax.tvc.census.json", "magmax.tvc"]
+        assert part_files(tmp_path) == []
+
+    # Each part file is created exclusively, so two outputs that name one
+    # regular file exit 3 and write nothing.
+    def test_two_outputs_at_one_path_exit_3(self, tmp_path, capsys):
+        paths = write_block_inputs(tmp_path)
+        same = str(tmp_path / "side")
+        argv = ["merge", "--method", "magmax", "--census-out", same, "--assignment-out", same]
+        assert main([*argv, "--out", str(tmp_path / "m.tvc"), *paths]) == 3
+        assert "File exists" in capsys.readouterr().err
+        assert not (tmp_path / "side").exists() and not (tmp_path / "m.tvc").exists()
+        assert part_files(tmp_path) == []
+
+    # A side-file path that is not a regular file is written in place, as --out is.
+    def test_a_special_side_file_is_written_in_place(self, tmp_path):
+        paths = write_block_inputs(tmp_path)
+        argv = ["merge", "--method", "magmax", "--census-out", os.devnull, "--out", str(tmp_path / "m.tvc"), *paths]
+        assert main(argv) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert (tmp_path / "m.tvc").exists() and not (tmp_path / "m.tvc.census.json").exists()
+        assert part_files(tmp_path) == []
+
+
+class TestEmptyTensorName:
+    # Headers are parsed without building specs, yet an empty name is still
+    # rejected as a decode rejects it: once every record is read.
+    @pytest.mark.parametrize("position", [0, 2], ids=["first", "later"])
+    def test_an_empty_name_exits_2(self, tmp_path, capsys, position):
+        paths = write_block_inputs(tmp_path, fault=lambda r: edited(r, 1, name=b""), position=position)
+        for method in BLOCK_METHOD_ARGS:
+            argv = ["merge", "--method", method, *BLOCK_METHOD_ARGS[method], "--out", str(tmp_path / "m.tvc"), *paths]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "validation error: tensor name must be non-empty\n"
+            assert not (tmp_path / "m.tvc").exists() and part_files(tmp_path) == []
+        with pytest.raises(ValidationError, match="^tensor name must be non-empty$"):
+            decode_container(paths[position])
+
+    @pytest.mark.parametrize("position", [0, 2], ids=["first", "later"])
+    def test_a_truncated_later_record_is_reported_first(self, tmp_path, capsys, position):
+        paths = write_block_inputs(tmp_path, fault=lambda r: edited(r, 1, name=b"")[:-1], position=position)
+        message = "unexpected end of stream while reading payload of 'd'"
+        assert main(["merge", "--method", "magmax", "--out", str(tmp_path / "m.tvc"), *paths]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        with pytest.raises(ValidationError) as decoded:
+            decode_container(paths[position])
+        assert str(decoded.value) == message
+
 
 # taskvec and apply stream both inputs in lockstep through the merge's
 # reader. With 8-element blocks, these 21 elements (tensors at offsets 0, 3
