@@ -29,13 +29,9 @@ from .merging import (
     RESIDUAL_RANDOM,
     Rows,
     assignment_census,
-    average_merge,
-    magmax_merge,
     merge,
-    random_mix_merge,
     read_assignment,
     selection_stream,
-    tunable_merge,
     write_assignment,
 )
 from .preference import (
@@ -94,13 +90,9 @@ __all__ = [
     "RESIDUAL_RANDOM",
     "Rows",
     "assignment_census",
-    "average_merge",
-    "magmax_merge",
     "merge",
-    "random_mix_merge",
     "read_assignment",
     "selection_stream",
-    "tunable_merge",
     "write_assignment",
     "SimilarityVector",
     "load_preference",

@@ -165,6 +165,11 @@ def cmd_merge(args) -> int:
         for flag in ("census-out", "assignment-out"):
             if getattr(args, flag.replace("-", "_")) is not None:
                 raise UsageError(f"--{flag} does not apply to --method average: it has no owner map")
+    outputs = {"--out": args.out}
+    if args.method != "average":
+        outputs["--census-out"] = args.census_out or f"{args.out}.census.json"
+        outputs["--assignment-out"] = args.assignment_out or f"{args.out}.assignment.tvc"
+    _check_distinct(outputs)
 
     layout, rows = _task_rows(args.taus)
     log.debug("merge: %d tasks, %d elements, method %s", rows.count, rows.dim, args.method)
@@ -185,9 +190,9 @@ def cmd_merge(args) -> int:
             if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
                 residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
                 log.debug("residual fraction: %.6g", residual)
-            with output.open(args.census_out or f"{args.out}.census.json") as stream:
+            with output.open(outputs["--census-out"]) as stream:
                 stream.write(_census_json(census).encode())
-            with output.open(args.assignment_out or f"{args.out}.assignment.tvc") as stream:
+            with output.open(outputs["--assignment-out"]) as stream:
                 write_assignment(stream, assignment)
     return EXIT_OK
 
@@ -370,6 +375,23 @@ class _Output:
             for part, _ in self._parts:
                 with suppress(OSError):
                     os.unlink(part)
+
+
+def _check_distinct(outputs: dict[str, str]) -> None:
+    """Raise UsageError if two of ``outputs`` (option: path) name one regular or missing file,
+    whose part files would collide; a file that is not regular may be named twice.
+
+    A path's directory is resolved, but not its last component: a symlink there is replaced.
+    """
+    seen: dict[str, str] = {}
+    for option, path in outputs.items():
+        if _is_special(path):
+            continue
+        head, tail = os.path.split(os.path.abspath(path))
+        key = os.path.join(os.path.realpath(head), tail)
+        if key in seen:
+            raise UsageError(f"{seen[key]} and {option} name one file: {path}")
+        seen[key] = option
 
 
 def _is_special(path: str) -> bool:

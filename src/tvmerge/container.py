@@ -34,10 +34,10 @@ path, and each step's header bytes are compared with the first file's in
 one comparison. A file that does not match is explained from its headers
 alone. :func:`decode_container` and :func:`tvmerge.merging.read_assignment`
 read the first file itself as one block, so each payload goes straight
-into its slice of one vector. Writers take each record's header bytes
-with its payload: :meth:`LayoutReader.writer` puts the first file's header
-bytes back at each record boundary of a vector given a block at a time, so
-a merge writes the header bytes it read rather than encoding them again.
+into its slice of one vector. Every TVC1 file is written by one writer,
+given a layout's header bytes: :meth:`LayoutReader.writer` gives it the
+first file's, so a merge writes the header bytes it read rather than
+encoding them again.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ class ParameterSet:
 def encode_container(pset: ParameterSet, destination: Source) -> None:
     """Write ``pset`` as a TVC1 stream; decode gives back identical bits."""
     _reject_nan(pset, pset.flat())
-    records = ((_record_header(name, DTYPE_F32, arr.shape), arr) for name, arr in pset.items())
-    _write_records(records, len(pset), DTYPE_F32, destination)
+    layout = _layout([(spec.name, spec.dims) for spec in pset.specs], DTYPE_F32)
+    with _opened(destination, "wb") as stream:
+        _writer(stream, *layout, DTYPE_F32)(pset.flat())
 
 
 def decode_container(source: Source) -> ParameterSet:
@@ -223,12 +224,7 @@ class LayoutReader:
     calls that fill the same buffers for any other stream, and then one
     comparison of the header bytes it read with the first file's; a
     block's records fit in one step unless they need more than
-    ``_IOV_MAX`` buffers. The reader keeps the steps of one block: the
-    first stream to ask for a block works them out, every other stream
-    reads that block with them, and they are dropped when the next block
-    is asked for. A ``whole`` reader, as a whole-vector read makes to
-    stream its file once, works out its steps as it reads, so it holds the
-    buffers of one step at a time.
+    ``_IOV_MAX`` buffers. :meth:`_block_steps` tells which steps are kept.
     Blocks are read into one buffer that the reader owns, shared by every
     stream of the reader: several sources may be streamed at once (a merge
     streams all its inputs in lockstep), but a caller is done with a block
@@ -359,35 +355,8 @@ class LayoutReader:
         return self._steps
 
     def writer(self, stream: BinaryIO) -> Callable[[np.ndarray], None]:
-        """A writer of a file of this layout to ``stream``, given its vector as consecutive blocks.
-
-        Each call writes the next block, of any length, and before each
-        record that starts within it that record's header bytes as the first
-        file holds them (before the first record, also the magic, version
-        and tensor count), so no header is encoded again. A block not in the
-        layout's dtype is converted; one that is goes out from its own memory.
-        """
-        headers, dtype = memoryview(self._headers), self._buffer.dtype
-        records = zip(self._header_sizes, self._counts)
-        head, staged, left = 0, _PREFIX_SIZE, 0  # ``left``: elements of the open record to come
-
-        def write(block: np.ndarray) -> None:
-            nonlocal head, staged, left
-            block = np.asarray(block, dtype=dtype)
-            pieces, pos = [], 0
-            while pos < block.size:
-                if not left:
-                    header, left = next(records)
-                    staged += header
-                    pieces.append(headers[head:staged])
-                    head = staged
-                take = min(left, block.size - pos)
-                pieces.append(block[pos : pos + take])
-                pos += take
-                left -= take
-            stream.writelines(pieces)
-
-        return write
+        """:func:`_writer` of a file of this layout to ``stream``, with the first file's header bytes."""
+        return _writer(stream, self._headers, self._header_sizes, self._counts, self._dtype_code)
 
 
 def _reject_nan(
@@ -416,11 +385,6 @@ def _reject_nan(
 # Low-level record I/O, shared with the assignment side-file writer.
 
 
-def _container_header(count: int) -> bytes:
-    """Magic, version and tensor count: the bytes before the first record."""
-    return MAGIC + bytes([VERSION]) + _U32.pack(count)
-
-
 def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
     """Name length, UTF-8 name, dtype code, ndim and dims: the bytes before a payload."""
     name_bytes = name.encode("utf-8")
@@ -428,32 +392,44 @@ def _record_header(name: str, code: int, dims: Sequence[int]) -> bytes:
     return struct.pack(f"<H{len(name_bytes)}sBB{ndim}Q", len(name_bytes), name_bytes, code, ndim, *dims)
 
 
-def _write_records(
-    records: Iterable[tuple[bytes | memoryview, np.ndarray]], count: int, code: int, destination: Source
-) -> None:
-    """Write a TVC1 stream of ``count`` records of ``code``, each given as its header bytes and its payload.
+def _layout(records: Sequence[tuple[str, Sequence[int]]], code: int) -> tuple[bytes, list[int], list[int]]:
+    """The header bytes, header sizes and element counts of ``records`` (name, dims) of ``code``,
+    as :func:`_read_headers` returns those of a file that holds them."""
+    headers = [_record_header(name, code, dims) for name, dims in records]
+    prefix = MAGIC + bytes([VERSION]) + _U32.pack(len(headers))
+    return prefix + b"".join(headers), [len(h) for h in headers], [math.prod(dims) for _, dims in records]
 
-    Headers and the payloads already in the wire dtype go out from their own
-    memory in one ``writelines``; any other payload is converted one block
-    at a time, so it is never copied whole.
+
+def _writer(stream: BinaryIO, headers: bytes, header_sizes: list[int], counts: list[int], code: int) -> Callable:
+    """The one TVC1 writer, to ``stream``, of a vector of ``code`` records given as consecutive blocks.
+
+    ``headers``, ``header_sizes`` and ``counts`` are a layout as
+    :func:`_read_headers` returns it. Each call writes the next block, of
+    any length, each record's header bytes before its first element, and
+    the prefix first. A block not in ``code``'s dtype is converted; one
+    that is goes out from its own memory.
     """
-    if count == 0:
-        raise CodecError("empty container")
-    wire = _NUMPY_DTYPES[code]
+    headers, dtype = memoryview(headers), _NUMPY_DTYPES[code]
+    records = zip(header_sizes, counts)
+    head, staged, left = 0, _PREFIX_SIZE, 0  # ``left``: elements of the open record to come
 
-    def chunks() -> Iterator[bytes | memoryview | np.ndarray]:
-        yield _container_header(count)
-        for header, payload in records:
-            yield header
-            if payload.dtype == wire and payload.flags.c_contiguous:
-                yield payload
-                continue
-            flat = payload.reshape(-1)
-            for start in range(0, flat.size, _BLOCK):
-                yield np.ascontiguousarray(flat[start : start + _BLOCK], dtype=wire)
+    def write(block: np.ndarray) -> None:
+        nonlocal head, staged, left
+        block = np.asarray(block, dtype=dtype)
+        pieces, pos = [], 0
+        while pos < block.size:
+            if not left:
+                header, left = next(records)
+                staged += header
+                pieces.append(headers[head:staged])
+                head = staged
+            take = min(left, block.size - pos)
+            pieces.append(block[pos : pos + take])
+            pos += take
+            left -= take
+        stream.writelines(pieces)
 
-    with _opened(destination, "wb") as stream:
-        stream.writelines(chunks())
+    return write
 
 
 def _read_headers(stream: BinaryIO, dtype_code: int) -> tuple[bytearray, list[int], list[int]]:

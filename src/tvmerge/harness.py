@@ -565,7 +565,7 @@ def _build_budgets(
     if cfg.source is None:
         return None
     if cfg.source == "file":
-        # Whether the file fits the suite is checked by tunable_merge.
+        # Whether the file fits the suite is checked by merge.
         return load_preference(cfg.pref_path)
     if cfg.source == "alpha":
         return preference_from_alpha(alpha, cfg.num_tasks, cfg.dim)

@@ -8,27 +8,25 @@ d-sized row buffer is built. Every strategy reads the rows in lockstep, block 0
 of every row, then block 1, and so on (``tunable`` twice), so that its
 running state is one block long. Each strategy finishes the merged vector a
 block at a time, in a buffer that its caller gives for the block, and hands
-the buffer back once the block is done: the public functions give each
-block's slice of one vector, and the command line one block-sized buffer that
-it writes to the output file after each block. ``magmax`` and ``tunable``
+the buffer back once the block is done: :func:`merge` gives each block's
+slice of one vector, and the command line one block-sized buffer that it
+writes to the output file after each block. ``magmax`` and ``tunable``
 pick by one record-setter rule: a row sets a record where its magnitude is
 at least that of every earlier row. A strategy keeps a few d-sized vectors
 of state: the owner map and the provenance map (and the merged vector, when
 it is returned), and in ``tunable``'s claim sweep T*d/8 bytes of packed
 record-setter bits, d/8 bytes of packed unassigned elements and one task's
-unpacked candidates.
-Every other temporary holds at most one block, besides, in ``tunable``,
-one bool per candidate of a claim that is cut (and up to one int64 per
-candidate while numpy draws the subset it keeps) and one task id per
-element left to the residual fill. ``magmax`` and
+unpacked candidates. Every other temporary holds at most one block,
+besides, in ``tunable``, one bool per candidate of a claim that is cut
+(and up to one int64 per candidate while numpy draws the subset it keeps)
+and one task id per element left to the residual fill. ``magmax`` and
 ``tunable`` keep their owner map in the narrowest unsigned dtype that
 holds T (uint8 up to 255 tasks); ``randmix`` keeps int32, the dtype its
-draw is defined in.
-Rows are selected with arithmetic on their bit patterns, not with masked
-copies. Task ids are 1-based throughout; flat indices are 0-based numpy
-indices.
+draw is defined in. Rows are selected with arithmetic on their bit
+patterns, not with masked copies. Task ids are 1-based throughout; flat
+indices are 0-based numpy indices.
 
-Budgets follow the rule of :mod:`tvmerge.preference`; :func:`tunable_merge`
+Budgets follow the rule of :mod:`tvmerge.preference`; :func:`merge`
 checks only that they fit: one per task, summing to the element count.
 
 Randomized selection is driven by counter-based keyed streams: a Philox
@@ -47,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import container
-from .container import DTYPE_U16, _read_whole, _record_header, _write_records
+from .container import DTYPE_U16, _layout, _opened, _read_whole, _writer
 from .errors import ShapeMismatchError, ValidationError
 from .preference import PreferenceVector
 
@@ -65,6 +63,9 @@ _FILL_SLACK = 6
 
 log = logging.getLogger(__name__)
 
+#: The dtypes a row may have; every row of a merge has the same one.
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
 Taus = Union["Rows", np.ndarray, Sequence[np.ndarray]]
 Budgets = Union["PreferenceVector", Sequence[int], np.ndarray]
 
@@ -74,14 +75,15 @@ class Rows:
     """``count`` task vectors of ``dim`` elements each, read as streams of blocks.
 
     ``blocks(t)`` yields task vector t (0-based) as consecutive 1-D pieces
-    of ``container._BLOCK`` elements (the last shorter), with the same dtype for
-    every t. Every piece, of any row, may be one reused buffer, refilled,
-    so a strategy is done with a piece before it asks any stream for the
-    next. Every strategy holds every row's stream open at once and asks
-    them in turn for each block; it may stream a row more than once. A
-    stream with the wrong number of pieces, or a piece of the wrong length,
-    raises ValueError. Every strategy accepts a source like this in place
-    of a (T, d) matrix; the source checks its own rows for NaN.
+    of ``container._BLOCK`` elements (the last shorter), float32 or float64,
+    with the same dtype for every t. Every piece, of any row, may be one
+    reused buffer, refilled, so a strategy is done with a piece before it
+    asks any stream for the next. Every strategy holds every row's stream
+    open at once and asks them in turn for each block; it may stream a row
+    more than once. A stream with the wrong number of pieces, or a piece of
+    the wrong length, raises ValueError, and a piece of another dtype
+    ValidationError. Every strategy accepts a source like this in place of
+    a (T, d) matrix; the source checks its own rows for NaN.
     """
 
     count: int
@@ -135,66 +137,40 @@ def selection_stream(seed: int, purpose: int, task: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def merge(
-    method: str, taus: Taus, pref: Budgets | None = None, seed: int = 0
-) -> tuple[np.ndarray, Assignment | None]:
-    """Run the strategy ``method``, one of :data:`MERGE_METHODS`; ``average`` has no assignment.
+def merge(method: str, taus: Taus, pref: Budgets | None = None, seed: int = 0) -> tuple[np.ndarray, Assignment | None]:
+    """Merge ``taus`` by ``method``, one of :data:`MERGE_METHODS`: the merged vector and its assignment.
 
-    Every method checks ``seed``; only ``tunable`` and ``randmix`` draw from it.
+    Every method checks ``seed``; only ``tunable`` and ``randmix`` draw
+    from it, and only ``tunable`` reads ``pref``. The rows must be float32
+    or float64, one dtype for every row, and the merged vector has their
+    dtype.
+
+    - ``magmax`` keeps, per element, the value of largest absolute
+      magnitude. Ties go to the later task: the owner is the element's
+      last record-setter.
+    - ``tunable`` is the budgeted magnitude merge: task t contributes
+      exactly ``pref[t]`` elements. One sweep scans tasks from last to
+      first. A task claims the still-unassigned elements where it is a
+      record-setter, i.e. its magnitude is the largest among tasks 1..t
+      (later task wins ties); when the claim overshoots its budget, it
+      keeps the candidates (sorted by flat index) at the positions
+      ``choice(size, budget, replace=False, shuffle=False)`` draws from the
+      stream keyed (seed, 1, task): a uniform subset of exactly the budget.
+      Claimed elements have provenance 1. Then the residual fill gives task
+      t one leftover element per element it still lacks, with provenance
+      :data:`RESIDUAL_RANDOM`, in a uniformly random arrangement drawn from
+      the stream keyed (seed, 3, 0), as :func:`_residual_labels` tells.
+    - ``average`` is the element-wise arithmetic mean, with no assignment.
+      The rows are summed in task order starting from 0, in their dtype,
+      as ``mean(axis=0)`` of the stacked matrix sums them, so the result is
+      the same to the bit. The mean of +inf and -inf is NaN.
+    - ``randmix`` assigns each element to a task drawn uniformly from the
+      stream keyed (seed, 0, 0).
     """
-    return _collected(taus, _merge_blocks, method, pref, seed)
-
-
-def magmax_merge(taus: Taus) -> tuple[np.ndarray, Assignment]:
-    """Keep, per element, the value of largest absolute magnitude.
-
-    Ties go to the later task: the owner is the element's last record-setter.
-    """
-    return _collected(taus, _magmax)
-
-
-def tunable_merge(taus: Taus, pref: Budgets, seed: int = 0) -> tuple[np.ndarray, Assignment]:
-    """Budgeted magnitude merge: task t contributes exactly ``pref[t]`` elements.
-
-    One sweep scans tasks from last to first. A task claims the
-    still-unassigned elements where it is a record-setter, i.e. its
-    magnitude is the largest among tasks 1..t (later task wins ties); when
-    the claim overshoots its budget, it keeps the candidates (sorted by flat
-    index) at the positions ``choice(size, budget, replace=False,
-    shuffle=False)`` draws from the stream keyed (seed, 1, task): a uniform
-    subset of exactly the budget. Claimed elements have provenance 1. Then
-    the residual fill gives task t one leftover element per element it
-    still lacks, with provenance :data:`RESIDUAL_RANDOM`, in a uniformly
-    random arrangement drawn from the stream keyed (seed, 3, 0): each
-    leftover, in flat-index order, draws a slot of a 2**16-slot table in
-    which every task holds a share a little under its deficit (a whole
-    draw is repeated if a task still overshoots), and the leftovers that
-    drew a blank slot take the rest of the unmet budgets, as a list of task
-    ids in ascending order shuffled by the same stream. When no task's
-    deficit earns a slot, that shuffled list is the whole fill; when at
-    most one task is short, nothing is drawn.
-
-    The rows are read twice, each time in lockstep: once for the
-    record-setter bits, kept packed (T*d/8 bytes), and once to copy the
-    elements each task owns.
-    """
-    return _collected(taus, _tunable, pref, seed)
-
-
-def average_merge(taus: Taus) -> np.ndarray:
-    """Element-wise arithmetic mean of the task vectors.
-
-    The rows are summed in task order starting from 0, in the dtype that
-    ``mean(axis=0)`` of the stacked matrix sums in (float32 for float16
-    rows, float64 for integer rows), so the result is the same to the bit.
-    The mean of +inf and -inf is NaN.
-    """
-    return _collected(taus, _average)[0]
-
-
-def random_mix_merge(taus: Taus, seed: int) -> tuple[np.ndarray, Assignment]:
-    """Assign each element to a task drawn uniformly from the seeded stream."""
-    return _collected(taus, _randmix, seed)
+    rows = _as_rows(taus)
+    out = _Collector(rows.dim)
+    assignment = _merge_blocks(rows, method, pref, seed, out)
+    return out.vector, assignment
 
 
 def assignment_census(assignment: Assignment) -> np.ndarray:
@@ -211,20 +187,22 @@ def assignment_census(assignment: Assignment) -> np.ndarray:
 
 
 def write_assignment(destination, assignment: Assignment) -> None:
-    """Persist owner and provenance maps as u16 records in a TVC1 side-file."""
+    """Persist owner and provenance maps as u16 records in a TVC1 side-file.
+
+    Each map is converted to u16 one block at a time. An assignment of no
+    elements raises before anything is written, as it cannot be read back.
+    """
     if assignment.num_tasks > 0xFFFF:
         raise ValidationError("owner map limited to 65535 tasks")
-    records = (
-        ("owner", assignment.owner),
-        ("provenance", assignment.provenance),
-        ("num_tasks", np.asarray([assignment.num_tasks], dtype=np.uint16)),
-    )
-    _write_records(
-        [(_record_header(name, DTYPE_U16, array.shape), array) for name, array in records],
-        len(records),
-        DTYPE_U16,
-        destination,
-    )
+    if assignment.num_elements == 0:
+        raise ValidationError("an assignment of no elements cannot be written")
+    maps = dict(owner=assignment.owner, provenance=assignment.provenance, num_tasks=np.array([assignment.num_tasks]))
+    layout = _layout([(name, values.shape) for name, values in maps.items()], DTYPE_U16)
+    with _opened(destination, "wb") as stream:
+        write = _writer(stream, *layout, DTYPE_U16)
+        for values in maps.values():
+            for block in _blocks(values.size):
+                write(values[block])
 
 
 def read_assignment(source) -> Assignment:
@@ -251,11 +229,9 @@ class _Collector:
     A strategy finishes block 0 of the merged vector, then block 1, and so
     on. For each, it asks ``block(block, dtype)`` for the buffer to finish
     it in (``block`` is its slice of the flat index), and once the block's
-    last row is in, hands the buffer to ``emit(block, values)``. A writer
-    of the command line answers the same two calls with one block-sized
-    buffer, which ``emit`` writes out; this collector hands out each
-    block's slice of one vector, allocated at the first block, so nothing
-    is copied.
+    last row is in, hands the buffer to ``emit(block, values)``. This
+    collector hands out each block's slice of one vector, allocated at the
+    first block; the command line's writer hands out one block buffer.
     """
 
     def __init__(self, dim: int):
@@ -269,14 +245,6 @@ class _Collector:
 
     def emit(self, block: slice, values: np.ndarray) -> None:
         pass
-
-
-def _collected(taus: Taus, strategy: Callable[..., Assignment | None], *args) -> tuple[np.ndarray, Assignment | None]:
-    """The merged vector of ``strategy(rows, *args, out)`` on ``taus``, and what it returns."""
-    rows = _as_rows(taus)
-    out = _Collector(rows.dim)
-    result = strategy(rows, *args, out)
-    return out.vector, result
 
 
 def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out) -> Assignment | None:
@@ -301,7 +269,7 @@ def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out)
 
 
 def _magmax(rows: Rows, out) -> Assignment:
-    """:func:`magmax_merge` on ``rows``, finishing each merged block in ``out``."""
+    """``magmax`` on ``rows``, finishing each merged block in ``out``."""
     owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
     ids = np.empty(min(container._BLOCK, rows.dim), dtype=owner.dtype)
     for block, task, piece, flags in _record_setters(rows):
@@ -322,12 +290,10 @@ def _magmax(rows: Rows, out) -> Assignment:
 
 
 def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> Assignment:
-    """:func:`tunable_merge` on ``rows``, finishing each merged block in ``out``."""
-    check_seed(seed)
+    """``tunable`` on ``rows``, finishing each merged block in ``out``."""
     budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
     if np.ndim(budgets) != 1 or len(budgets) != rows.count:
-        count = np.size(budgets)
-        raise ValidationError(f"preference vector has {count} budgets for {rows.count} tasks")
+        raise ValidationError(f"preference vector has {np.size(budgets)} budgets for {rows.count} tasks")
     pref = PreferenceVector(tuple(budgets))
     if pref.total != rows.dim:
         raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
@@ -338,34 +304,22 @@ def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> Assignment:
 
 
 def _average(rows: Rows, out) -> None:
-    """:func:`average_merge` on ``rows``, finishing each block of the mean in ``out``.
-
-    Float16 rows are summed in a block-sized float32 buffer, and each block
-    of the mean is cast into ``out``'s buffer; other rows are summed there.
-    """
+    """``average`` on ``rows``, finishing each block of the mean in ``out``."""
     with np.errstate(invalid="ignore"):
         for block, task, piece in _lockstep(rows):
-            n = block.stop - block.start
             if task == 0:
-                if block.start == 0:  # the first piece sets the dtype
-                    half = piece.dtype == np.float16
-                    dtype = np.result_type(piece.dtype, 0.0)
-                    total = np.empty(min(container._BLOCK, rows.dim), np.float32) if half else None
-                merged = out.block(block, dtype)
-                acc = total[:n] if half else merged
+                merged = out.block(block, piece.dtype)
                 # A sum that starts from 0: row 0 is added to 0, so -0.0 becomes +0.0.
-                np.add(piece, 0.0, dtype=acc.dtype, out=acc)
+                np.add(piece, 0.0, out=merged)
             else:
-                np.add(acc, piece, out=acc)
+                np.add(merged, piece, out=merged)
             if task == rows.count - 1:
-                acc /= rows.count
-                if half:
-                    merged[...] = acc
+                merged /= rows.count
                 out.emit(block, merged)
 
 
 def _randmix(rows: Rows, seed: int, out) -> Assignment:
-    """:func:`random_mix_merge` on ``rows``, finishing each merged block in ``out``."""
+    """``randmix`` on ``rows``, finishing each merged block in ``out``."""
     stream = selection_stream(seed, RANDMIX_KEY, 0)
     owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
     assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
@@ -388,9 +342,8 @@ def _as_rows(taus: Taus) -> Rows:
     """Check ``taus`` and present it as a row source.
 
     A (T, d) matrix or a sequence of equal-length 1-D vectors is checked for
-    NaN up front and its rows are streamed as views (vectors of mixed dtypes
-    are converted to the dtype their stack would have); a :class:`Rows` is
-    used as is.
+    NaN up front and its rows are streamed as views; a :class:`Rows` is used
+    as is. :func:`_lockstep` checks their dtypes.
     """
     if isinstance(taus, Rows):
         rows = taus
@@ -402,11 +355,8 @@ def _as_rows(taus: Taus) -> Rows:
             raise ValidationError("task vectors must be 1-D arrays")
         if len({a.size for a in arrays}) > 1:
             raise ShapeMismatchError("shape mismatch: task vector lengths differ")
-        if any(np.isnan(a).any() for a in arrays):
+        if any(a.dtype.kind == "f" and np.isnan(a).any() for a in arrays):
             raise ValidationError("task vectors must not contain NaN")
-        if arrays:
-            dtype = np.result_type(*{a.dtype for a in arrays})
-            arrays = [a.astype(dtype, copy=False) for a in arrays]
         dim = arrays[0].size if arrays else 0
         rows = Rows(len(arrays), dim, lambda task: (arrays[task][block] for block in _blocks(dim)))
     if rows.count == 0:
@@ -426,7 +376,7 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     """Owner of every element under ``deficits`` (the budgets), and where it was claimed.
 
     Reads the rows once for their record-setter bits, then runs the claim
-    sweep and the residual fill of :func:`tunable_merge` on those bits. The
+    sweep and the residual fill of ``tunable`` on those bits. The
     sweep keeps the unassigned elements as packed bits ``free`` (the padding
     bits of its last byte clear). A task's candidates are its record-setter
     bits and ``free``, unpacked once; a cut claim writes the candidates it
@@ -609,11 +559,14 @@ def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:
     block 0 of rows 0..T-1, then for block 1, and so on.
 
     A stream with fewer or more pieces than the row has blocks, or a piece
-    that is not a 1-D array the length of its block, raises ValueError.
-    Every stream is drained at the end; if a stream raises, or this
-    generator is closed first, every stream that has a ``close`` is closed.
+    that is not a 1-D array the length of its block, raises ValueError. A
+    piece that is not float32 or float64, or not of the first piece's dtype,
+    raises ValidationError before it is yielded. Every stream is drained at
+    the end; if a stream raises, or this generator is closed first, every
+    stream that has a ``close`` is closed.
     """
     streams = [iter(rows.blocks(task)) for task in range(rows.count)]
+    dtype = None
     try:
         for block in _blocks(rows.dim):
             for task, stream in enumerate(streams):
@@ -622,6 +575,10 @@ def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:
                     raise ValueError(f"row {task} ended before element {block.start}")
                 if piece.shape != (block.stop - block.start,):
                     raise ValueError(f"row {task} has a piece of shape {piece.shape} at element {block.start}")
+                if dtype is None:
+                    dtype = piece.dtype  # the first piece sets the dtype
+                if piece.dtype != dtype or dtype not in _FLOATS:
+                    raise ValidationError(f"row {task} is {piece.dtype}: rows are float32 or float64, all of one dtype")
                 yield block, task, piece
         for task, stream in enumerate(streams):
             if next(stream, None) is not None:

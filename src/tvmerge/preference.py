@@ -2,7 +2,7 @@
 
 Budgets are a non-empty list of non-negative integers (not booleans), one
 per task, summing to the element count d; whether they fit a given set of
-task vectors is checked by ``tunable_merge``. Scores are non-empty, finite,
+task vectors is checked by ``merge``. Scores are non-empty, finite,
 non-negative numbers (not booleans or strings) with a positive sum.
 
 Budgets, and a target environment's sample counts, follow one rule,

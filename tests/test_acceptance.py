@@ -18,7 +18,6 @@ from tvmerge import (
     assignment_census,
     generate_task_suite,
     label_similarity,
-    magmax_merge,
     merge,
     evaluate,
     pairwise_sq_dists,
@@ -26,7 +25,6 @@ from tvmerge import (
     run_pipeline,
     sequential_finetune_analog,
     sinkhorn_ot,
-    tunable_merge,
 )
 from tvmerge.cli import main
 
@@ -53,7 +51,7 @@ def test_01_budget_exactness_and_partition():
             num_tasks = int(rng.choice([3, 8, 20]))
             taus = rng.standard_normal((num_tasks, dim))
             budgets = rng.multinomial(dim, np.ones(num_tasks) / num_tasks)
-            _, assignment = tunable_merge(taus, budgets, seed=cases)
+            _, assignment = merge("tunable", taus, budgets, seed=cases)
             census = assignment_census(assignment)
             assert census.tolist() == budgets.tolist()
             assert assignment.owner.size == dim
@@ -68,9 +66,9 @@ def test_02_reduction_to_unbudgeted_merge():
         rng = np.random.default_rng(7)
         for trial in range(20):
             taus = rng.standard_normal((8, 10**4))
-            plain_merged, plain_assignment = magmax_merge(taus)
+            plain_merged, plain_assignment = merge("magmax", taus)
             census = assignment_census(plain_assignment)
-            merged, assignment = tunable_merge(taus, census, seed=trial)
+            merged, assignment = merge("tunable", taus, census, seed=trial)
             assert merged.tobytes() == plain_merged.tobytes()
             assert np.array_equal(assignment.owner, plain_assignment.owner)
 
@@ -81,7 +79,7 @@ def test_03_alpha_zero_corner():
         taus = rng.standard_normal((5, 4096))
         pref = preference_from_alpha(0.0, 5, 4096)
         assert pref.budgets == (0, 0, 0, 0, 4096)
-        merged, assignment = tunable_merge(taus, pref, seed=3)
+        merged, assignment = merge("tunable", taus, pref, seed=3)
         assert merged.tobytes() == taus[-1].tobytes()
         assert set(assignment.owner.tolist()) == {5}
 
@@ -102,7 +100,7 @@ def test_04_reference_transliteration_corpus():
                 # Task 1 sets most records, so later tasks leave a fill that earns table slots.
                 taus[0] *= 4
             budgets = rng.multinomial(dim, weights)
-            merged, assignment = tunable_merge(taus, budgets, seed=case)
+            merged, assignment = merge("tunable", taus, budgets, seed=case)
             ref_merged, ref_owner, ref_prov = reference_tunable_merge(
                 [row.tolist() for row in taus], budgets.tolist(), case
             )
@@ -182,7 +180,7 @@ def test_08_exact_recovery():
         thetas = sequential_finetune_analog(tasks, theta_0)
         bases = [theta_0, *thetas[:-1]]
         taus = np.stack([t - b for t, b in zip(thetas, bases)])
-        merged, _ = tunable_merge(taus, [t.support.size for t in tasks], seed=31)
+        merged, _ = merge("tunable", taus, [t.support.size for t in tasks], seed=31)
         for loss in evaluate(theta_0 + merged, tasks).task_losses.values():
             assert loss <= 1e-18
 

@@ -486,13 +486,13 @@ def merge_outputs(directory, method, paths):
 
 class TestMergeStreamsBlocks:
     @pytest.mark.parametrize("method", BLOCK_METHOD_ARGS)
-    def test_five_element_blocks_give_the_same_bytes(self, tmp_path, monkeypatch, method):
+    def test_small_blocks_give_the_same_bytes(self, tmp_path, monkeypatch, method):
         paths = write_block_inputs(tmp_path)
         want = merge_outputs(tmp_path, method, paths)
         monkeypatch.setattr(container, "_BLOCK", 8)
         assert merge_outputs(tmp_path, method, paths) == want
 
-    @pytest.mark.parametrize("block", [8, None], ids=["block 5", "default block"])
+    @pytest.mark.parametrize("block", [8, None], ids=["block 8", "default block"])
     @pytest.mark.parametrize("position", [0, 2], ids=["first", "last"])
     @pytest.mark.parametrize("fault", BLOCK_FAULTS)
     def test_fault_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, fault, position, block):
@@ -509,7 +509,7 @@ class TestMergeStreamsBlocks:
     # Every method reads its inputs in lockstep, one block of every input in
     # turn, with all six files open at once: a NaN in the first block of the
     # last input alone still exits 2, naming its tensor, and writes nothing.
-    @pytest.mark.parametrize("block", [8, None], ids=["block 5", "default block"])
+    @pytest.mark.parametrize("block", [8, None], ids=["block 8", "default block"])
     def test_nan_in_the_first_block_of_the_last_of_six_inputs(self, tmp_path, capsys, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(container, "_BLOCK", block)
@@ -704,15 +704,37 @@ class TestMergeWritesByRename:
         assert renamed == ["magmax.tvc.assignment.tvc", "magmax.tvc.census.json", "magmax.tvc"]
         assert part_files(tmp_path) == []
 
-    # Each part file is created exclusively, so two outputs that name one
-    # regular file exit 3 and write nothing.
-    def test_two_outputs_at_one_path_exit_3(self, tmp_path, capsys):
+    # Each output is written through its own part file, so two outputs that
+    # name one regular or missing file exit 4, naming both options, before
+    # any input is read.
+    @pytest.mark.parametrize(
+        "flags, options",
+        [
+            (["--census-out", "side", "--assignment-out", "side"], "--census-out and --assignment-out"),
+            (["--census-out", "m.tvc"], "--out and --census-out"),
+            (["--assignment-out", "sub/../m.tvc.census.json"], "--census-out and --assignment-out"),
+            (["--census-out", "link/side", "--assignment-out", "side"], "--census-out and --assignment-out"),
+        ],
+        ids=["side-files", "census at out", "assignment at the default census", "through a directory link"],
+    )
+    def test_two_outputs_at_one_path_exit_4(self, tmp_path, capsys, monkeypatch, flags, options):
         paths = write_block_inputs(tmp_path)
-        same = str(tmp_path / "side")
-        argv = ["merge", "--method", "magmax", "--census-out", same, "--assignment-out", same]
-        assert main([*argv, "--out", str(tmp_path / "m.tvc"), *paths]) == 3
-        assert "File exists" in capsys.readouterr().err
-        assert not (tmp_path / "side").exists() and not (tmp_path / "m.tvc").exists()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "_task_rows", lambda paths: read.append(paths))
+        before = sorted(tmp_path.iterdir())
+        assert main(["merge", "--method", "magmax", *flags, "--out", "m.tvc", *paths]) == 4
+        assert capsys.readouterr().err.startswith(f"usage error: {options} name one file: ")
+        assert read == [] and sorted(tmp_path.iterdir()) == before
+
+    # A path that is not a regular file may be given to several outputs.
+    def test_two_outputs_may_name_one_special_file(self, tmp_path):
+        paths = write_block_inputs(tmp_path)
+        argv = ["merge", "--method", "magmax", "--census-out", os.devnull, "--assignment-out", os.devnull]
+        assert main([*argv, "--out", str(tmp_path / "m.tvc"), *paths]) == 0
+        assert (tmp_path / "m.tvc").read_bytes() == merge_outputs(tmp_path, "magmax", paths)[0]
         assert part_files(tmp_path) == []
 
     # A side-file path that is not a regular file is written in place, as --out is.
@@ -1269,9 +1291,10 @@ class TestCensus:
     @pytest.mark.parametrize("shape", [(2,), (2, 2)], ids=["2", "2x2"])
     def test_num_tasks_of_more_than_one_value_exits_2(self, tmp_path, capsys, shape):
         maps = {"owner": np.array([1, 2]), "provenance": np.array([1, 1]), "num_tasks": np.full(shape, 2)}
-        records = [(container._record_header(name, DTYPE_U16, a.shape), a) for name, a in maps.items()]
+        layout = container._layout([(name, a.shape) for name, a in maps.items()], DTYPE_U16)
         path = tmp_path / "m.assignment.tvc"
-        container._write_records(records, len(records), DTYPE_U16, path)
+        with open(path, "wb") as stream:
+            container._writer(stream, *layout, DTYPE_U16)(np.concatenate([a.ravel() for a in maps.values()]))
         assert main(["census", "--assignment", str(path)]) == 2
         size = math.prod(shape)
         assert capsys.readouterr().err == f"validation error: assignment file record 'num_tasks' holds {size} values, not 1\n"

@@ -433,19 +433,19 @@ class TestLayoutReader:
         for task, pset in enumerate([first, third, first.with_flat(2 * first.flat())]):
             paths.append(str(tmp_path / f"t{task}.tvc"))
             encode_container(pset, paths[-1])
-        side_file_header = merging._record_header
+        layout = container._layout
+        reads = True
 
-        def encode_header(*args):
-            raise AssertionError("a header was encoded on a read path")
-
-        def encode_side_file_header(name, code, dims):
+        def encode_layout(records, code):
+            assert not reads, "a header was encoded on a read path"
             assert code == DTYPE_U16, "merge encoded a container header"
-            return side_file_header(name, code, dims)
+            return layout(records, code)
 
         args = {"magmax": [], "tunable": ["--alpha", "0.5", "--seed", "3"], "average": [], "randmix": ["--seed", "3"]}
         with monkeypatch.context() as patch:
-            patch.setattr(container, "_record_header", encode_header)
-            patch.setattr(merging, "_record_header", encode_side_file_header)
+            # The one writer is given header bytes: only the side-files' are encoded.
+            patch.setattr(container, "_layout", encode_layout)
+            patch.setattr(merging, "_layout", encode_layout)
             patch.setattr(container, "_BLOCK", 8)
             assert decode_container(io.BytesIO(raw_first)).bitwise_equal(first)
             side_file.seek(0)
@@ -454,6 +454,7 @@ class TestLayoutReader:
             assert loaded.num_tasks == 2
             blocks = [part.copy() for part in LayoutReader(io.BytesIO(raw_first)).blocks(io.BytesIO(raw_later))]
             assert np.concatenate(blocks).view(np.uint32).tolist() == later.flat().view(np.uint32).tolist()
+            reads = False
             for method, flags in args.items():
                 assert main(["merge", "--method", method, *flags, "--out", str(tmp_path / f"{method}.tvc"), *paths]) == 0
 

@@ -16,11 +16,11 @@ from tvmerge import (
     evaluate,
     generate_task_suite,
     largest_remainder_counts,
+    merge,
     mix_target_environment,
     pairwise_sq_dists,
     run_pipeline,
     sequential_finetune_analog,
-    tunable_merge,
 )
 from tvmerge import harness, similarity
 from tvmerge.harness import environment_meta_embeddings, task_embeddings
@@ -240,7 +240,7 @@ class TestExactRecoveryAndSteering:
         thetas = sequential_finetune_analog(tasks, theta_0)
         taus = incremental_deltas(thetas, theta_0)
         budgets = [t.support.size for t in tasks]
-        merged, _ = tunable_merge(taus, budgets, seed=99)
+        merged, _ = merge("tunable", taus, budgets, seed=99)
         result = evaluate(theta_0 + merged, tasks)
         assert all(loss <= 1e-18 for loss in result.task_losses.values())
 
@@ -251,8 +251,8 @@ class TestExactRecoveryAndSteering:
         base = [4, 4]
         shifted = [3, 5]  # one unit moved from task 1 to task 2
         for seed in range(5):
-            merged_a, _ = tunable_merge(taus, base, seed=seed)
-            merged_b, _ = tunable_merge(taus, shifted, seed=seed)
+            merged_a, _ = merge("tunable", taus, base, seed=seed)
+            merged_b, _ = merge("tunable", taus, shifted, seed=seed)
             loss_a = evaluate(theta_0 + merged_a, tasks).task_losses
             loss_b = evaluate(theta_0 + merged_b, tasks).task_losses
             assert loss_b[2] <= loss_a[2] + 1e-18
