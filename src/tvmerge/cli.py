@@ -12,7 +12,7 @@ import logging
 import os
 import stat
 import sys
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import BinaryIO, Callable
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import container
-from .container import _WRITE_BUFFER, LayoutReader, _reject_nan, decode_container
+from .container import _WRITE_BUFFER, DTYPE_U16, LayoutReader, _reject_nan, _writer, decode_container
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -33,11 +33,13 @@ from .merging import (
     MERGE_METHODS,
     RESIDUAL_RANDOM,
     Rows,
+    _assignment_layout,
+    _count_owners,
     _lockstep,
     _merge_blocks,
+    _write_assignment_tail,
     assignment_census,
     read_assignment,
-    write_assignment,
 )
 from .preference import (
     SimilarityVector,
@@ -183,17 +185,15 @@ def cmd_merge(args) -> int:
     # Only an average can make a NaN, of +inf and -inf: the others copy input bits.
     nan = "the average of +inf and -inf is NaN" if args.method == "average" else None
     with _Output(layout, args.out, nan) as output:
-        assignment = _merge_blocks(rows, args.method, pref, args.seed or 0, output)
-        if assignment is not None:
-            census = assignment_census(assignment)
+        if args.method != "average":
+            output.assign(outputs["--census-out"], outputs["--assignment-out"], rows.count)
+        provenance = _merge_blocks(rows, args.method, pref, args.seed or 0, output)
+        if provenance is not None:
+            census = output.finish(provenance)
             log.debug("census: %s", " ".join(str(c) for c in census))
             if args.method == "tunable" and log.isEnabledFor(logging.DEBUG):
-                residual = np.mean(assignment.provenance == RESIDUAL_RANDOM)
+                residual = np.mean(provenance == RESIDUAL_RANDOM)
                 log.debug("residual fraction: %.6g", residual)
-            with output.open(outputs["--census-out"]) as stream:
-                stream.write(_census_json(census).encode())
-            with output.open(outputs["--assignment-out"]) as stream:
-                write_assignment(stream, assignment)
     return EXIT_OK
 
 
@@ -201,7 +201,13 @@ def cmd_apply(args) -> int:
     if not 0.0 <= args.lambda_merge <= 1.0:
         raise ValidationError(f"lambda_merge {args.lambda_merge} outside [0, 1]")
     lam = np.float32(args.lambda_merge)
-    _combine(args.theta0, args.tau, lambda base, tau, out: np.add(base, lam * tau, out=out), args.out)
+
+    def combine(base, tau, out):
+        # At lambda 0 the result is theta0 itself: 0 * inf would be NaN, and -0.0 + 0.0 is +0.0.
+        if lam:
+            np.add(base, lam * tau, out=out)
+
+    _combine(args.theta0, args.tau, combine, args.out)
     return EXIT_OK
 
 
@@ -324,49 +330,82 @@ class _Output:
     :class:`tvmerge.merging._Collector`: ``block`` gives one block-sized
     buffer, and ``emit`` checks the finished block for NaN, when ``nan``
     names the problem to report, and writes it with the first input's
-    header bytes. ``out`` is opened at the first block, and each side-file
-    when it is asked for, with :meth:`open`. A regular or missing file is
-    written as ``<path>.<pid>.part``, and every part is renamed over its
-    path when the ``with`` block ends, the last opened first, so the
-    side-files are in place before ``out``; if anything raises, every part
-    file is removed and every path is left as it was. Any other file (a
-    FIFO, ``/dev/null``) is written in place.
+    header bytes. Once :meth:`assign` names the census and the owner-map
+    side-file, ``owners`` gives one owner buffer, as long as the first
+    request (block 0, or the whole range for ``tunable``), and ``emit``
+    also writes each block's owners to the side-file, as u16, and adds
+    them to the census; :meth:`finish` writes the rest of the side-file
+    and the census. Every output is opened at the first block, ``out``
+    first, with :meth:`open`. A regular or missing file is written as
+    ``<path>.<pid>.part``, and every part is renamed over its path when the
+    ``with`` block ends, the last opened first, so the side-files are in
+    place before ``out``; if anything raises, every part file is removed
+    and every path is left as it was. Any other file (a FIFO,
+    ``/dev/null``) is written in place.
     """
 
     def __init__(self, layout: LayoutReader, out: str, nan: str | None):
         self._layout, self._out, self._nan = layout, out, nan
-        self._buffer = self._stream = self._write = None
+        self._buffer = self._write = self._owner = self._write_owner = self._census_out = None
+        self._side: tuple | None = None  # the census path, the side-file's path and layout
+        self._census: np.ndarray | None = None
+        self._files = ExitStack()
         self._parts: list[tuple[str, str]] = []  # (part, path), in the order opened
+
+    def assign(self, census: str, side_file: str, num_tasks: int) -> None:
+        """Write the owners of each block to ``side_file``, and count them in ``census``, for ``num_tasks`` tasks."""
+        self._side = census, side_file, _assignment_layout(self._layout.num_elements, num_tasks)
+        self._census = np.zeros(num_tasks + 1, dtype=np.int64)
 
     def block(self, block: slice, dtype: np.dtype) -> np.ndarray:
         if self._buffer is None:
             self._buffer = np.empty(min(container._BLOCK, self._layout.num_elements), dtype)
         return self._buffer[: block.stop - block.start]
 
-    def emit(self, block: slice, values: np.ndarray) -> None:
+    def owners(self, block: slice, dtype: np.dtype) -> np.ndarray:
+        if self._owner is None:  # the first request is the longest
+            self._owner = np.empty(block.stop - block.start, dtype)
+        return self._owner[: block.stop - block.start]
+
+    def emit(self, block: slice, values: np.ndarray, owner: np.ndarray | None = None) -> None:
         if self._nan is not None:
             _reject_nan(self._layout, values, self._nan, start=block.start)
         if self._write is None:
-            self._stream = self.open(self._out)
-            self._write = self._layout.writer(self._stream)
+            self._write = self._layout.writer(self.open(self._out))
         self._write(values)
+        if owner is not None:
+            if self._write_owner is None:
+                census, side_file, layout = self._side
+                self._census_out = self.open(census)
+                self._write_owner = _writer(self.open(side_file), *layout, DTYPE_U16)
+            self._write_owner(owner)
+            _count_owners(self._census, owner)
+
+    def finish(self, provenance: np.ndarray) -> np.ndarray:
+        """Write the side-file's records after the owner map, and the census; return the census,
+        entry t-1 for task t."""
+        _write_assignment_tail(self._write_owner, provenance, self._census.size - 1)
+        self._census_out.write(_census_json(self._census[1:]).encode())
+        return self._census[1:]
 
     def open(self, path: str) -> BinaryIO:
-        """A buffered stream that writes ``path``: its part file, or ``path`` itself if special."""
+        """A buffered stream that writes ``path``: its part file, or ``path`` itself if special.
+
+        It is closed when the ``with`` block ends.
+        """
         if _is_special(path):
-            return open(path, "wb", buffering=_WRITE_BUFFER)
+            return self._files.enter_context(open(path, "wb", buffering=_WRITE_BUFFER))
         part = f"{path}.{os.getpid()}.part"
         fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         self._parts.append((part, path))
-        return open(fd, "wb", buffering=_WRITE_BUFFER)
+        return self._files.enter_context(open(fd, "wb", buffering=_WRITE_BUFFER))
 
     def __enter__(self) -> "_Output":
         return self
 
     def __exit__(self, kind, value, traceback) -> None:
         try:
-            if self._stream is not None:
-                self._stream.close()
+            self._files.close()
             while kind is None and self._parts:
                 os.replace(*self._parts[-1])
                 self._parts.pop()

@@ -6,25 +6,30 @@ vectors are read from a :class:`Rows` source, each row as a stream of
 blocks of ``container._BLOCK`` elements, so neither a (T, d) matrix nor a
 d-sized row buffer is built. Every strategy reads the rows in lockstep, block 0
 of every row, then block 1, and so on (``tunable`` twice), so that its
-running state is one block long. Each strategy finishes the merged vector a
-block at a time, in a buffer that its caller gives for the block, and hands
-the buffer back once the block is done: :func:`merge` gives each block's
-slice of one vector, and the command line one block-sized buffer that it
-writes to the output file after each block. ``magmax`` and ``tunable``
-pick by one record-setter rule: a row sets a record where its magnitude is
-at least that of every earlier row. A strategy keeps a few d-sized vectors
-of state: the owner map and the provenance map (and the merged vector, when
-it is returned), and in ``tunable``'s claim sweep T*d/8 bytes of packed
-record-setter bits, d/8 bytes of packed unassigned elements and one task's
-unpacked candidates. Every other temporary holds at most one block,
-besides, in ``tunable``, one bool per candidate of a claim that is cut
-(and up to one int64 per candidate while numpy draws the subset it keeps)
-and one task id per element left to the residual fill. ``magmax`` and
-``tunable`` keep their owner map in the narrowest unsigned dtype that
-holds T (uint8 up to 255 tasks); ``randmix`` keeps int32, the dtype its
-draw is defined in. Rows are selected with arithmetic on their bit
-patterns, not with masked copies. Task ids are 1-based throughout; flat
-indices are 0-based numpy indices.
+running state is one block long. Each strategy finishes the merged vector
+and its owner map a block at a time, in buffers that its caller gives for
+the block, and hands them back once the block is done: :func:`merge` gives
+each block's slice of one vector and of one owner map, and the command
+line one block-sized buffer of each, which it writes to the output file
+and the side-file after each block. ``magmax`` and ``tunable`` pick by one
+record-setter rule: a row sets a record where its magnitude is at least
+that of every earlier row. ``magmax`` and ``randmix`` keep no d-sized state
+(but the merged vector and the owner map, when they are returned): a
+``magmax`` block's owner is built in its block, a ``randmix`` block's owner
+is drawn for its block, and their provenance, one code for every element,
+is a read-only broadcast of it. ``tunable`` asks once for an owner buffer
+of the whole range, as its claim sweep needs the global map, and keeps a
+provenance map, and in the sweep T*d/8 bytes of packed record-setter bits,
+d/8 bytes of packed unassigned elements and one task's unpacked
+candidates. Every other temporary holds at most one block, besides, in
+``tunable``, one bool per candidate of a claim that is cut (and up to one
+int64 per candidate while numpy draws the subset it keeps) and one task id
+per element left to the residual fill. ``magmax`` and ``tunable`` keep
+their owner map in the narrowest unsigned dtype that holds T (uint8 up to
+255 tasks); ``randmix`` keeps int32, the dtype its draw is defined in.
+Rows are selected with arithmetic on their bit patterns, not with masked
+copies. Task ids are 1-based throughout; flat indices are 0-based numpy
+indices.
 
 Budgets follow the rule of :mod:`tvmerge.preference`; :func:`merge`
 checks only that they fit: one per task, summing to the element count.
@@ -62,6 +67,10 @@ RANDMIX_KEY, CLAIM_KEY, FILL_KEY = 0, 1, 3
 _FILL_SLACK = 6
 
 log = logging.getLogger(__name__)
+
+#: Owner ids that one bincount is given: their intp copy is 64 KiB, an
+#: eighth of what a block's would be.
+_COUNT_SLICE = 2**13
 
 #: The dtypes a row may have; every row of a merge has the same one.
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -101,7 +110,9 @@ class Assignment:
     their dtype, so the u16 maps of a side-file are not copied; other maps
     become int32 and uint8. ``magmax`` and ``tunable`` build ``owner`` in
     the narrowest unsigned dtype that holds T (uint8 up to 255 tasks, else
-    uint16 up to 65535); ``randmix`` builds it as int32.
+    uint16 up to 65535); ``randmix`` builds it as int32. The ``provenance``
+    of ``magmax`` (every element 1) and ``randmix`` (every element
+    :data:`RESIDUAL_RANDOM`) is a read-only broadcast of its one code.
     """
 
     owner: np.ndarray
@@ -169,8 +180,10 @@ def merge(method: str, taus: Taus, pref: Budgets | None = None, seed: int = 0) -
     """
     rows = _as_rows(taus)
     out = _Collector(rows.dim)
-    assignment = _merge_blocks(rows, method, pref, seed, out)
-    return out.vector, assignment
+    provenance = _merge_blocks(rows, method, pref, seed, out)
+    if provenance is None:
+        return out.vector, None
+    return out.vector, Assignment(out.owner, provenance, rows.count)
 
 
 def assignment_census(assignment: Assignment) -> np.ndarray:
@@ -180,10 +193,18 @@ def assignment_census(assignment: Assignment) -> np.ndarray:
     if owner.size and (owner.min() < 1 or owner.max() > num_tasks):
         raise ValidationError("owner out of range")
     counts = np.zeros(num_tasks + 1, dtype=np.int64)
-    # bincount copies its input to intp, so it is given one block at a time.
-    for block in _blocks(owner.size):
-        counts += np.bincount(owner[block], minlength=num_tasks + 1)
+    _count_owners(counts, owner)
     return counts[1:]
+
+
+def _count_owners(counts: np.ndarray, owner: np.ndarray) -> None:
+    """Add to ``counts[t]`` the elements of ``owner`` that hold t, for every t below ``counts.size``.
+
+    bincount copies its input to intp, so it is given :data:`_COUNT_SLICE`
+    elements at a time.
+    """
+    for start in range(0, owner.size, _COUNT_SLICE):
+        counts += np.bincount(owner[start : start + _COUNT_SLICE], minlength=counts.size)
 
 
 def write_assignment(destination, assignment: Assignment) -> None:
@@ -192,17 +213,29 @@ def write_assignment(destination, assignment: Assignment) -> None:
     Each map is converted to u16 one block at a time. An assignment of no
     elements raises before anything is written, as it cannot be read back.
     """
-    if assignment.num_tasks > 0xFFFF:
-        raise ValidationError("owner map limited to 65535 tasks")
+    layout = _assignment_layout(assignment.num_elements, assignment.num_tasks)
     if assignment.num_elements == 0:
         raise ValidationError("an assignment of no elements cannot be written")
-    maps = dict(owner=assignment.owner, provenance=assignment.provenance, num_tasks=np.array([assignment.num_tasks]))
-    layout = _layout([(name, values.shape) for name, values in maps.items()], DTYPE_U16)
     with _opened(destination, "wb") as stream:
         write = _writer(stream, *layout, DTYPE_U16)
-        for values in maps.values():
-            for block in _blocks(values.size):
-                write(values[block])
+        for block in _blocks(assignment.num_elements):
+            write(assignment.owner[block])
+        _write_assignment_tail(write, assignment.provenance, assignment.num_tasks)
+
+
+def _assignment_layout(dim: int, num_tasks: int) -> tuple[bytes, list[int], list[int]]:
+    """The layout of a side-file: the owner and provenance maps of ``dim`` elements, then ``num_tasks``."""
+    if num_tasks > 0xFFFF:
+        raise ValidationError("owner map limited to 65535 tasks")
+    return _layout([("owner", (dim,)), ("provenance", (dim,)), ("num_tasks", (1,))], DTYPE_U16)
+
+
+def _write_assignment_tail(write: Callable[[np.ndarray], None], provenance: np.ndarray, num_tasks: int) -> None:
+    """Write, with a side-file's ``write``, the records after the owner map: the provenance map, one
+    block at a time, and ``num_tasks``."""
+    for block in _blocks(provenance.size):
+        write(provenance[block])
+    write(np.array([num_tasks]))
 
 
 def read_assignment(source) -> Assignment:
@@ -224,35 +257,49 @@ def read_assignment(source) -> Assignment:
 
 
 class _Collector:
-    """Where a strategy finishes the merged vector: here, in place in one vector.
+    """Where a strategy finishes the merged vector and its owner map: here, in place in one
+    vector and one map.
 
     A strategy finishes block 0 of the merged vector, then block 1, and so
     on. For each, it asks ``block(block, dtype)`` for the buffer to finish
-    it in (``block`` is its slice of the flat index), and once the block's
-    last row is in, hands the buffer to ``emit(block, values)``. This
-    collector hands out each block's slice of one vector, allocated at the
-    first block; the command line's writer hands out one block buffer.
+    it in (``block`` is its slice of the flat index) and, unless it is
+    ``average``, ``owners(block, dtype)`` for the buffer of its owners;
+    ``tunable`` instead asks once, before its first block, for the owners
+    of the whole range, and hands out slices of that buffer. Once the
+    block's last row is in, the strategy hands the buffers to
+    ``emit(block, values, owner)`` (``owner`` None for ``average``). This
+    collector hands out each block's slice of one vector and of one owner
+    map, each allocated when it is first asked for, so ``tunable``'s map is
+    the one returned; the command line's writer hands out one block buffer
+    of each, and writes each block as it is emitted.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.vector: np.ndarray | None = None
+        self.owner: np.ndarray | None = None
 
     def block(self, block: slice, dtype: np.dtype) -> np.ndarray:
         if self.vector is None:  # the first block sets the dtype
             self.vector = np.empty(self.dim, dtype)
         return self.vector[block]
 
-    def emit(self, block: slice, values: np.ndarray) -> None:
+    def owners(self, block: slice, dtype: np.dtype) -> np.ndarray:
+        if self.owner is None:
+            self.owner = np.empty(self.dim, dtype)
+        return self.owner[block]
+
+    def emit(self, block: slice, values: np.ndarray, owner: np.ndarray | None = None) -> None:
         pass
 
 
-def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out) -> Assignment | None:
-    """Run the strategy ``method`` on ``rows``, finishing the merged vector's blocks in ``out``.
+def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out) -> np.ndarray | None:
+    """Run the strategy ``method`` on ``rows``, finishing the merged vector's and the owner
+    map's blocks in ``out``.
 
     ``out`` answers the calls of :class:`_Collector`. Returns the
-    assignment, None for ``average``. Nothing is emitted before ``seed``
-    and, for ``tunable``, the budgets are checked.
+    provenance map, None for ``average``. Nothing is emitted before
+    ``seed`` and, for ``tunable``, the budgets are checked.
     """
     check_seed(seed)
     if method == "magmax":
@@ -268,29 +315,28 @@ def _merge_blocks(rows: Rows, method: str, pref: Budgets | None, seed: int, out)
     raise ValidationError(f"unknown merge method {method!r}")
 
 
-def _magmax(rows: Rows, out) -> Assignment:
-    """``magmax`` on ``rows``, finishing each merged block in ``out``."""
-    owner = np.ones(rows.dim, dtype=_owner_dtype(rows.count))
-    ids = np.empty(min(container._BLOCK, rows.dim), dtype=owner.dtype)
-    for block, task, piece, flags in _record_setters(rows):
-        n = block.stop - block.start
+def _magmax(rows: Rows, out) -> np.ndarray:
+    """``magmax`` on ``rows``, finishing each merged block and its owners in ``out``."""
+    dtype = _owner_dtype(rows.count)
+    ids = np.empty(min(container._BLOCK, rows.dim), dtype=dtype)
+    for block, task, piece, flags, scratch in _record_setters(rows):
         if flags is None:
-            if block.start == 0:  # the first piece sets the dtype
-                scratch = np.empty(ids.size, piece.dtype)
             merged = out.block(block, piece.dtype)
             merged[...] = piece
+            owner = out.owners(block, dtype)
+            owner.fill(1)
         else:
-            _select(merged, piece, flags, scratch[:n])
+            _select(merged, piece, flags, scratch)
             # Later tasks have larger ids, so the last record-setter wins.
-            np.multiply(flags, owner.dtype.type(task + 1), out=ids[:n])
-            np.maximum(owner[block], ids[:n], out=owner[block])
+            np.multiply(flags, dtype.type(task + 1), out=ids[: flags.size])
+            np.maximum(owner, ids[: flags.size], out=owner)
         if task == rows.count - 1:
-            out.emit(block, merged)
-    return Assignment(owner, np.ones(rows.dim, dtype=np.uint8), rows.count)
+            out.emit(block, merged, owner)
+    return np.broadcast_to(np.uint8(1), (rows.dim,))
 
 
-def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> Assignment:
-    """``tunable`` on ``rows``, finishing each merged block in ``out``."""
+def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> np.ndarray:
+    """``tunable`` on ``rows``, finishing each merged block and its owners in ``out``."""
     budgets = pref.budgets if isinstance(pref, PreferenceVector) else pref
     if np.ndim(budgets) != 1 or len(budgets) != rows.count:
         raise ValidationError(f"preference vector has {np.size(budgets)} budgets for {rows.count} tasks")
@@ -298,9 +344,9 @@ def _tunable(rows: Rows, pref: Budgets, seed: int, out) -> Assignment:
     if pref.total != rows.dim:
         raise ValidationError(f"budget sum {pref.total} != element count {rows.dim}")
 
-    owner, claimed = _budgeted_owners(rows, pref.as_array(), seed)
-    _gather(rows, owner, out)
-    return Assignment(owner, claimed.view(np.uint8), rows.count)
+    owner, claimed = _budgeted_owners(rows, pref.as_array(), seed, out)
+    _gather(rows, lambda block: owner[block], out)
+    return claimed.view(np.uint8)
 
 
 def _average(rows: Rows, out) -> None:
@@ -318,13 +364,20 @@ def _average(rows: Rows, out) -> None:
                 out.emit(block, merged)
 
 
-def _randmix(rows: Rows, seed: int, out) -> Assignment:
-    """``randmix`` on ``rows``, finishing each merged block in ``out``."""
+def _randmix(rows: Rows, seed: int, out) -> np.ndarray:
+    """``randmix`` on ``rows``, finishing each merged block and its owners in ``out``."""
     stream = selection_stream(seed, RANDMIX_KEY, 0)
-    owner = stream.integers(1, rows.count + 1, size=rows.dim, dtype=np.int32)
-    assignment = Assignment(owner, np.zeros(rows.dim, dtype=np.uint8), rows.count)
-    _gather(rows, owner, out)
-    return assignment
+    dtype = np.dtype(np.int32)
+
+    def draw(block: slice) -> np.ndarray:
+        # Philox hands out 32-bit words in order, keeping the spare half of a
+        # 64-bit output, so the draws of consecutive blocks are one whole draw.
+        owner = out.owners(block, dtype)
+        owner[...] = stream.integers(1, rows.count + 1, size=owner.size, dtype=dtype)
+        return owner
+
+    _gather(rows, draw, out)
+    return np.broadcast_to(np.uint8(RESIDUAL_RANDOM), (rows.dim,))
 
 
 def _owner_dtype(num_tasks: int) -> np.dtype:
@@ -372,13 +425,14 @@ def _blocks(size: int) -> Iterator[slice]:
         yield slice(start, min(start + container._BLOCK, size))
 
 
-def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int, out) -> tuple[np.ndarray, np.ndarray]:
     """Owner of every element under ``deficits`` (the budgets), and where it was claimed.
 
     Reads the rows once for their record-setter bits, then runs the claim
-    sweep and the residual fill of ``tunable`` on those bits. The
-    sweep keeps the unassigned elements as packed bits ``free`` (the padding
-    bits of its last byte clear). A task's candidates are its record-setter
+    sweep and the residual fill of ``tunable`` on those bits, in the owner
+    buffer of the whole range that ``out.owners`` gives. The sweep keeps
+    the unassigned elements as packed bits ``free`` (the padding bits of
+    its last byte clear). A task's candidates are its record-setter
     bits and ``free``, unpacked once; a cut claim writes the candidates it
     keeps into them through one bool per candidate, so that every claim is
     written through its mask. ``free`` is unpacked once more, for the fill
@@ -386,7 +440,8 @@ def _budgeted_owners(rows: Rows, deficits: np.ndarray, seed: int) -> tuple[np.nd
     """
     packed = _record_setter_bits(rows)
     dim = rows.dim
-    owner = np.zeros(dim, dtype=_owner_dtype(rows.count))
+    owner = out.owners(slice(0, dim), _owner_dtype(rows.count))
+    owner.fill(0)
     free = np.full(packed.shape[1], 0xFF, dtype=np.uint8)
     free[-1] <<= -dim % 8  # the padding bits of the last byte are clear
     claimed = np.empty_like(free)
@@ -491,19 +546,23 @@ def _record_setter_bits(rows: Rows) -> np.ndarray:
     """
     packed = np.empty((rows.count, (rows.dim + 7) // 8), dtype=np.uint8)
     packed[0] = 0xFF
-    for block, task, _, flags in _record_setters(rows):
+    for block, task, _, flags, _ in _record_setters(rows):
         if flags is not None:
             packed[task, block.start // 8 : (block.stop + 7) // 8] = np.packbits(flags)
     return packed
 
 
-def _record_setters(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray | None]]:
-    """:func:`_lockstep`'s (slice, task, piece), each with the piece's record-setter flags.
+def _record_setters(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray, np.ndarray | None, np.ndarray]]:
+    """:func:`_lockstep`'s (slice, task, piece), each with the piece's record-setter flags
+    and a spare buffer.
 
     The flags are None for row 0; for a later row they are where
     ``|rows[t][p]| >= |rows[s][p]|`` for every s < t, so the later task
     wins ties. They are one reused block-sized buffer, as is the running
-    maximum of the magnitudes they are compared with.
+    maximum of the magnitudes they are compared with. The spare, of the
+    piece's length and dtype, is the buffer the piece's magnitudes were
+    compared in; the caller may overwrite it until it asks for the next
+    piece.
     """
     size = min(container._BLOCK, rows.dim)
     flags = np.empty(size, dtype=bool)
@@ -513,12 +572,12 @@ def _record_setters(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray, np.nda
             if block.start == 0:  # the first piece sets the dtype
                 running, magnitude = np.empty(size, piece.dtype), np.empty(size, piece.dtype)
             np.abs(piece, out=running[:n])
-            yield block, task, piece, None
+            yield block, task, piece, None, magnitude[:n]
             continue
         np.abs(piece, out=magnitude[:n])
         np.greater_equal(magnitude[:n], running[:n], out=flags[:n])
         np.maximum(running[:n], magnitude[:n], out=running[:n])
-        yield block, task, piece, flags[:n]
+        yield block, task, piece, flags[:n], magnitude[:n]
 
 
 def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
@@ -530,13 +589,14 @@ def _write_where(target: np.ndarray, mask: np.ndarray, values: np.ndarray) -> No
         filled += where.size
 
 
-def _gather(rows: Rows, owner: np.ndarray, out) -> None:
+def _gather(rows: Rows, owners: Callable[[slice], np.ndarray], out) -> None:
     """Copy element p from row ``owner[p] - 1``, bitwise, reading the rows in lockstep.
 
     Each block of the merged vector is finished in the buffer ``out`` gives
     for it, from the pieces of rows 0..T-1 in turn: row 0's piece is
-    copied, and each later row's piece is selected where that row owns the
-    element. Then the block is handed to ``out.emit``.
+    copied, and ``owners(block)`` gives the block's owners, and each later
+    row's piece is selected where that row owns the element. Then the
+    block and its owners are handed to ``out.emit``.
     """
     size = min(container._BLOCK, rows.dim)
     mask = np.empty(size, dtype=bool)
@@ -547,11 +607,12 @@ def _gather(rows: Rows, owner: np.ndarray, out) -> None:
                 scratch = np.empty(size, piece.dtype)
             merged = out.block(block, piece.dtype)
             merged[...] = piece
+            owner = owners(block)
         else:
-            np.equal(owner[block], task + 1, out=mask[:n])
+            np.equal(owner, task + 1, out=mask[:n])
             _select(merged, piece, mask[:n], scratch[:n])
         if task == rows.count - 1:
-            out.emit(block, merged)
+            out.emit(block, merged, owner)
 
 
 def _lockstep(rows: Rows) -> Iterator[tuple[slice, int, np.ndarray]]:

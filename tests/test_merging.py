@@ -557,9 +557,10 @@ class TestMergeDispatch:
 # claim sweep T*d/8 bytes of packed bits and d/8 of packed free elements);
 # every other temporary is one block, or one task's claim candidates and
 # their draw in tunable. Every method reads the rows in lockstep, so none
-# holds a d-sized running maximum or setter flags. Measured peaks: tunable
-# 1.86, randmix 2.61, magmax 2.17, average 1.01.
-PEAK_ROWS = {"tunable": 2.02, "randmix": 2.75, "magmax": 2.3, "average": 1.1}
+# holds a d-sized running maximum or setter flags, and the provenance of
+# magmax and randmix is a broadcast of one code. Measured peaks: tunable
+# 1.86, randmix 2.58, magmax 1.92, average 1.01.
+PEAK_ROWS = {"tunable": 2.02, "randmix": 2.7, "magmax": 2.05, "average": 1.1}
 
 
 class TestStreaming:
@@ -643,6 +644,16 @@ class TestStreaming:
                     assert want_merged.tobytes() == np.array(ref_merged, dtype=dtype).tobytes()
                     assert want_assignment.owner.tolist() == ref_owner
                     assert want_assignment.provenance.tolist() == ref_prov
+
+    # The provenance of magmax and randmix, one code for every element, is a
+    # read-only broadcast of it, not a d-sized map.
+    @pytest.mark.parametrize("method, code", [("magmax", 1), ("randmix", RESIDUAL_RANDOM)])
+    def test_constant_provenance_is_read_only(self, method, code):
+        provenance = merge(method, np.random.default_rng(26).normal(size=(3, 10)), seed=2)[1].provenance
+        assert provenance.tolist() == [code] * 10
+        assert not provenance.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            provenance[0] = 0
 
     def test_row_source_checks(self):
         with pytest.raises(ValidationError, match="empty"):
