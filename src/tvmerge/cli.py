@@ -273,15 +273,22 @@ def cmd_pipeline(args) -> int:
     config = PipelineConfig.from_dict(read_json(args.config))
     if args.seed is not None:
         config.seed = args.seed
-    report = run_pipeline(config)
     csv_out = args.csv_out or config.report_csv
     json_out = args.json_out or config.report_json
-    if csv_out:
-        report.write_csv(csv_out)
-    if json_out:
-        report.write_json(json_out)
+    # A usage error names each path by the option or config field that gave it.
+    names = {
+        "--csv-out" if args.csv_out else "report.csv": csv_out,
+        "--json-out" if args.json_out else "report.json": json_out,
+    }
+    _check_distinct({name: path for name, path in names.items() if path})
+    report = run_pipeline(config)
     if not csv_out and not json_out:
         print(report.to_csv_text(), end="")
+    with _PartFiles() as parts:
+        if csv_out:
+            parts.open(csv_out).write(report.to_csv_text().encode())
+        if json_out:
+            parts.open(json_out).write(report.to_json_text().encode())
     return EXIT_OK
 
 
@@ -322,7 +329,49 @@ def _combine(first: str, second: str, combine: Callable[..., np.ndarray], out: s
                 output.emit(block, result)
 
 
-class _Output:
+class _PartFiles:
+    """Output files that commit together, opened with :meth:`open` inside a ``with`` block.
+
+    A regular or missing file is written as ``<path>.<pid>.part``, and every
+    part is renamed over its path when the ``with`` block ends, the last
+    opened first; if anything raises, every part file is removed and every
+    path is left as it was. Any other file (a FIFO, ``/dev/null``) is
+    written in place.
+    """
+
+    def __init__(self):
+        self._files = ExitStack()
+        self._parts: list[tuple[str, str]] = []  # (part, path), in the order opened
+
+    def open(self, path: str) -> BinaryIO:
+        """A buffered stream that writes ``path``: its part file, or ``path`` itself if special.
+
+        It is closed when the ``with`` block ends.
+        """
+        if _is_special(path):
+            return self._files.enter_context(open(path, "wb", buffering=_WRITE_BUFFER))
+        part = f"{path}.{os.getpid()}.part"
+        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        self._parts.append((part, path))
+        return self._files.enter_context(open(fd, "wb", buffering=_WRITE_BUFFER))
+
+    def __enter__(self) -> "_PartFiles":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            self._files.close()
+            while kind is None and self._parts:
+                os.replace(*self._parts[-1])
+                self._parts.pop()
+        finally:
+            # Still listed if the block raised, or closing or renaming did.
+            for part, _ in self._parts:
+                with suppress(OSError):
+                    os.unlink(part)
+
+
+class _Output(_PartFiles):
     """``out``, written a block at a time as a vector of ``layout``'s layout is finished,
     and the side-files that commit with it.
 
@@ -336,21 +385,15 @@ class _Output:
     also writes each block's owners to the side-file, as u16, and adds
     them to the census; :meth:`finish` writes the rest of the side-file
     and the census. Every output is opened at the first block, ``out``
-    first, with :meth:`open`. A regular or missing file is written as
-    ``<path>.<pid>.part``, and every part is renamed over its path when the
-    ``with`` block ends, the last opened first, so the side-files are in
-    place before ``out``; if anything raises, every part file is removed
-    and every path is left as it was. Any other file (a FIFO,
-    ``/dev/null``) is written in place.
+    first, so the side-files are renamed into place before ``out``.
     """
 
     def __init__(self, layout: LayoutReader, out: str, nan: str | None):
+        super().__init__()
         self._layout, self._out, self._nan = layout, out, nan
         self._buffer = self._write = self._owner = self._write_owner = self._census_out = None
         self._side: tuple | None = None  # the census path, the side-file's path and layout
         self._census: np.ndarray | None = None
-        self._files = ExitStack()
-        self._parts: list[tuple[str, str]] = []  # (part, path), in the order opened
 
     def assign(self, census: str, side_file: str, num_tasks: int) -> None:
         """Write the owners of each block to ``side_file``, and count them in ``census``, for ``num_tasks`` tasks."""
@@ -387,33 +430,6 @@ class _Output:
         _write_assignment_tail(self._write_owner, provenance, self._census.size - 1)
         self._census_out.write(_census_json(self._census[1:]).encode())
         return self._census[1:]
-
-    def open(self, path: str) -> BinaryIO:
-        """A buffered stream that writes ``path``: its part file, or ``path`` itself if special.
-
-        It is closed when the ``with`` block ends.
-        """
-        if _is_special(path):
-            return self._files.enter_context(open(path, "wb", buffering=_WRITE_BUFFER))
-        part = f"{path}.{os.getpid()}.part"
-        fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        self._parts.append((part, path))
-        return self._files.enter_context(open(fd, "wb", buffering=_WRITE_BUFFER))
-
-    def __enter__(self) -> "_Output":
-        return self
-
-    def __exit__(self, kind, value, traceback) -> None:
-        try:
-            self._files.close()
-            while kind is None and self._parts:
-                os.replace(*self._parts[-1])
-                self._parts.pop()
-        finally:
-            # Still listed if the block raised, or closing or renaming did.
-            for part, _ in self._parts:
-                with suppress(OSError):
-                    os.unlink(part)
 
 
 def _check_distinct(outputs: dict[str, str]) -> None:

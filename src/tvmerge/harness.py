@@ -13,6 +13,10 @@ its design only on its support columns, so the fit, the evaluation and the
 similarity embeddings cost the support's width, not the full dimension.
 Parameter vectors stay dense. The container codec is only involved when
 models are exchanged through the CLI.
+
+``run_pipeline`` runs on one OpenBLAS thread (see ``tvmerge._blas``): at
+these sizes a second thread makes the fit's QR slower, and rounds it
+differently, so a report would depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import io
 import json
 import logging
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import ConfigError, ValidationError
 from .merging import (
     MERGE_METHODS,
@@ -476,13 +480,8 @@ class PipelineReport:
     def to_json_text(self) -> str:
         return json.dumps(self.summary, indent=2, sort_keys=True) + "\n"
 
-    def write_csv(self, destination: Union[str, Path]) -> None:
-        Path(destination).write_text(self.to_csv_text())
 
-    def write_json(self, destination: Union[str, Path]) -> None:
-        Path(destination).write_text(self.to_json_text())
-
-
+@one_blas_thread()
 def run_pipeline(config: Union[PipelineConfig, dict]) -> PipelineReport:
     """Execute the full synthetic pipeline described by ``config``.
 

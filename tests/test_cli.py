@@ -1398,6 +1398,37 @@ class TestPipeline:
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "task,budget,census,loss"
 
+    def example_config(self, directory, report=None):
+        config = json.loads((REPO_ROOT / "configs" / "example_pipeline.json").read_text())
+        config["report"] = report or {}
+        path = directory / "config.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_reports_commit_together_when_one_cannot_be_written(self, tmp_path, capsys):
+        csv_out = tmp_path / "r.csv"
+        csv_out.write_text("kept\n")
+        json_out = tmp_path / "missing" / "r.json"
+        argv = ["pipeline", "--config", self.example_config(tmp_path), "--csv-out", str(csv_out)]
+        assert main([*argv, "--json-out", str(json_out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert csv_out.read_text() == "kept\n"
+        assert part_files(tmp_path) == []
+
+    @pytest.mark.parametrize("given", [True, False], ids=["options", "config"])
+    def test_two_reports_naming_one_file_exit_4_before_the_fit(self, tmp_path, capsys, monkeypatch, given):
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: pytest.fail("the pipeline ran"))
+        same = str(tmp_path / "same")
+        if given:
+            argv = ["pipeline", "--config", self.example_config(tmp_path), "--csv-out", same, "--json-out", same]
+            names = "--csv-out and --json-out"
+        else:
+            argv = ["pipeline", "--config", self.example_config(tmp_path, {"csv": same, "json": same})]
+            names = "report.csv and report.json"
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"usage error: {names} name one file: {same}\n"
+        assert not Path(same).exists()
+
     def test_malformed_json_exits_6(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
