@@ -1,6 +1,6 @@
-"""One OpenBLAS thread for the pipeline's and the similarity metrics' dense algebra.
+"""One OpenBLAS thread for the pipeline's dense algebra.
 
-Their matrices are small (the widest fit is a QR of a few hundred columns),
+Its matrices are small (the widest fit is a QR of a few hundred columns),
 and there a second OpenBLAS thread costs more than it saves: a QR of a
 320 x 265 ``[X | y]`` takes about 1.5 times as long with 2 threads as with 1
 (3.5 against 2.3 ms on a 2-core x86-64 machine).

@@ -14,9 +14,11 @@ similarity embeddings cost the support's width, not the full dimension.
 Parameter vectors stay dense. The container codec is only involved when
 models are exchanged through the CLI.
 
-``run_pipeline`` runs on one OpenBLAS thread (see ``tvmerge._blas``): at
-these sizes a second thread makes the fit's QR slower, and rounds it
-differently, so a report would depend on the thread count.
+``run_pipeline`` runs its dense algebra (the fit's QR and solve, the
+suite's products, the similarity step and the evaluation) on one OpenBLAS
+thread (see ``tvmerge._blas``): at these sizes a second thread makes the
+fit's QR slower, and rounds it differently, so a report would depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -492,6 +494,11 @@ def run_pipeline(config: Union[PipelineConfig, dict]) -> PipelineReport:
     and draws from its own keyed streams, so an invalid one is reported
     before the fit is paid for. A list-valued alpha sweeps the schedule and
     emits one run per alpha.
+
+    When numpy's BLAS is OpenBLAS, the call runs on one OpenBLAS thread and
+    restores the caller's count when it returns or raises. OpenBLAS keeps
+    one count for the whole process, so while it runs, the BLAS calls of
+    every other thread run on one thread too.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_dict(config)
     check_seed(cfg.seed)

@@ -19,10 +19,6 @@ support's width.
 Distances turn into similarities through ``exp(-gamma * distance)``,
 clamped away from zero so downstream proportional allocation stays
 well-defined.
-
-``similarity_vector`` runs on one OpenBLAS thread (see ``tvmerge._blas``):
-its distance products are too small to gain from a second thread, and a
-score must not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from .errors import DegenerateInputError, ValidationError
 from .preference import SimilarityVector
 
@@ -525,7 +520,6 @@ def _pooled_median(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> float:
     return median if median > 0.0 else 1.0
 
 
-@one_blas_thread()
 def similarity_vector(
     task_inputs: Iterable[Union[EmbeddingSet, LabelHistogram]],
     meta: Union[EmbeddingSet, LabelHistogram],

@@ -5,11 +5,10 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tvmerge
-from tvmerge import EmbeddingSet, LabelHistogram, ValidationError, _blas, harness, run_pipeline, similarity_vector
+from tvmerge import ValidationError, _blas, harness, run_pipeline
 from tvmerge._blas import one_blas_thread
 
 pytestmark = pytest.mark.skipif(_blas._openblas() is None, reason="numpy's BLAS is not OpenBLAS")
@@ -75,20 +74,6 @@ class TestGuardRestoresTheCallersCount:
             run_pipeline(config)
         assert threads() == 2
 
-    def test_similarity_vector_scores_on_one_thread_and_restores_the_count_when_it_raises(self):
-        seen = []
-
-        def tasks():
-            seen.append(threads())
-            yield EmbeddingSet(np.eye(3))
-            seen.append(threads())
-            yield LabelHistogram.from_labels([1, 2])
-
-        with pytest.raises(ValidationError, match="requires EmbeddingSet inputs"):
-            similarity_vector(tasks(), EmbeddingSet(np.eye(3)), "cos")
-        assert seen == [1, 1]
-        assert threads() == 2
-
     def test_a_nested_guard_keeps_one_thread_inside(self):
         with one_blas_thread():
             with one_blas_thread():
@@ -133,17 +118,25 @@ def test_no_openblas_found_gives_the_same_report(monkeypatch):
     assert unguarded.to_csv_text() == guarded.to_csv_text()
 
 
-def test_pipeline_reports_do_not_depend_on_the_thread_count(tmp_path):
+def pipeline_reports(tmp_path, count):
+    """The CSV and JSON reports' bytes of a ``tvmerge pipeline`` run under ``OPENBLAS_NUM_THREADS=count``."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SIM_COS_CONFIG))
     src = str(Path(tvmerge.__file__).resolve().parents[1])
-    reports = []
-    for count in (1, 2):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(count)}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        csv_out, json_out = tmp_path / f"r{count}.csv", tmp_path / f"r{count}.json"
-        command = [sys.executable, "-m", "tvmerge.cli", "pipeline", "--config", str(config)]
-        command += ["--csv-out", str(csv_out), "--json-out", str(json_out)]
-        subprocess.run(command, env=env, check=True, timeout=120)
-        reports.append((csv_out.read_bytes(), json_out.read_bytes()))
-    assert reports[0] == reports[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(count)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    csv_out, json_out = tmp_path / f"r{count}.csv", tmp_path / f"r{count}.json"
+    command = [sys.executable, "-m", "tvmerge.cli", "pipeline", "--config", str(config)]
+    command += ["--csv-out", str(csv_out), "--json-out", str(json_out)]
+    subprocess.run(command, env=env, check=True, timeout=120)
+    return csv_out.read_bytes(), json_out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def one_thread_reports(tmp_path_factory):
+    return pipeline_reports(tmp_path_factory.mktemp("one_thread"), 1)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_pipeline_reports_do_not_depend_on_the_thread_count(tmp_path, one_thread_reports, count):
+    assert pipeline_reports(tmp_path, count) == one_thread_reports
